@@ -26,24 +26,22 @@ from .asymmetry import (
     trim_fill_test,
 )
 from .measures import (
-    compute_all,
-    compute_usable,
+    Measurement,
     effective_sample_size,
     kappa,
     ln_dor,
+    measure_studies,
     neg_ln_theta,
     youden,
 )
 from .model import (
     AsymmetryTestResult,
-    CorrectedTable,
     CorrectionPolicy,
-    EffectEstimate,
+    EstimateSet,
     MeasureId,
     MetaDataset,
     Sidedness,
     StudyTable,
-    continuity_correct,
     read_dataset_csv,
     validate_dataset,
     write_dataset_csv,

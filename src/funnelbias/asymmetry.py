@@ -1,6 +1,7 @@
 """Statistical tests for funnel-plot asymmetry.
 
-Four test families operate on a list of per-study effect estimates:
+Four test families operate on one measure's per-study effect estimates
+(an :class:`~funnelbias.model.EstimateSet`):
 
 * Egger-style regression of the standardized effect t/SE on a precision
   coordinate; publication bias pushes the intercept above zero.
@@ -36,7 +37,7 @@ from .errors import (
     SingularDesign,
     TooFewStudies,
 )
-from .model import AsymmetryTestResult, EffectEstimate, Sidedness
+from .model import AsymmetryTestResult, EstimateSet, Sidedness, round_half_up
 
 MAX_TRIM_ITERATIONS = 50
 
@@ -116,28 +117,9 @@ class TrimFillState:
 # ---------------------------------------------------------------------------
 
 
-def _require_studies(estimates: Sequence[EffectEstimate], minimum: int = 3) -> None:
+def _require_studies(estimates: EstimateSet, minimum: int = 3) -> None:
     if len(estimates) < minimum:
         raise TooFewStudies(f"need at least {minimum} estimates, got {len(estimates)}")
-
-
-def _measure_token(estimates: Sequence[EffectEstimate]) -> str:
-    measures = {e.measure for e in estimates}
-    if len(measures) != 1:
-        raise ValueError(f"estimates mix measures: {sorted(m.value for m in measures)}")
-    return measures.pop().value
-
-
-def _round_half_up(value: float) -> int:
-    return math.floor(value + 0.5)
-
-
-def _arrays(estimates: Sequence[EffectEstimate]):
-    values = np.array([e.value for e in estimates], dtype=float)
-    ses = np.array([e.se for e in estimates], dtype=float)
-    ns = np.array([e.n for e in estimates], dtype=float)
-    esses = np.array([e.ess for e in estimates], dtype=float)
-    return values, ses, ns, esses
 
 
 def weighted_linear_fit(
@@ -225,20 +207,18 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def pool_fixed_effects(estimates: Sequence[EffectEstimate]) -> float:
+def pool_fixed_effects(estimates: EstimateSet) -> float:
     """Inverse-variance weighted mean of the estimates."""
-    if not estimates:
+    if not len(estimates):
         raise TooFewStudies("cannot pool an empty set of estimates")
-    values, ses, _, _ = _arrays(estimates)
-    return _pool_fixed(values, ses**2)
+    return _pool_fixed(estimates.value, estimates.se**2)
 
 
-def pool_random_effects(estimates: Sequence[EffectEstimate]) -> tuple[float, float]:
+def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
     """DerSimonian-Laird pooled effect and between-study variance tau2."""
     if len(estimates) < 2:
         raise TooFewStudies(f"random-effects pooling needs k >= 2, got {len(estimates)}")
-    values, ses, _, _ = _arrays(estimates)
-    return _pool_dersimonian_laird(values, ses**2)
+    return _pool_dersimonian_laird(estimates.value, estimates.se**2)
 
 
 def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> float:
@@ -267,7 +247,7 @@ def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[
 
 
 def egger_test(
-    estimates: Sequence[EffectEstimate],
+    estimates: EstimateSet,
     axis: PrecisionAxis = PrecisionAxis.SE,
     weighting: EggerWeighting = EggerWeighting.UNWEIGHTED,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
@@ -281,9 +261,9 @@ def egger_test(
     _require_studies(estimates)
     if axis not in (PrecisionAxis.SE, PrecisionAxis.N):
         raise ValueError("Egger regression supports axis SE or N only")
-    values, ses, ns, _ = _arrays(estimates)
+    values, ses = estimates.value, estimates.se
     response = values / ses
-    predictor = 1.0 / ses if axis is PrecisionAxis.SE else ns
+    predictor = 1.0 / ses if axis is PrecisionAxis.SE else estimates.n
     if weighting is EggerWeighting.UNWEIGHTED:
         weights = None
     elif weighting is EggerWeighting.INV_VARIANCE_FIXED:
@@ -294,12 +274,12 @@ def egger_test(
     fit = weighted_linear_fit(predictor, response, weights)
     statistic = _coefficient_statistic(fit.b0, fit.se_b0, float(np.max(np.abs(response))))
     p = _t_pvalue(statistic, fit.df, sidedness, "greater")
-    test_id = f"E({_measure_token(estimates)},{axis.value},{weighting.value})"
+    test_id = f"E({estimates.measure.value},{axis.value},{weighting.value})"
     return _finish(test_id, statistic, p, sidedness, alpha)
 
 
 def macaskill_test(
-    estimates: Sequence[EffectEstimate],
+    estimates: EstimateSet,
     predictor: MacaskillPredictor = MacaskillPredictor.N,
     weighting: MacaskillWeighting = MacaskillWeighting.INV_VARIANCE_FIXED,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
@@ -311,7 +291,7 @@ def macaskill_test(
     the reciprocal predictors 1/sqrt(ESS) and 1/N flip it to b1 > 0.
     """
     _require_studies(estimates)
-    values, ses, ns, esses = _arrays(estimates)
+    values, ses, ns, esses = estimates.value, estimates.se, estimates.n, estimates.ess
     if predictor is MacaskillPredictor.N:
         x = ns
         direction = "less"
@@ -326,11 +306,11 @@ def macaskill_test(
     elif weighting is MacaskillWeighting.ESS:
         weights = esses
     else:
-        weights = np.array([e.m1 * e.m2 / e.n for e in estimates], dtype=float)
+        weights = estimates.m1 * estimates.m2 / ns
     fit = weighted_linear_fit(x, values, weights)
     statistic = _coefficient_statistic(fit.b1, fit.se_b1, float(np.max(np.abs(values))))
     p = _t_pvalue(statistic, fit.df, sidedness, direction)
-    test_id = f"M({_measure_token(estimates)},{predictor.value},{weighting.value})"
+    test_id = f"M({estimates.measure.value},{predictor.value},{weighting.value})"
     return _finish(test_id, statistic, p, sidedness, alpha)
 
 
@@ -446,7 +426,7 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]
 
 
 def begg_test(
-    estimates: Sequence[EffectEstimate],
+    estimates: EstimateSet,
     dispersion: BeggDispersion = BeggDispersion.VARIANCE,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
     alpha: float = 0.1,
@@ -462,7 +442,7 @@ def begg_test(
     shrink, so the one-sided alternative is tau > 0 throughout.
     """
     _require_studies(estimates)
-    values, ses, ns, esses = _arrays(estimates)
+    values, ses = estimates.value, estimates.se
     variances = ses**2
     t_bar = _pool_fixed(values, variances)
     if plain_se_standardization:
@@ -476,14 +456,14 @@ def begg_test(
     if dispersion is BeggDispersion.VARIANCE:
         disp = variances
     elif dispersion is BeggDispersion.INV_N:
-        disp = 1.0 / ns
+        disp = 1.0 / estimates.n
     else:
-        disp = 1.0 / esses
+        disp = 1.0 / estimates.ess
     if np.ptp(disp) == 0.0:
         raise AllTied("dispersion values are all identical")
     detail = _kendall_detail(t_star, disp)
     p = detail.p_two if sidedness is Sidedness.TWO_SIDED else detail.p_greater
-    test_id = f"B({_measure_token(estimates)},{dispersion.value})"
+    test_id = f"B({estimates.measure.value},{dispersion.value})"
     return _finish(test_id, detail.tau, p, sidedness, alpha)
 
 
@@ -585,7 +565,7 @@ def trim_fill_iterate(
         theta = _trim_pool(values[kept], variances[kept], ns[kept], axis)
         centered, ranks, gamma_plus, s_plus, l_estimate = _center_and_rank(values, theta)
         estimate = float(gamma_plus - 1) if estimator is TrimFillEstimator.R else l_estimate
-        k0_new = min(max(_round_half_up(estimate), 0), k - 1)
+        k0_new = min(max(round_half_up(estimate), 0), k - 1)
         state_parts = (theta, centered, ranks, gamma_plus, s_plus, l_estimate)
         if k0_new == k0:
             converged = True
@@ -606,7 +586,7 @@ def trim_fill_iterate(
 
 
 def trim_fill_test(
-    estimates: Sequence[EffectEstimate],
+    estimates: EstimateSet,
     axis: PrecisionAxis = PrecisionAxis.SE,
     estimator: TrimFillEstimator = TrimFillEstimator.R,
     alpha: float = 0.1,
@@ -622,9 +602,8 @@ def trim_fill_test(
     _require_studies(estimates)
     if axis not in (PrecisionAxis.SE, PrecisionAxis.N):
         raise ValueError("trim and fill supports axis SE or N only")
-    values, ses, ns, _ = _arrays(estimates)
-    state = trim_fill_iterate(values, ses**2, ns, estimator, axis)
-    k = len(values)
+    state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
+    k = len(estimates)
     if estimator is TrimFillEstimator.R:
         statistic = float(state.r_estimate)
         p = 2.0 ** (-state.gamma_plus)
@@ -632,7 +611,7 @@ def trim_fill_test(
         statistic = state.l_estimate
         s_plus = float(np.sum(np.asarray(state.ranks)[np.asarray(state.centered) > 0]))
         p = _l_pvalue(k, np.asarray(state.ranks), s_plus)
-    test_id = f"T({_measure_token(estimates)},{axis.value},{estimator.value})"
+    test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
     return _finish(
         test_id,
         statistic,
@@ -650,14 +629,12 @@ def trim_fill_test(
 # ---------------------------------------------------------------------------
 
 
-def funnel_points(
-    estimates: Sequence[EffectEstimate], axis: PrecisionAxis
-) -> list[tuple[float, float]]:
-    """(effect, axis value) pairs in study order, for external plotting."""
+def funnel_points(estimates: EstimateSet, axis: PrecisionAxis) -> tuple[np.ndarray, np.ndarray]:
+    """(effects, axis values) in study order, for external plotting."""
     if axis is PrecisionAxis.SE:
-        return [(e.value, 1.0 / e.se) for e in estimates]
+        return estimates.value, 1.0 / estimates.se
     if axis is PrecisionAxis.N:
-        return [(e.value, float(e.n)) for e in estimates]
+        return estimates.value, estimates.n.astype(float)
     if axis is PrecisionAxis.ESS:
-        return [(e.value, e.ess) for e in estimates]
-    return [(e.value, 1.0 / e.n) for e in estimates]
+        return estimates.value, estimates.ess
+    return estimates.value, 1.0 / estimates.n

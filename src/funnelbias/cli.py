@@ -142,30 +142,43 @@ def _policy(token: str) -> CorrectionPolicy:
 
 
 def _load_estimates(args):
-    """Shared analyze/funnel input pipeline: read, validate, measure."""
+    """Shared analyze/funnel input pipeline: read, validate, measure.
+
+    Returns the dataset, the usable estimates, their study ids and one
+    warning per corrected or excluded study, in study order.
+    """
     dataset, study_ids = read_dataset_csv(args.input)
     validate_dataset(dataset)
-    records = measure_studies(dataset, _MEASURES[args.measure], _policy(args.correction))
+    estimates, corrected, excluded = measure_studies(
+        dataset, _MEASURES[args.measure], _policy(args.correction)
+    )
+    corrected = set(corrected)
+    reasons = dict(excluded)
     warnings = []
-    for rec in records:
-        sid = study_ids[rec.index]
-        if rec.correction_applied:
-            warnings.append(f"study {sid}: continuity correction applied")
-        if rec.error is not None:
-            warnings.append(f"study {sid}: excluded: {rec.error}")
-    usable = [(study_ids[r.index], r.estimate) for r in records if r.estimate is not None]
-    return dataset, records, usable, warnings
+    for i in sorted(corrected | reasons.keys()):
+        if i in corrected:
+            warnings.append(f"study {study_ids[i]}: continuity correction applied")
+        if i in reasons:
+            warnings.append(f"study {study_ids[i]}: excluded: {reasons[i]}")
+    ids = [study_ids[i] for i in estimates.index.tolist()]
+    return dataset, estimates, ids, warnings
 
 
 def _cmd_analyze(args) -> int:
-    dataset, records, usable, warnings = _load_estimates(args)
-    estimates = [est for _, est in usable]
+    dataset, estimates, ids, warnings = _load_estimates(args)
     if len(estimates) < 3:
         raise TooFewStudies(
             f"only {len(estimates)} usable studies after exclusions; need at least 3"
         )
     variant = _build_variant(args)
     result = run_variant(variant, estimates, args.alpha)
+    columns = zip(
+        ids,
+        estimates.value.tolist(),
+        estimates.se.tolist(),
+        estimates.n.tolist(),
+        estimates.ess.tolist(),
+    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": str(args.input),
@@ -173,14 +186,8 @@ def _cmd_analyze(args) -> int:
         "measure": args.measure,
         "correction": args.correction,
         "studies": [
-            {
-                "study_id": sid,
-                "value": est.value,
-                "se": est.se,
-                "n": est.n,
-                "ess": est.ess,
-            }
-            for sid, est in usable
+            {"study_id": sid, "value": value, "se": se, "n": n, "ess": ess}
+            for sid, value, se, n, ess in columns
         ],
         "warnings": warnings,
         "test": {
@@ -202,13 +209,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_funnel(args) -> int:
-    _, _, usable, warnings = _load_estimates(args)
+    _, estimates, ids, warnings = _load_estimates(args)
     for message in warnings:
         print(message, file=sys.stderr)
-    if not usable:
+    if not ids:
         raise TooFewStudies("no usable studies")
-    ids = [sid for sid, _ in usable]
-    points = funnel_points([est for _, est in usable], _AXES[args.axis])
+    effects, axis_values = funnel_points(estimates, _AXES[args.axis])
+    points = list(zip(effects.tolist(), axis_values.tolist()))
     if args.format == "json":
         rows = [
             {"study_id": sid, "effect": x, "axis_value": y}

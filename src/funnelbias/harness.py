@@ -36,11 +36,11 @@ from .asymmetry import (
     trim_fill_test,
 )
 from .errors import EmptyInput, MeasureError, StatisticalError
-from .measures import compute_usable
+from .measures import measure_studies as compute_usable  # the name perfbench/tracing.py wraps
 from .model import (
     AsymmetryTestResult,
     CorrectionPolicy,
-    EffectEstimate,
+    EstimateSet,
     MeasureId,
     Sidedness,
 )
@@ -145,7 +145,7 @@ class TestVariantId:
 
 
 def run_variant(
-    variant: TestVariantId, estimates: Sequence[EffectEstimate], alpha: float
+    variant: TestVariantId, estimates: EstimateSet, alpha: float
 ) -> AsymmetryTestResult:
     """Evaluate one variant on one set of estimates."""
     if variant.family is TestFamily.EGGER:

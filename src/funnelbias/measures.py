@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     BoundaryProportion,
@@ -30,49 +32,26 @@ from .errors import (
     MeasureError,
     ZeroCell,
 )
-from .model import (
-    CorrectedTable,
-    CorrectionPolicy,
-    EffectEstimate,
-    MeasureId,
-    MetaDataset,
-    StudyTable,
-    continuity_correct,
-)
+from .model import CorrectionPolicy, EstimateSet, MeasureId, MetaDataset
 
 
-def effective_sample_size(table: StudyTable) -> float:
+def effective_sample_size(n1, n2):
     """4 * n1 * n2 / (n1 + n2): equals N for balanced groups, less otherwise."""
-    return 4.0 * table.n1 * table.n2 / (table.n1 + table.n2)
+    return 4.0 * n1 * n2 / (n1 + n2)
 
 
-def _estimate(table: CorrectedTable, measure: MeasureId, value: float, se: float) -> EffectEstimate:
-    src = table.source
-    return EffectEstimate(
-        measure=measure,
-        value=value,
-        se=se,
-        ess=effective_sample_size(src),
-        n=src.n,
-        m1=src.m1,
-        m2=src.m2,
-    )
-
-
-def ln_dor(table: CorrectedTable) -> EffectEstimate:
+def ln_dor(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     """Log diagnostic odds ratio with se = sqrt(1/x + 1/y + 1/w + 1/z)."""
-    x, w, y, z = table.x, table.w, table.y, table.z
     if 0.0 in (x, w, y, z):
         raise ZeroCell("lnDOR undefined with a zero cell; apply continuity correction")
     value = math.log(x * z / (y * w))
     se = math.sqrt(1.0 / x + 1.0 / y + 1.0 / w + 1.0 / z)
-    return _estimate(table, MeasureId.LNDOR, value, se)
+    return value, se
 
 
-def neg_ln_theta(table: CorrectedTable) -> EffectEstimate:
+def neg_ln_theta(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     """Negated log Lehmann parameter, -ln(ln(Sen) / ln(FPR))."""
-    x, y = table.x, table.y
-    n1, n2 = table.n1, table.n2
+    n1, n2 = x + w, y + z
     if x == 0.0 or y == 0.0:
         raise ZeroCell("lnTheta undefined with x = 0 or y = 0")
     if x == n1 or y == n2:
@@ -85,21 +64,22 @@ def neg_ln_theta(table: CorrectedTable) -> EffectEstimate:
     )
     if se == 0.0:
         raise DegenerateSE("lnTheta standard error is zero")
-    return _estimate(table, MeasureId.NEG_LNTHETA, value, se)
+    return value, se
 
 
-def youden(table: CorrectedTable) -> EffectEstimate:
+def youden(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     """Youden's index x/n1 + z/n2 - 1 with the binomial standard error."""
-    sen = table.x / table.n1
-    fpr = table.y / table.n2
+    n1, n2 = x + w, y + z
+    sen = x / n1
+    fpr = y / n2
     value = sen + (1.0 - fpr) - 1.0
-    se = math.sqrt(sen * (1.0 - sen) / table.n1 + fpr * (1.0 - fpr) / table.n2)
+    se = math.sqrt(sen * (1.0 - sen) / n1 + fpr * (1.0 - fpr) / n2)
     if se == 0.0:
         raise DegenerateSE("Youden standard error is zero (both proportions on a boundary)")
-    return _estimate(table, MeasureId.YOUDEN, value, se)
+    return value, se
 
 
-def kappa(table: CorrectedTable) -> EffectEstimate:
+def kappa(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     """Cohen's kappa 2(xz - yw) / (n1*m2 + n2*m1) with the Fleiss SE.
 
     The variance pieces follow the Fleiss-Cohen-Everitt large-sample
@@ -107,9 +87,8 @@ def kappa(table: CorrectedTable) -> EffectEstimate:
     (agreement) cells x and z, B the off-diagonal cells w and y, and C
     the centering correction.
     """
-    x, w, y, z = table.x, table.w, table.y, table.z
-    n1, n2, m1, m2 = table.n1, table.n2, table.m1, table.m2
-    n = table.n
+    n1, n2, m1, m2 = x + w, y + z, x + y, w + z
+    n = n1 + n2
     denom = n1 * m2 + n2 * m1
     if denom == 0.0:
         raise DegenerateMarginals("kappa undefined: n1*m2 + n2*m1 = 0")
@@ -127,10 +106,10 @@ def kappa(table: CorrectedTable) -> EffectEstimate:
     se = math.sqrt(variance_core) / ((1.0 - p_e) * math.sqrt(n))
     if se == 0.0:
         raise DegenerateSE("kappa standard error is zero")
-    return _estimate(table, MeasureId.KAPPA, value, se)
+    return value, se
 
 
-MEASURES: dict[MeasureId, Callable[[CorrectedTable], EffectEstimate]] = {
+MEASURES: dict[MeasureId, Callable[[float, float, float, float], tuple[float, float]]] = {
     MeasureId.LNDOR: ln_dor,
     MeasureId.NEG_LNTHETA: neg_ln_theta,
     MeasureId.YOUDEN: youden,
@@ -138,81 +117,61 @@ MEASURES: dict[MeasureId, Callable[[CorrectedTable], EffectEstimate]] = {
 }
 
 
-def compute_all(
-    dataset: MetaDataset,
-    measure: MeasureId,
-    policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
-) -> list[EffectEstimate]:
-    """Correct and measure every study, in order; strict about failures.
+class Measurement(NamedTuple):
+    """One measure over a dataset: the usable estimates and what happened to the rest."""
 
-    A study whose measure is undefined raises the underlying
-    :class:`MeasureError` with the 0-based study index attached.
-    """
-    fn = MEASURES[measure]
-    estimates = []
-    for i, study in enumerate(dataset.studies):
-        try:
-            estimates.append(fn(continuity_correct(study, policy)))
-        except MeasureError as exc:
-            exc.study_index = i
-            exc.args = (f"study {i}: {exc.args[0]}",)
-            raise
-    return estimates
-
-
-@dataclass(frozen=True, slots=True)
-class StudyMeasurement:
-    """Per-study measurement outcome, for reporting pipelines."""
-
-    index: int
-    estimate: EffectEstimate | None
-    correction_applied: bool
-    error: str | None
+    estimates: EstimateSet
+    corrected: tuple[int, ...]  # studies whose cells were continuity-corrected
+    excluded: tuple[tuple[int, str], ...]  # (study index, reason) per unusable study
 
 
 def measure_studies(
     dataset: MetaDataset,
     measure: MeasureId,
     policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
-) -> list[StudyMeasurement]:
-    """Correct and measure every study, recording corrections and failures."""
-    fn = MEASURES[measure]
-    records = []
-    for i, study in enumerate(dataset.studies):
-        corrected = continuity_correct(study, policy)
-        try:
-            estimate = fn(corrected)
-            error = None
-        except MeasureError as exc:
-            estimate = None
-            error = str(exc)
-        records.append(
-            StudyMeasurement(
-                index=i,
-                estimate=estimate,
-                correction_applied=corrected.correction_applied,
-                error=error,
-            )
-        )
-    return records
+) -> Measurement:
+    """Correct and measure every study, in order, skipping degenerate ones.
 
-
-def compute_usable(
-    dataset: MetaDataset,
-    measure: MeasureId,
-    policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
-) -> tuple[list[EffectEstimate], list[tuple[int, str]]]:
-    """Like :func:`compute_all` but skips degenerate studies.
-
-    Returns the usable estimates (input order preserved) together with
-    ``(study_index, reason)`` pairs for every excluded study, so callers
-    can surface them as warnings instead of silently dropping data.
+    Under ``HALF_IF_ANY_ZERO`` all four cells of a study get +0.5 as soon
+    as any one of them is zero; under ``NEVER`` the cells pass through.
+    A study whose measure is undefined is left out of the estimates and
+    listed in ``excluded`` with the reason, so callers can surface it
+    instead of silently dropping data. The size columns come from the
+    observed tables.
     """
-    estimates: list[EffectEstimate] = []
-    skipped: list[tuple[int, str]] = []
-    for record in measure_studies(dataset, measure, policy):
-        if record.estimate is not None:
-            estimates.append(record.estimate)
+    fn = MEASURES[measure]
+    correct = policy is CorrectionPolicy.HALF_IF_ANY_ZERO
+    values: list[float] = []
+    ses: list[float] = []
+    kept: list[int] = []
+    corrected: list[int] = []
+    excluded: list[tuple[int, str]] = []
+    for i, study in enumerate(dataset.studies):
+        x, w, y, z = study.x, study.w, study.y, study.z
+        if correct and 0 in (x, w, y, z):
+            cells = (x + 0.5, w + 0.5, y + 0.5, z + 0.5)
+            corrected.append(i)
         else:
-            skipped.append((record.index, record.error or "undefined"))
-    return estimates, skipped
+            cells = (float(x), float(w), float(y), float(z))
+        try:
+            value, se = fn(*cells)
+        except MeasureError as exc:
+            excluded.append((i, str(exc)))
+            continue
+        values.append(value)
+        ses.append(se)
+        kept.append(i)
+    raw = np.array([(t.x, t.w, t.y, t.z) for t in dataset.studies], dtype=np.int64)
+    x, w, y, z = raw.reshape(-1, 4)[kept].T
+    n1, n2 = x + w, y + z
+    estimates = EstimateSet(
+        measure=measure,
+        value=values,
+        se=ses,
+        n=n1 + n2,
+        ess=effective_sample_size(n1, n2),
+        m1=x + y,
+        m2=w + z,
+        index=kept,
+    )
+    return Measurement(estimates, tuple(corrected), tuple(excluded))

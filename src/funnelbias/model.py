@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DatasetFormatError,
@@ -97,74 +100,55 @@ class StudyTable:
             raise EmptyGroup("no healthy subjects (n2 = 0)")
         return self
 
-    def has_zero_cell(self) -> bool:
-        return 0 in (self.x, self.w, self.y, self.z)
-
 
 @dataclass(frozen=True, slots=True)
-class CorrectedTable:
-    """A 2x2 table after (possible) continuity correction; cells are reals.
+class EstimateSet:
+    """One measure's estimates t_i with their SEs, for a dataset's usable studies.
 
-    Keeps a reference to the raw source table so that sample-size and
-    effective-sample-size bookkeeping always reflects the observed data.
-    """
-
-    x: float
-    w: float
-    y: float
-    z: float
-    correction_applied: bool
-    source: StudyTable
-
-    @property
-    def n1(self) -> float:
-        return self.x + self.w
-
-    @property
-    def n2(self) -> float:
-        return self.y + self.z
-
-    @property
-    def m1(self) -> float:
-        return self.x + self.y
-
-    @property
-    def m2(self) -> float:
-        return self.w + self.z
-
-    @property
-    def n(self) -> float:
-        return self.n1 + self.n2
-
-
-@dataclass(frozen=True, slots=True)
-class EffectEstimate:
-    """A univariate accuracy estimate for one study: t_i with its SE.
-
-    Carries the source table's size bookkeeping (n, ess, test-result
-    marginals m1/m2) because several asymmetry-test variants order or
-    weight studies by those quantities rather than by the SE.
+    A structure of arrays with one entry per study. Alongside ``value``
+    and ``se`` it carries each source table's size bookkeeping (``n``,
+    ``ess`` and the test-result marginals ``m1``/``m2``, all from the
+    observed table, before any continuity correction), because several
+    asymmetry-test variants order or weight studies by those quantities
+    rather than by the SE. ``index`` is each study's 0-based position in
+    its dataset and defaults to 0..k-1. Columns are read-only copies.
     """
 
     measure: MeasureId
-    value: float
-    se: float
-    ess: float
-    n: int
-    m1: int
-    m2: int
+    value: np.ndarray
+    se: np.ndarray
+    n: np.ndarray
+    ess: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.se > 0:
-            raise ValueError(f"se must be positive, got {self.se}")
-        if not self.ess > 0:
-            raise ValueError(f"ess must be positive, got {self.ess}")
-        if not self.n > 0:
-            raise ValueError(f"n must be positive, got {self.n}")
+        k = len(self.value)
+        if self.index is None:
+            object.__setattr__(self, "index", np.arange(k))
+        for name, dtype in _ESTIMATE_COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (k,):
+                raise ValueError(f"column {name} has shape {column.shape}, expected ({k},)")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not (np.all(self.se > 0) and np.all(self.ess > 0) and np.all(self.n > 0)):
+            raise ValueError("se, ess and n must be positive for every study")
 
-    @property
-    def variance(self) -> float:
-        return self.se * self.se
+    def __len__(self) -> int:
+        return len(self.value)
+
+
+_ESTIMATE_COLUMNS = (
+    ("value", float),
+    ("se", float),
+    ("n", np.int64),
+    ("ess", float),
+    ("m1", np.int64),
+    ("m2", np.int64),
+    ("index", np.int64),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,6 +190,11 @@ class MetaDataset:
 MIN_STUDIES = 3  # regression tests need k - 2 >= 1 residual df
 
 
+def round_half_up(value: float) -> int:
+    """Nearest integer with halves rounded up (``round`` rounds them to even)."""
+    return math.floor(value + 0.5)
+
+
 def validate_dataset(dataset: MetaDataset) -> MetaDataset:
     """Check every study's invariants and the minimum study count.
 
@@ -221,32 +210,6 @@ def validate_dataset(dataset: MetaDataset) -> MetaDataset:
         except (NegativeCell, EmptyGroup) as exc:
             raise type(exc)(f"study {i}: {exc}") from None
     return dataset
-
-
-def continuity_correct(table: StudyTable, policy: CorrectionPolicy) -> CorrectedTable:
-    """Apply the +0.5 zero-cell correction under the given policy.
-
-    Under ``HALF_IF_ANY_ZERO`` all four cells are incremented by 0.5 as
-    soon as any one of them is zero; otherwise (and always under
-    ``NEVER``) the cells pass through unchanged.
-    """
-    if policy is CorrectionPolicy.HALF_IF_ANY_ZERO and table.has_zero_cell():
-        return CorrectedTable(
-            x=table.x + 0.5,
-            w=table.w + 0.5,
-            y=table.y + 0.5,
-            z=table.z + 0.5,
-            correction_applied=True,
-            source=table,
-        )
-    return CorrectedTable(
-        x=float(table.x),
-        w=float(table.w),
-        y=float(table.y),
-        z=float(table.z),
-        correction_applied=False,
-        source=table,
-    )
 
 
 def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:

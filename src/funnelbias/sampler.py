@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import GridFormatError, NonPSDCovariance
-from .model import MetaDataset, StudyTable
+from .model import MetaDataset, StudyTable, round_half_up
 
 __all__ = [
     "BiasMechanism",
@@ -50,10 +50,6 @@ __all__ = [
 logistic = expit  # inverse of logit, numerically stable on both tails
 
 PSD_TOLERANCE = 1e-12
-
-
-def _round_half_up(value: float) -> int:
-    return math.floor(value + 0.5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +223,7 @@ def sample_sizes(
     totals = rng.integers(condition.n_min, condition.n_max + 1, size=count)
     out = []
     for total in totals:
-        n1 = _round_half_up(condition.pi * int(total))
+        n1 = round_half_up(condition.pi * int(total))
         out.append((n1, int(total) - n1))
     return out
 
@@ -236,84 +232,68 @@ def _observed_youden(table: StudyTable) -> float:
     return table.x / table.n1 + table.z / table.n2 - 1.0
 
 
-def generate_meta_analysis_traced(
+def _realize_all(
     condition: SimCondition, rng: np.random.Generator
-) -> tuple[MetaDataset, GenerationTrace]:
-    """Generate one meta-analysis and report how each study arose."""
+) -> tuple[list[StudyTable], list[bool], list[int]]:
+    """Every realized table, whether it came from the shifted component, and the kept ones.
+
+    Selection realizes k + l tables and keeps the k with the highest
+    scores, in draw order; a mixture realizes its base and shifted logit
+    pairs into randomly permuted slots. Returns (tables, shifted flags,
+    indices of the kept tables in dataset order).
+    """
     bias = condition.bias
     k = condition.k
-
-    if bias.mechanism is BiasMechanism.SELECTION and bias.selection_fraction > 0.0:
-        n_drop = _round_half_up(bias.selection_fraction * k)
-        total = k + n_drop
-        sizes = sample_sizes(condition, total, rng)
-        pairs = sample_logit_pairs(condition.params, total, rng)
-        tables = [
-            realize_study(pairs[i, 0], pairs[i, 1], sizes[i][0], sizes[i][1], rng)
-            for i in range(total)
-        ]
-        if bias.selection_basis is SelectionBasis.TRUE:
-            scores = [float(expit(pairs[i, 0]) - expit(pairs[i, 1])) for i in range(total)]
-        else:
-            scores = [_observed_youden(t) for t in tables]
-        # drop the n_drop lowest scores; ties drop the smaller study first
-        drop_order = sorted(range(total), key=lambda i: (scores[i], tables[i].n, i))
-        dropped = set(drop_order[:n_drop])
-        kept = [i for i in range(total) if i not in dropped]
-        dataset = MetaDataset([tables[i] for i in kept])
-        trace = GenerationTrace(
-            origins=tuple("base" for _ in kept),
-            kept_youden=tuple(_observed_youden(tables[i]) for i in kept),
-            dropped_youden=tuple(_observed_youden(tables[i]) for i in sorted(dropped)),
-            generated=total,
-        )
-        return dataset, trace
-
+    n_drop = n_shifted = 0
+    if bias.mechanism is BiasMechanism.SELECTION:
+        n_drop = round_half_up(bias.selection_fraction * k)
+    elif bias.mechanism is BiasMechanism.MIXTURE:
+        n_shifted = round_half_up(bias.mixture_fraction * k)
+    total = k + n_drop
+    sizes = sample_sizes(condition, total, rng)
+    pairs = sample_logit_pairs(condition.params, total - n_shifted, rng)
     if bias.mechanism is BiasMechanism.MIXTURE:
-        n_shifted = _round_half_up(bias.mixture_fraction * k)
-        sizes = sample_sizes(condition, k, rng)
-        base_pairs = sample_logit_pairs(condition.params, k - n_shifted, rng)
-        shifted_pairs = sample_logit_pairs(
-            condition.params.shifted(bias.eta), n_shifted, rng
-        )
-        pairs = np.vstack([base_pairs, shifted_pairs])
-        origins = ["base"] * (k - n_shifted) + ["shifted"] * n_shifted
-        perm = rng.permutation(k)
-        tables = []
-        final_origins = []
-        for slot, src in enumerate(perm):
-            tables.append(
-                realize_study(pairs[src, 0], pairs[src, 1], sizes[slot][0], sizes[slot][1], rng)
-            )
-            final_origins.append(origins[src])
-        dataset = MetaDataset(tables)
-        trace = GenerationTrace(
-            origins=tuple(final_origins),
-            kept_youden=tuple(_observed_youden(t) for t in tables),
-            dropped_youden=(),
-            generated=k,
-        )
-        return dataset, trace
-
-    sizes = sample_sizes(condition, k, rng)
-    pairs = sample_logit_pairs(condition.params, k, rng)
+        shifted_pairs = sample_logit_pairs(condition.params.shifted(bias.eta), n_shifted, rng)
+        pairs = np.vstack([pairs, shifted_pairs])
+        sources = rng.permutation(k).tolist()
+    else:
+        sources = list(range(total))
     tables = [
-        realize_study(pairs[i, 0], pairs[i, 1], sizes[i][0], sizes[i][1], rng)
-        for i in range(k)
+        realize_study(pairs[src, 0], pairs[src, 1], sizes[slot][0], sizes[slot][1], rng)
+        for slot, src in enumerate(sources)
     ]
-    dataset = MetaDataset(tables)
-    trace = GenerationTrace(
-        origins=tuple("base" for _ in tables),
-        kept_youden=tuple(_observed_youden(t) for t in tables),
-        dropped_youden=(),
-        generated=k,
-    )
-    return dataset, trace
+    shifted = [src >= total - n_shifted for src in sources]
+    if n_drop == 0:
+        return tables, shifted, list(range(total))
+    if bias.selection_basis is SelectionBasis.TRUE:
+        scores = [float(expit(pairs[i, 0]) - expit(pairs[i, 1])) for i in range(total)]
+    else:
+        scores = [_observed_youden(t) for t in tables]
+    # drop the n_drop lowest scores; ties drop the smaller study first
+    drop_order = sorted(range(total), key=lambda i: (scores[i], tables[i].n, i))
+    dropped = set(drop_order[:n_drop])
+    return tables, shifted, [i for i in range(total) if i not in dropped]
 
 
 def generate_meta_analysis(condition: SimCondition, rng: np.random.Generator) -> MetaDataset:
     """Generate one meta-analysis under the condition's bias mechanism."""
-    return generate_meta_analysis_traced(condition, rng)[0]
+    tables, _, kept = _realize_all(condition, rng)
+    return MetaDataset([tables[i] for i in kept])
+
+
+def generate_meta_analysis_traced(
+    condition: SimCondition, rng: np.random.Generator
+) -> tuple[MetaDataset, GenerationTrace]:
+    """Generate one meta-analysis and report how each study arose."""
+    tables, shifted, kept = _realize_all(condition, rng)
+    dropped = sorted(set(range(len(tables))) - set(kept))
+    trace = GenerationTrace(
+        origins=tuple("shifted" if shifted[i] else "base" for i in kept),
+        kept_youden=tuple(_observed_youden(tables[i]) for i in kept),
+        dropped_youden=tuple(_observed_youden(tables[i]) for i in dropped),
+        generated=len(tables),
+    )
+    return MetaDataset([tables[i] for i in kept]), trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -25,18 +26,21 @@ from funnelbias.asymmetry import (
 )
 from funnelbias.asymmetry import _center_and_rank, _signed_rank_tail
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
-from funnelbias.model import EffectEstimate, MeasureId, Sidedness
+from funnelbias.model import EstimateSet, MeasureId, Sidedness
 
 
-def est(value, se, n=100, ess=None, m1=None, m2=None, measure=MeasureId.LNDOR):
-    return EffectEstimate(
+def est(values, ses, n=100, ess=None, m1=None, m2=None, measure=MeasureId.LNDOR):
+    """An estimate set; scalar columns are repeated for every study."""
+    k = len(values)
+    n = np.broadcast_to(n, k)
+    return EstimateSet(
         measure=measure,
-        value=float(value),
-        se=float(se),
-        ess=float(ess if ess is not None else n),
-        n=int(n),
-        m1=int(m1 if m1 is not None else n // 2),
-        m2=int(m2 if m2 is not None else n - n // 2),
+        value=values,
+        se=np.broadcast_to(ses, k),
+        n=n,
+        ess=n if ess is None else np.broadcast_to(ess, k),
+        m1=n // 2 if m1 is None else np.broadcast_to(m1, k),
+        m2=n - n // 2 if m2 is None else np.broadcast_to(m2, k),
     )
 
 
@@ -44,7 +48,7 @@ def random_estimates(rng, k=12):
     ses = rng.uniform(0.1, 1.0, size=k)
     values = rng.normal(0.5, ses)
     ns = rng.integers(50, 1001, size=k)
-    return [est(v, s, n=int(n)) for v, s, n in zip(values, ses, ns)]
+    return est(values, ses, n=ns)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def test_weighted_fit_singular_design():
 
 def test_egger_constant_effects_line_through_origin():
     # t/se = c * (1/se) exactly, so b0 = 0 with a perfect fit
-    ests = [est(1.0, 1.0), est(1.0, 0.5), est(1.0, 0.25)]
+    ests = est([1.0, 1.0, 1.0], [1.0, 0.5, 0.25])
     r = egger_test(ests, PrecisionAxis.SE, EggerWeighting.UNWEIGHTED)
     assert r.statistic == 0.0
     assert r.p_value == 0.5
@@ -104,14 +108,13 @@ def test_egger_constant_effects_line_through_origin():
 
 def test_egger_identical_ses_singular():
     with pytest.raises(SingularDesign):
-        egger_test([est(1, 0.5), est(2, 0.5), est(3, 0.5)], PrecisionAxis.SE)
+        egger_test(est([1.0, 2.0, 3.0], 0.5), PrecisionAxis.SE)
 
 
 def test_egger_matches_oracle_on_random_data():
     rng = np.random.default_rng(21)
     ests = random_estimates(rng, k=15)
-    ses = np.array([e.se for e in ests])
-    values = np.array([e.value for e in ests])
+    ses, values = ests.se, ests.value
     r = egger_test(ests, PrecisionAxis.SE, EggerWeighting.UNWEIGHTED)
     b0, _, se_b0, _ = normal_equations_fit(1.0 / ses, values / ses, np.ones(len(ests)))
     assert r.statistic == pytest.approx(b0 / se_b0, rel=1e-10)
@@ -121,9 +124,7 @@ def test_egger_matches_oracle_on_random_data():
 def test_egger_axis_n_uses_sample_size():
     rng = np.random.default_rng(22)
     ests = random_estimates(rng, k=10)
-    ns = np.array([float(e.n) for e in ests])
-    ses = np.array([e.se for e in ests])
-    values = np.array([e.value for e in ests])
+    ns, ses, values = ests.n.astype(float), ests.se, ests.value
     r = egger_test(ests, PrecisionAxis.N)
     b0, _, se_b0, _ = normal_equations_fit(ns, values / ses, np.ones(len(ests)))
     assert r.statistic == pytest.approx(b0 / se_b0, rel=1e-10)
@@ -149,7 +150,7 @@ def test_egger_two_sided():
 
 def test_egger_too_few_studies():
     with pytest.raises(TooFewStudies):
-        egger_test([est(1, 0.5), est(2, 0.4)])
+        egger_test(est([1.0, 2.0], [0.5, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def test_egger_too_few_studies():
 
 
 def test_macaskill_constant_response_never_rejects():
-    ests = [est(1.0, 0.5, n=50), est(1.0, 0.4, n=200), est(1.0, 0.3, n=800)]
+    ests = est([1.0, 1.0, 1.0], [0.5, 0.4, 0.3], n=[50, 200, 800])
     r = macaskill_test(ests, MacaskillPredictor.N)
     assert r.statistic == 0.0
     assert r.p_value == 0.5
@@ -166,7 +167,7 @@ def test_macaskill_constant_response_never_rejects():
 
 
 def test_macaskill_small_studies_inflated():
-    ests = [est(2.0, 1.0, n=50), est(1.5, 1.0, n=200), est(1.0, 1.0, n=800)]
+    ests = est([2.0, 1.5, 1.0], 1.0, n=[50, 200, 800])
     r_n = macaskill_test(ests, MacaskillPredictor.N)
     assert r_n.statistic < 0.0
     r_inv = macaskill_test(ests, MacaskillPredictor.INV_N, MacaskillWeighting.PETERS)
@@ -176,9 +177,7 @@ def test_macaskill_small_studies_inflated():
 def test_macaskill_matches_oracle():
     rng = np.random.default_rng(25)
     ests = random_estimates(rng, k=12)
-    values = np.array([e.value for e in ests])
-    ns = np.array([float(e.n) for e in ests])
-    w = np.array([1.0 / e.se**2 for e in ests])
+    values, ns, w = ests.value, ests.n.astype(float), 1.0 / ests.se**2
     r = macaskill_test(ests, MacaskillPredictor.N, MacaskillWeighting.INV_VARIANCE_FIXED)
     _, b1, _, se_b1 = normal_equations_fit(ns, values, w)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
@@ -189,8 +188,7 @@ def test_macaskill_matches_oracle():
 def test_macaskill_deeks_predictor_and_weights():
     rng = np.random.default_rng(26)
     ests = random_estimates(rng, k=12)
-    values = np.array([e.value for e in ests])
-    esses = np.array([e.ess for e in ests])
+    values, esses = ests.value, ests.ess
     r = macaskill_test(ests, MacaskillPredictor.INV_SQRT_ESS, MacaskillWeighting.ESS)
     _, b1, _, se_b1 = normal_equations_fit(1.0 / np.sqrt(esses), values, esses)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
@@ -199,14 +197,15 @@ def test_macaskill_deeks_predictor_and_weights():
 
 def test_macaskill_peters_mass_weights():
     rng = np.random.default_rng(39)
-    ests = []
+    rows = []
     for _ in range(11):
         n = int(rng.integers(60, 800))
         m1 = int(rng.integers(10, n - 10))
-        ests.append(est(rng.normal(1.0, 0.4), rng.uniform(0.2, 0.8), n=n, m1=m1, m2=n - m1))
-    values = np.array([e.value for e in ests])
-    ns = np.array([float(e.n) for e in ests])
-    masses = np.array([e.m1 * e.m2 / e.n for e in ests])
+        rows.append((rng.normal(1.0, 0.4), rng.uniform(0.2, 0.8), n, m1, n - m1))
+    values, ses, ns, m1s, m2s = (np.array(col) for col in zip(*rows))
+    ests = est(values, ses, n=ns, m1=m1s, m2=m2s)
+    masses = np.array([m1 * m2 / n for _, _, n, m1, m2 in rows])
+    ns = ns.astype(float)
     r = macaskill_test(ests, MacaskillPredictor.INV_N, MacaskillWeighting.PETERS)
     _, b1, _, se_b1 = normal_equations_fit(1.0 / ns, values, masses)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
@@ -306,27 +305,27 @@ def test_kendall_length_mismatch():
 
 
 def test_pool_fixed_effects():
-    assert pool_fixed_effects([est(1, 0.3), est(3, 0.3)]) == pytest.approx(2.0)
-    assert pool_fixed_effects([est(1, 1.0), est(3, math.sqrt(0.5))]) == pytest.approx(7 / 3)
-    assert pool_fixed_effects([est(4.2, 0.7)]) == pytest.approx(4.2)
+    assert pool_fixed_effects(est([1.0, 3.0], 0.3)) == pytest.approx(2.0)
+    assert pool_fixed_effects(est([1.0, 3.0], [1.0, math.sqrt(0.5)])) == pytest.approx(7 / 3)
+    assert pool_fixed_effects(est([4.2], 0.7)) == pytest.approx(4.2)
 
 
 def test_pool_random_effects_homogeneous():
-    theta, tau2 = pool_random_effects([est(1.0, s) for s in (0.2, 0.4, 0.6)])
+    theta, tau2 = pool_random_effects(est([1.0, 1.0, 1.0], [0.2, 0.4, 0.6]))
     assert tau2 == 0.0
     assert theta == pytest.approx(1.0)
 
 
 def test_pool_random_effects_reduces_to_fixed_when_tau0():
     # Q < k - 1 here, so the heterogeneity estimate truncates at zero
-    ests = [est(1.0, 0.5), est(1.2, 0.6), est(0.9, 0.4)]
+    ests = est([1.0, 1.2, 0.9], [0.5, 0.6, 0.4])
     theta, tau2 = pool_random_effects(ests)
     assert tau2 == 0.0
     assert theta == pytest.approx(pool_fixed_effects(ests))
 
 
 def test_pool_random_effects_dersimonian_laird_golden():
-    ests = [est(0.0, 1.0), est(2.0, 1.0), est(4.0, 1.0)]
+    ests = est([0.0, 2.0, 4.0], 1.0)
     theta, tau2 = pool_random_effects(ests)
     assert tau2 == pytest.approx(3.0)  # Q = 8, (8 - 2) / 2
     assert theta == pytest.approx(2.0)
@@ -334,7 +333,7 @@ def test_pool_random_effects_dersimonian_laird_golden():
 
 def test_pool_random_effects_needs_two():
     with pytest.raises(TooFewStudies):
-        pool_random_effects([est(1.0, 0.5)])
+        pool_random_effects(est([1.0], 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def test_begg_perfectly_concordant():
     # big effects riding on big variances: t* strictly increasing in Var
     k = 10
     ses = np.linspace(0.2, 2.0, k)
-    ests = [est(100.0 * s * s, s) for s in ses]
+    ests = est(100.0 * ses * ses, ses)
     r = begg_test(ests, BeggDispersion.VARIANCE)
     assert r.statistic == 1.0
     s_stat = k * (k - 1) / 2
@@ -356,7 +355,7 @@ def test_begg_perfectly_concordant():
 
 def test_begg_constant_standardized_effects():
     # all effects equal: every t* is zero, no information either way
-    ests = [est(1.0, s, n=n) for s, n in [(0.3, 50), (0.5, 100), (0.7, 200), (0.9, 400)]]
+    ests = est([1.0] * 4, [0.3, 0.5, 0.7, 0.9], n=[50, 100, 200, 400])
     r = begg_test(ests, BeggDispersion.VARIANCE)
     assert r.statistic == 0.0
     assert r.p_value == 0.5
@@ -364,11 +363,11 @@ def test_begg_constant_standardized_effects():
 
 
 def test_begg_all_tied_dispersion():
-    ests = [est(v, 0.5, n=100) for v in (0.2, 0.5, 0.9, 1.4)]
+    ests = est([0.2, 0.5, 0.9, 1.4], 0.5, n=100)
     with pytest.raises(AllTied):
         begg_test(ests, BeggDispersion.VARIANCE)
     # same N everywhere is fine for the variance dispersion but not 1/N
-    ests = [est(v, s, n=100) for v, s in [(0.2, 0.3), (0.5, 0.4), (0.9, 0.5), (1.4, 0.6)]]
+    ests = est([0.2, 0.5, 0.9, 1.4], [0.3, 0.4, 0.5, 0.6], n=100)
     with pytest.raises(AllTied):
         begg_test(ests, BeggDispersion.INV_N)
 
@@ -411,7 +410,7 @@ def test_center_and_rank_hand_case():
 
 
 def test_trim_fill_symmetric_no_bias():
-    ests = [est(v, 0.5) for v in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    ests = est([-2.0, -1.0, 0.0, 1.0, 2.0], 0.5)
     r = trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R)
     assert abs(r.pooled_effect) < 1e-12
     assert r.k0 == 0
@@ -433,12 +432,9 @@ def test_trim_fill_run_p_value():
     # one clear outlier above a tight symmetric cluster
     rng = np.random.default_rng(32)
     values = np.concatenate([rng.normal(0, 0.05, size=9), [5.0]])
-    ests = [est(v, 0.5) for v in values]
+    ests = est(values, 0.5)
     r = trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R)
-    state = trim_fill_iterate(
-        np.array([e.value for e in ests]), np.full(10, 0.25), np.full(10, 100.0),
-        TrimFillEstimator.R,
-    )
+    state = trim_fill_iterate(values, np.full(10, 0.25), np.full(10, 100.0), TrimFillEstimator.R)
     assert r.p_value == 2.0 ** (-state.gamma_plus)
     assert r.k0 in (0, 1)
 
@@ -520,11 +516,11 @@ def test_trim_fill_one_sided_only():
 
 
 def shift_estimates(ests, c):
-    return [est(e.value + c, e.se, n=e.n, ess=e.ess, m1=e.m1, m2=e.m2) for e in ests]
+    return dataclasses.replace(ests, value=ests.value + c)
 
 
 def scale_estimates(ests, c):
-    return [est(e.value * c, e.se * c, n=e.n, ess=e.ess, m1=e.m1, m2=e.m2) for e in ests]
+    return dataclasses.replace(ests, value=ests.value * c, se=ests.se * c)
 
 
 def test_location_shift_leaves_rank_statistics_unchanged():
@@ -552,25 +548,21 @@ def test_scale_leaves_standardized_statistics_unchanged():
     assert up.p_value == base.p_value
 
 
-def test_mixed_measures_rejected():
-    a = est(1.0, 0.5)
-    b = est(1.2, 0.4, measure=MeasureId.YOUDEN)
-    c = est(0.8, 0.6)
-    with pytest.raises(ValueError):
-        egger_test([a, b, c])
-
-
 # ---------------------------------------------------------------------------
 # funnel coordinates
 # ---------------------------------------------------------------------------
 
 
 def test_funnel_points_axes():
-    e = est(1.2, 0.5, n=100, ess=64.0)
-    assert funnel_points([e], PrecisionAxis.SE) == [(1.2, 2.0)]
-    assert funnel_points([e], PrecisionAxis.N) == [(1.2, 100.0)]
-    assert funnel_points([e], PrecisionAxis.ESS) == [(1.2, 64.0)]
-    assert funnel_points([e], PrecisionAxis.INV_N) == [(1.2, 0.01)]
+    e = est([1.2], 0.5, n=100, ess=64.0)
+    for axis, coordinate in [
+        (PrecisionAxis.SE, 2.0),
+        (PrecisionAxis.N, 100.0),
+        (PrecisionAxis.ESS, 64.0),
+        (PrecisionAxis.INV_N, 0.01),
+    ]:
+        effects, axis_values = funnel_points(e, axis)
+        assert (effects.tolist(), axis_values.tolist()) == ([1.2], [coordinate])
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +586,7 @@ def test_null_calibration_synthetic():
         ses = rng.uniform(0.1, 1.0, size=k)
         values = rng.normal(0.0, ses)
         ns = rng.integers(50, 1001, size=k)
-        ests = [est(v, s, n=int(n)) for v, s, n in zip(values, ses, ns)]
+        ests = est(values, ses, n=ns)
         if egger_test(ests).reject:
             hits["egger"] += 1
         if macaskill_test(ests, MacaskillPredictor.N).reject:

@@ -5,11 +5,10 @@ import pytest
 
 from funnelbias.errors import BoundaryProportion, DegenerateSE, ZeroCell
 from funnelbias.measures import (
-    compute_all,
-    compute_usable,
     effective_sample_size,
     kappa,
     ln_dor,
+    measure_studies,
     neg_ln_theta,
     youden,
 )
@@ -18,15 +17,14 @@ from funnelbias.model import (
     MeasureId,
     MetaDataset,
     StudyTable,
-    continuity_correct,
 )
 
 HALF = CorrectionPolicy.HALF_IF_ANY_ZERO
 NEVER = CorrectionPolicy.NEVER
 
 
-def corrected(x, w, y, z, policy=NEVER):
-    return continuity_correct(StudyTable(x, w, y, z), policy)
+def cells(t):
+    return float(t.x), float(t.w), float(t.y), float(t.z)
 
 
 def random_table(rng, n_lo=20, n_hi=200):
@@ -43,83 +41,83 @@ def random_table(rng, n_lo=20, n_hi=200):
 
 
 def test_ln_dor_golden():
-    est = ln_dor(corrected(40, 10, 10, 40))
-    assert abs(est.value - math.log(16.0)) < 1e-12
-    assert est.se == 0.5
+    value, se = ln_dor(40.0, 10.0, 10.0, 40.0)
+    assert abs(value - math.log(16.0)) < 1e-12
+    assert se == 0.5
 
 
 def test_ln_dor_zero_when_cells_balance():
-    for a in (1, 5, 33):
-        assert ln_dor(corrected(a, a, a, a)).value == 0.0
+    for a in (1.0, 5.0, 33.0):
+        assert ln_dor(a, a, a, a)[0] == 0.0
 
 
 def test_ln_dor_after_correction():
-    est = ln_dor(continuity_correct(StudyTable(50, 0, 5, 45), HALF))
+    measured = measure_studies(MetaDataset([StudyTable(50, 0, 5, 45)]), MeasureId.LNDOR, HALF)
     expected = math.log(50.5 * 45.5 / (5.5 * 0.5))
-    assert abs(est.value - expected) < 1e-12
+    assert abs(measured.estimates.value[0] - expected) < 1e-12
     assert abs(expected - 6.727) < 2e-3
 
 
 def test_ln_dor_zero_cell_raises():
     with pytest.raises(ZeroCell):
-        ln_dor(corrected(50, 0, 5, 45))
+        ln_dor(50.0, 0.0, 5.0, 45.0)
 
 
 def test_neg_ln_theta_golden():
-    est = neg_ln_theta(corrected(80, 20, 20, 80))
+    value, se = neg_ln_theta(80.0, 20.0, 20.0, 80.0)
     theta = math.log(0.8) / math.log(0.2)
     assert abs(theta - 0.13865) < 1e-4
-    assert abs(est.value - (-math.log(theta))) < 1e-12
-    assert abs(est.value - 1.976) < 1e-3
+    assert abs(value - (-math.log(theta))) < 1e-12
+    assert abs(value - 1.976) < 1e-3
     expected_se = math.sqrt(
         (1 / 80 - 1 / 100) / math.log(0.8) ** 2 + (1 / 20 - 1 / 100) / math.log(0.2) ** 2
     )
-    assert abs(est.se - expected_se) < 1e-12
+    assert abs(se - expected_se) < 1e-12
 
 
 def test_neg_ln_theta_chance_line_is_zero():
     # x/n1 == y/n2 makes the Lehmann exponent 1
-    est = neg_ln_theta(corrected(30, 70, 15, 35))
-    assert abs(est.value) < 1e-12
+    value, _ = neg_ln_theta(30.0, 70.0, 15.0, 35.0)
+    assert abs(value) < 1e-12
 
 
 def test_neg_ln_theta_boundary_raises():
     with pytest.raises(BoundaryProportion):
-        neg_ln_theta(corrected(100, 0, 20, 80))
+        neg_ln_theta(100.0, 0.0, 20.0, 80.0)
     with pytest.raises(ZeroCell):
-        neg_ln_theta(corrected(0, 100, 20, 80))
+        neg_ln_theta(0.0, 100.0, 20.0, 80.0)
 
 
 def test_youden_golden():
-    est = youden(corrected(80, 20, 40, 60))
-    assert abs(est.value - 0.4) < 1e-12
-    assert abs(est.se - math.sqrt(0.004)) < 1e-12
+    value, se = youden(80.0, 20.0, 40.0, 60.0)
+    assert abs(value - 0.4) < 1e-12
+    assert abs(se - math.sqrt(0.004)) < 1e-12
 
 
 def test_youden_perfect_test_degenerate():
     with pytest.raises(DegenerateSE):
-        youden(corrected(50, 0, 0, 50))
+        youden(50.0, 0.0, 0.0, 50.0)
 
 
 def test_youden_chance_line():
-    assert youden(corrected(50, 50, 25, 25)).value == 0.0
+    assert youden(50.0, 50.0, 25.0, 25.0)[0] == 0.0
 
 
 def test_kappa_equal_cells_zero():
-    assert kappa(corrected(7, 7, 7, 7)).value == 0.0
+    assert kappa(7.0, 7.0, 7.0, 7.0)[0] == 0.0
 
 
 def test_kappa_equals_youden_balanced():
-    est_k = kappa(corrected(80, 20, 40, 60))
-    est_y = youden(corrected(80, 20, 40, 60))
-    assert abs(est_k.value - est_y.value) < 1e-12
-    assert est_k.value == pytest.approx(0.4)
+    k_value, _ = kappa(80.0, 20.0, 40.0, 60.0)
+    y_value, _ = youden(80.0, 20.0, 40.0, 60.0)
+    assert abs(k_value - y_value) < 1e-12
+    assert k_value == pytest.approx(0.4)
 
 
 def test_effective_sample_size():
-    assert effective_sample_size(StudyTable(25, 25, 25, 25)) == 100.0
-    assert effective_sample_size(StudyTable(10, 10, 40, 40)) == 64.0
-    assert effective_sample_size(StudyTable(1, 0, 0, 1)) == 2.0
+    assert effective_sample_size(50, 50) == 100.0
+    assert effective_sample_size(20, 80) == 64.0
+    assert effective_sample_size(1, 1) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +134,11 @@ def test_direction_convention():
         if t.x / t.n1 <= t.y / t.n2 or t.x == t.n1 or t.y == t.n2:
             continue
         count += 1
-        c = continuity_correct(t, HALF)
-        assert ln_dor(c).value > 0
-        assert neg_ln_theta(c).value > 0
-        assert youden(c).value > 0
-        assert kappa(c).value > 0
+        c = cells(t)  # no zero cells, so no correction
+        assert ln_dor(*c)[0] > 0
+        assert neg_ln_theta(*c)[0] > 0
+        assert youden(*c)[0] > 0
+        assert kappa(*c)[0] > 0
 
 
 def test_swap_symmetry_negates_lndor_and_youden():
@@ -148,9 +146,9 @@ def test_swap_symmetry_negates_lndor_and_youden():
     for _ in range(200):
         t = random_table(rng)
         swapped = StudyTable(x=t.w, w=t.x, y=t.z, z=t.y)
-        c, cs = continuity_correct(t, HALF), continuity_correct(swapped, HALF)
-        assert abs(ln_dor(cs).value + ln_dor(c).value) < 1e-12
-        assert abs(youden(cs).value + youden(c).value) < 1e-12
+        c, cs = cells(t), cells(swapped)
+        assert abs(ln_dor(*cs)[0] + ln_dor(*c)[0]) < 1e-12
+        assert abs(youden(*cs)[0] + youden(*c)[0]) < 1e-12
 
 
 def test_kappa_equals_youden_for_balanced_random_tables():
@@ -160,16 +158,16 @@ def test_kappa_equals_youden_for_balanced_random_tables():
         x = int(rng.integers(1, n1))
         y = int(rng.integers(1, n1))
         t = StudyTable(x=x, w=n1 - x, y=y, z=n1 - y)
-        c = continuity_correct(t, HALF)
-        assert abs(kappa(c).value - youden(c).value) < 1e-12
+        c = cells(t)
+        assert abs(kappa(*c)[0] - youden(*c)[0]) < 1e-12
 
 
 def test_value_ranges():
     rng = np.random.default_rng(6)
     for _ in range(300):
-        c = continuity_correct(random_table(rng), HALF)
-        assert -1.0 <= youden(c).value <= 1.0
-        assert -1.0 <= kappa(c).value <= 1.0
+        c = cells(random_table(rng))
+        assert -1.0 <= youden(*c)[0] <= 1.0
+        assert -1.0 <= kappa(*c)[0] <= 1.0
 
 
 def test_se_shrinks_with_sample_size():
@@ -177,10 +175,10 @@ def test_se_shrinks_with_sample_size():
     # strictly shrinks the other three
     t = StudyTable(30, 20, 15, 35)
     big = StudyTable(120, 80, 60, 140)
-    c, cb = continuity_correct(t, NEVER), continuity_correct(big, NEVER)
-    assert ln_dor(cb).se == ln_dor(c).se / 2.0
+    c, cb = cells(t), cells(big)
+    assert ln_dor(*cb)[1] == ln_dor(*c)[1] / 2.0
     for fn in (neg_ln_theta, youden, kappa):
-        assert fn(cb).se < fn(c).se
+        assert fn(*cb)[1] < fn(*c)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def test_se_matches_binomial_bootstrap(measure, fn, table):
     keep = (xs > 0) & (xs < table.n1) & (ys > 0) & (ys < table.n2)
     values = _boot_values(measure, xs[keep], table.n1 - xs[keep], ys[keep], table.n2 - ys[keep])
     boot_sd = float(np.std(values))
-    analytic = fn(continuity_correct(table, NEVER)).se
+    analytic = fn(*cells(table))[1]
     assert abs(boot_sd - analytic) / analytic < 0.03
 
 
@@ -236,7 +234,7 @@ def test_kappa_se_matches_multinomial_bootstrap():
     xs, ws, ys, zs = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3]
     values = _boot_values("kappa", xs, ws, ys, zs)
     boot_sd = float(np.std(values))
-    analytic = kappa(continuity_correct(table, NEVER)).se
+    analytic = kappa(*cells(table))[1]
     assert abs(boot_sd - analytic) / analytic < 0.02
 
 
@@ -245,25 +243,29 @@ def test_kappa_se_matches_multinomial_bootstrap():
 # ---------------------------------------------------------------------------
 
 
-def test_compute_all_preserves_order():
+def test_measure_studies_preserves_order():
     rng = np.random.default_rng(7)
     studies = [random_table(rng) for _ in range(5)]
     ds = MetaDataset(studies)
-    ests = compute_all(ds, MeasureId.LNDOR, HALF)
+    ests = measure_studies(ds, MeasureId.LNDOR, HALF).estimates
     assert len(ests) == 5
-    expected = [ln_dor(continuity_correct(t, HALF)).value for t in studies]
-    assert [e.value for e in ests] == expected
+    assert ests.measure is MeasureId.LNDOR
+    assert ests.index.tolist() == [0, 1, 2, 3, 4]
+    assert ests.value.tolist() == [ln_dor(*cells(t))[0] for t in studies]
+    assert ests.se.tolist() == [ln_dor(*cells(t))[1] for t in studies]
 
 
-def test_compute_all_names_failing_study():
+def test_measure_studies_names_excluded_study():
     studies = [StudyTable(10, 5, 4, 11), StudyTable(9, 6, 3, 12), StudyTable(100, 0, 20, 80)]
-    ds = MetaDataset(studies)
-    with pytest.raises(BoundaryProportion, match="study 2") as err:
-        compute_all(ds, MeasureId.NEG_LNTHETA, NEVER)
-    assert err.value.study_index == 2
+    measured = measure_studies(MetaDataset(studies), MeasureId.NEG_LNTHETA, NEVER)
+    assert measured.estimates.index.tolist() == [0, 1]
+    assert measured.corrected == ()
+    [(index, reason)] = measured.excluded
+    assert index == 2
+    assert "Sen = 1" in reason
 
 
-def test_compute_all_balanced_kappa_matches_youden():
+def test_measure_studies_balanced_kappa_matches_youden():
     rng = np.random.default_rng(8)
     studies = []
     for _ in range(6):
@@ -271,23 +273,24 @@ def test_compute_all_balanced_kappa_matches_youden():
         x, y = int(rng.integers(1, n1)), int(rng.integers(1, n1))
         studies.append(StudyTable(x, n1 - x, y, n1 - y))
     ds = MetaDataset(studies)
-    kv = [e.value for e in compute_all(ds, MeasureId.KAPPA, HALF)]
-    yv = [e.value for e in compute_all(ds, MeasureId.YOUDEN, HALF)]
+    kv = measure_studies(ds, MeasureId.KAPPA, HALF).estimates.value
+    yv = measure_studies(ds, MeasureId.YOUDEN, HALF).estimates.value
     assert kv == pytest.approx(yv, abs=1e-12)
 
 
-def test_compute_usable_reports_skips():
+def test_measure_studies_reports_skips():
     studies = [StudyTable(10, 5, 4, 11), StudyTable(100, 0, 20, 80), StudyTable(9, 6, 3, 12)]
     ds = MetaDataset(studies)
-    ests, skipped = compute_usable(ds, MeasureId.NEG_LNTHETA, NEVER)
+    ests, _, skipped = measure_studies(ds, MeasureId.NEG_LNTHETA, NEVER)
     assert len(ests) == 2
+    assert ests.index.tolist() == [0, 2]
     assert [i for i, _ in skipped] == [1]
 
 
 def test_estimate_bookkeeping_uses_source_table():
     # correction changes cells, but n / ess / marginals stay observed
     t = StudyTable(50, 0, 5, 45)
-    est = ln_dor(continuity_correct(t, HALF))
-    assert est.n == 100
-    assert est.ess == effective_sample_size(t)
-    assert (est.m1, est.m2) == (55, 45)
+    est = measure_studies(MetaDataset([t]), MeasureId.LNDOR, HALF).estimates
+    assert est.n.tolist() == [100]
+    assert est.ess.tolist() == [effective_sample_size(t.n1, t.n2)]
+    assert (est.m1.tolist(), est.m2.tolist()) == ([55], [45])

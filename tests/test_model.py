@@ -7,15 +7,15 @@ from funnelbias.errors import (
     NegativeCell,
     TooFewStudies,
 )
+from funnelbias.measures import ln_dor, measure_studies
 from funnelbias.model import (
     AsymmetryTestResult,
     CorrectionPolicy,
-    EffectEstimate,
+    EstimateSet,
     MeasureId,
     MetaDataset,
     Sidedness,
     StudyTable,
-    continuity_correct,
     read_dataset_csv,
     validate_dataset,
     write_dataset_csv,
@@ -66,41 +66,46 @@ def test_validate_dataset_negative_cell():
         validate_dataset(ds)
 
 
+def measure_one(table, policy):
+    return measure_studies(MetaDataset([table]), MeasureId.LNDOR, policy)
+
+
 def test_correction_applies_on_zero_cell():
-    c = continuity_correct(StudyTable(50, 0, 5, 45), CorrectionPolicy.HALF_IF_ANY_ZERO)
-    assert (c.x, c.w, c.y, c.z) == (50.5, 0.5, 5.5, 45.5)
-    assert c.correction_applied
-    assert c.source == StudyTable(50, 0, 5, 45)
+    m = measure_one(StudyTable(50, 0, 5, 45), CorrectionPolicy.HALF_IF_ANY_ZERO)
+    assert m.corrected == (0,)
+    assert m.estimates.value[0] == ln_dor(50.5, 0.5, 5.5, 45.5)[0]
+    assert m.estimates.n[0] == 100  # bookkeeping stays on the source table
 
 
 def test_correction_no_zero_cell_unchanged():
-    c = continuity_correct(StudyTable(40, 10, 10, 40), CorrectionPolicy.HALF_IF_ANY_ZERO)
-    assert (c.x, c.w, c.y, c.z) == (40.0, 10.0, 10.0, 40.0)
-    assert not c.correction_applied
+    m = measure_one(StudyTable(40, 10, 10, 40), CorrectionPolicy.HALF_IF_ANY_ZERO)
+    assert m.corrected == ()
+    assert m.estimates.value[0] == ln_dor(40.0, 10.0, 10.0, 40.0)[0]
 
 
 def test_correction_never_policy():
-    c = continuity_correct(StudyTable(50, 0, 5, 45), CorrectionPolicy.NEVER)
-    assert (c.x, c.w, c.y, c.z) == (50.0, 0.0, 5.0, 45.0)
-    assert not c.correction_applied
+    m = measure_one(StudyTable(50, 0, 5, 45), CorrectionPolicy.NEVER)
+    assert m.corrected == ()
+    assert len(m.estimates) == 0
+    assert m.excluded[0][0] == 0
 
 
 def test_correction_fires_at_most_once():
-    # corrected tables never contain a zero cell, so a second pass would
-    # be a no-op; uncorrected tables pass through cell-for-cell
+    # corrected tables never contain a zero cell, so lnDOR is defined for
+    # every study; uncorrected tables pass through cell-for-cell
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        t = random_table(rng, n_max=8)
-        c = continuity_correct(t, CorrectionPolicy.HALF_IF_ANY_ZERO)
-        if c.correction_applied:
-            assert min(c.x, c.w, c.y, c.z) > 0.0
-        else:
-            assert (c.x, c.w, c.y, c.z) == (t.x, t.w, t.y, t.z)
+    tables = [random_table(rng, n_max=8) for _ in range(300)]
+    m = measure_studies(MetaDataset(tables), MeasureId.LNDOR, CorrectionPolicy.HALF_IF_ANY_ZERO)
+    assert m.excluded == ()
+    assert m.corrected == tuple(i for i, t in enumerate(tables) if 0 in (t.x, t.w, t.y, t.z))
+    for i, t in enumerate(tables):
+        if i not in m.corrected:
+            assert m.estimates.value[i] == ln_dor(float(t.x), float(t.w), float(t.y), float(t.z))[0]
 
 
 def test_effect_estimate_requires_positive_se():
     with pytest.raises(ValueError):
-        EffectEstimate(MeasureId.LNDOR, 1.0, 0.0, 100.0, 100, 50, 50)
+        EstimateSet(MeasureId.LNDOR, [1.0], [0.0], n=[100], ess=[100.0], m1=[50], m2=[50])
 
 
 def test_result_reject_consistency_enforced():
