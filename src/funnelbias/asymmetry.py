@@ -127,36 +127,44 @@ def weighted_linear_fit(
 ) -> RegressionFit:
     """Weighted least squares for y = b0 + b1*x with known relative weights.
 
-    Coefficient standard errors use the usual scaled covariance
-    sigma2 * (X'WX)^-1 with sigma2 = weighted RSS / (k - 2). A constant
-    predictor raises :class:`SingularDesign`.
+    The closed-form two-parameter fit about the weighted means: b1 =
+    Sxy / Sxx and b0 = y_bar - b1 * x_bar, with Sxx the weighted spread
+    of the predictor. Coefficient standard errors use the usual scaled
+    covariance sigma2 * (X'WX)^-1 with sigma2 = weighted RSS / (k - 2).
+    A predictor whose weighted spread vanishes against its weighted
+    second moment (constant, or swamped by one study's weight) raises
+    :class:`SingularDesign`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     k = len(x)
     if k < 3:
         raise TooFewStudies(f"regression needs k >= 3, got {k}")
-    if np.ptp(x) == 0.0:
-        raise SingularDesign("predictor is constant across studies")
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
-    sw = np.sqrt(w)
-    design = np.column_stack([sw, sw * x])
-    rhs = sw * y
-    beta, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 2:
-        raise SingularDesign("design matrix is rank deficient")
-    resid = rhs - design @ beta
-    rss = float(resid @ resid)
+    sw = np.sum(w)
+    x_bar = np.sum(w * x) / sw
+    y_bar = np.sum(w * y) / sw
+    dx = x - x_bar
+    sxx = np.sum(w * dx * dx)
+    # Below this share of sum(w x^2), X'WX keeps fewer than four digits.
+    if not sxx > 1e-12 * np.sum(w * x * x):
+        raise SingularDesign("predictor has no weighted spread across studies")
+    b1 = np.sum(w * dx * (y - y_bar)) / sxx
+    b0 = y_bar - b1 * x_bar
+    resid = y - b0 - b1 * x
+    rss = float(np.sum(w * resid * resid))
     # An exact fit leaves only rounding noise in the residuals; treat it
     # as zero so coefficient SEs do not become noise ratios.
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    scale = max(1.0, float(np.max(np.sqrt(w) * np.abs(y))))
     if rss < (1e-10 * scale) ** 2 * k:
         rss = 0.0
     sigma2 = rss / (k - 2)
-    xtwx_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.maximum(sigma2 * np.diag(xtwx_inv), 0.0))
     return RegressionFit(
-        b0=float(beta[0]), b1=float(beta[1]), se_b0=float(se[0]), se_b1=float(se[1]), df=k - 2
+        b0=float(b0),
+        b1=float(b1),
+        se_b0=math.sqrt(sigma2 * (1.0 / sw + x_bar * x_bar / sxx)),
+        se_b1=math.sqrt(sigma2 / sxx),
+        df=k - 2,
     )
 
 
