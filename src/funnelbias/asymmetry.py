@@ -29,7 +29,7 @@ from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, stdtr
 
 from .errors import (
     AllTied,
@@ -184,10 +184,10 @@ def _coefficient_statistic(coef: float, se_coef: float, scale: float) -> float:
 
 def _t_pvalue(statistic: float, df: int, sidedness: Sidedness, direction: str) -> float:
     if sidedness is Sidedness.TWO_SIDED:
-        return float(2.0 * stats.t.sf(abs(statistic), df))
+        return float(2.0 * stdtr(df, -abs(statistic)))
     if direction == "greater":
-        return float(stats.t.sf(statistic, df))
-    return float(stats.t.cdf(statistic, df))
+        return float(stdtr(df, -statistic))
+    return float(stdtr(df, statistic))
 
 
 def _finish(
@@ -409,8 +409,8 @@ def _kendall_detail(xs: np.ndarray, ys: np.ndarray) -> _KendallDetail:
         return _KendallDetail(tau, s, 0.5, 0.5, 1.0, exact=False)
     # continuity correction: S moves on a lattice of spacing 2 when untied,
     # so each tail threshold shifts by half a step toward the center
-    p_greater = float(stats.norm.sf((s - 1.0) / sd))
-    p_less = float(stats.norm.cdf((s + 1.0) / sd))
+    p_greater = float(ndtr(-((s - 1.0) / sd)))
+    p_less = float(ndtr((s + 1.0) / sd))
     p_two = min(1.0, 2.0 * min(p_greater, p_less))
     return _KendallDetail(tau, s, p_greater, p_less, p_two, exact=False)
 
@@ -491,9 +491,11 @@ def _center_and_rank(values: np.ndarray, theta: float):
     k = len(values)
     centered = values - theta
     abs_c = np.abs(centered)
-    ranks = stats.rankdata(abs_c, method="average")
+    levels, tie_group, counts = np.unique(abs_c, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (2 * ends - counts + 1))[tie_group]  # average rank within each tie group
     gamma_plus = 0
-    for value in np.unique(abs_c)[::-1]:  # descending tie groups
+    for value in levels[::-1]:  # descending tie groups
         group = centered[abs_c == value]
         if np.all(group > 0):
             gamma_plus += len(group)
@@ -538,7 +540,7 @@ def _l_pvalue(k: int, ranks: np.ndarray, s_plus: float) -> float:
         return _signed_rank_tail(k, s_plus)
     mean = k * (k + 1) / 4.0
     sd = math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
-    return float(stats.norm.sf((s_plus - 0.5 - mean) / sd))
+    return float(ndtr(-((s_plus - 0.5 - mean) / sd)))
 
 
 def _trim_pool(values: np.ndarray, variances: np.ndarray, ns: np.ndarray, axis: PrecisionAxis) -> float:

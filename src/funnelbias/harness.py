@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Sequence
 
-from scipy import stats as _scipy_stats
+from scipy.special import ndtri
 
 from .asymmetry import (
     BeggDispersion,
@@ -289,7 +289,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import funnelbias
 from funnelbias.cli import main
 
 DATASET = """study_id,tp,fn,fp,tn
@@ -168,3 +173,13 @@ def test_simulate_summary_on_stdout(tmp_path, capsys):
     assert code == 0
     assert "selection" in out
     assert "none" in out
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of a CLI process's start-up; the package needs
+    # only scipy.special
+    src = str(Path(funnelbias.__file__).resolve().parents[1])
+    probe = "import sys, funnelbias.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
