@@ -50,39 +50,27 @@ from .sampler import default_grid, load_grid
 
 SCHEMA_VERSION = 1
 
-_MEASURES = {m.value: m for m in MeasureId}
-_FAMILIES = {f.value: f for f in TestFamily}
+_MEASURES = sorted(m.value for m in MeasureId)
 _AXES = {"se": PrecisionAxis.SE, "n": PrecisionAxis.N, "ess": PrecisionAxis.ESS, "inv-n": PrecisionAxis.INV_N}
-_ESTIMATORS = {"r": TrimFillEstimator.R, "l": TrimFillEstimator.L}
-_SIDEDNESS = {"one": Sidedness.ONE_SIDED, "two": Sidedness.TWO_SIDED}
-
-
-def _resolve_weighting(family: TestFamily, token: str | None):
-    if token is None or token == "none":
-        return None
-    if token == "ivfixed":
-        if family is TestFamily.EGGER:
-            return EggerWeighting.INV_VARIANCE_FIXED
-        return MacaskillWeighting.INV_VARIANCE_FIXED
-    if token == "unweighted":
-        return EggerWeighting.UNWEIGHTED
-    if token == "ivrandom":
-        return EggerWeighting.INV_VARIANCE_RANDOM
-    if token == "ess":
-        return MacaskillWeighting.ESS
-    return MacaskillWeighting.PETERS
+_WEIGHTINGS = {TestFamily.EGGER: EggerWeighting, TestFamily.MACASKILL: MacaskillWeighting}
 
 
 def _build_variant(args) -> TestVariantId:
-    family = _FAMILIES[args.test]
+    """The variant the flags name; ``TestVariantId`` validates the combination."""
+    family = TestFamily(args.test)
     try:
+        weighting = None
+        if args.weighting not in (None, "none"):
+            if family not in _WEIGHTINGS:
+                raise ValueError(f"--weighting does not apply to {family.value}")
+            weighting = _WEIGHTINGS[family](args.weighting)
         return TestVariantId(
             family=family,
-            measure=_MEASURES[args.measure],
+            measure=MeasureId(args.measure),
             axis=_AXES[args.axis],
-            weighting=_resolve_weighting(family, args.weighting),
-            estimator=_ESTIMATORS[args.estimator] if args.estimator else None,
-            sidedness=_SIDEDNESS[args.sided],
+            weighting=weighting,
+            estimator=TrimFillEstimator(args.estimator) if args.estimator else None,
+            sidedness=Sidedness(args.sided),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -92,10 +80,9 @@ class _UsageError(Exception):
     """Invalid flag combination; mapped to exit code 2."""
 
 
-def _add_variant_flags(parser: argparse.ArgumentParser, with_test: bool = True) -> None:
-    parser.add_argument("--measure", choices=sorted(_MEASURES), default="lndor")
-    if with_test:
-        parser.add_argument("--test", choices=sorted(_FAMILIES), default="trimfill")
+def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--measure", choices=_MEASURES, default="lndor")
+    parser.add_argument("--test", choices=sorted(f.value for f in TestFamily), default="trimfill")
     parser.add_argument("--axis", choices=["se", "n", "ess", "inv-n"], default="se")
     parser.add_argument(
         "--weighting",
@@ -121,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     funnel = sub.add_parser("funnel", help="emit funnel-plot coordinates")
     funnel.add_argument("--input", required=True)
-    funnel.add_argument("--measure", choices=sorted(_MEASURES), default="lndor")
+    funnel.add_argument("--measure", choices=_MEASURES, default="lndor")
     funnel.add_argument("--axis", choices=["se", "n", "ess", "inv-n"], default="se")
     funnel.add_argument("--correction", choices=["half", "never"], default="half")
     funnel.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -137,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy(token: str) -> CorrectionPolicy:
-    return CorrectionPolicy.HALF_IF_ANY_ZERO if token == "half" else CorrectionPolicy.NEVER
-
-
 def _load_estimates(args):
     """Shared analyze/funnel input pipeline: read, validate, measure.
 
@@ -150,7 +133,7 @@ def _load_estimates(args):
     dataset, study_ids = read_dataset_csv(args.input)
     validate_dataset(dataset)
     estimates, corrected, excluded = measure_studies(
-        dataset, _MEASURES[args.measure], _policy(args.correction)
+        dataset, MeasureId(args.measure), CorrectionPolicy(args.correction)
     )
     corrected = set(corrected)
     reasons = dict(excluded)
@@ -203,8 +186,7 @@ def _cmd_analyze(args) -> int:
         report["test"]["k0"] = result.k0
         report["test"]["pooled_effect"] = result.pooled_effect
         report["test"]["converged"] = result.converged
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -221,8 +203,7 @@ def _cmd_funnel(args) -> int:
             {"study_id": sid, "effect": x, "axis_value": y}
             for sid, (x, y) in zip(ids, points)
         ]
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
         print("study_id,effect,axis_value")
         for sid, (x, y) in zip(ids, points):
@@ -244,7 +225,7 @@ def _cmd_simulate(args) -> int:
         alpha=args.alpha,
         master_seed=args.seed,
         parallelism=args.parallelism,
-        policy=_policy(args.correction),
+        policy=CorrectionPolicy(args.correction),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -91,6 +91,20 @@ def test_analyze_invalid_combination(dataset_path, capsys):
     assert "one-sided" in err
 
 
+@pytest.mark.parametrize("test,weighting", [
+    ("egger", "peters"),
+    ("begg", "ess"),
+    ("trimfill", "unweighted"),
+])
+def test_analyze_weighting_outside_family_is_usage_error(dataset_path, capsys, test, weighting):
+    code, out, err = run(
+        capsys, "analyze", "--input", dataset_path, "--test", test, "--weighting", weighting
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_funnel_axis_se(dataset_path, capsys):
     code, out, err = run(capsys, "funnel", "--input", dataset_path, "--axis", "se")
     assert code == 0
