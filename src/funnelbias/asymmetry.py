@@ -400,7 +400,7 @@ def _kendall_detail(xs: np.ndarray, ys: np.ndarray) -> _KendallDetail:
 
     var_s = (
         (k * (k - 1) * (2 * k + 5) - tx_var - ty_var) / 18.0
-        + tx_pairs * ty_pairs / (2.0 * n0)
+        + tx_pairs * ty_pairs / n0
         + tx_triple * ty_triple / (9.0 * k * (k - 1) * (k - 2))
     )
     sd = math.sqrt(var_s) if var_s > 0 else 0.0

@@ -275,6 +275,25 @@ def test_kendall_normal_approx_close_to_exact_small_k():
             assert abs(p_norm - p_exact) < 0.05
 
 
+def kendall_tied_p_greater(xs, ys):
+    """P(S >= s) from Kendall's (1970) tie-corrected Var(S), continuity-corrected."""
+    k = len(xs)
+    s = sum(
+        np.sign(xs[j] - xs[i]) * np.sign(ys[j] - ys[i])
+        for i, j in itertools.combinations(range(k), 2)
+    )
+    t = np.unique(xs, return_counts=True)[1].astype(float)
+    u = np.unique(ys, return_counts=True)[1].astype(float)
+    var_s = (
+        (k * (k - 1) * (2 * k + 5) - np.sum(t * (t - 1) * (2 * t + 5))
+         - np.sum(u * (u - 1) * (2 * u + 5))) / 18.0
+        + np.sum(t * (t - 1)) * np.sum(u * (u - 1)) / (2.0 * k * (k - 1))
+        + np.sum(t * (t - 1) * (t - 2)) * np.sum(u * (u - 1) * (u - 2))
+        / (9.0 * k * (k - 1) * (k - 2))
+    )
+    return float(sps.norm.sf((s - 1.0) / math.sqrt(var_s)))
+
+
 def test_kendall_tau_b_matches_scipy_with_ties():
     rng = np.random.default_rng(29)
     for _ in range(25):
@@ -282,9 +301,10 @@ def test_kendall_tau_b_matches_scipy_with_ties():
         ys = rng.integers(0, 5, size=12).astype(float)
         if np.ptp(xs) == 0 or np.ptp(ys) == 0:
             continue
-        tau, _ = kendall_tau(xs, ys)
+        tau, p = kendall_tau(xs, ys)
         expected = sps.kendalltau(xs, ys, variant="b").statistic
         assert tau == pytest.approx(expected, rel=1e-12)
+        assert p == pytest.approx(kendall_tied_p_greater(xs, ys), rel=1e-12)
 
 
 def test_kendall_constant_vector_is_uninformative():
