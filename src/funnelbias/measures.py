@@ -102,10 +102,14 @@ def kappa(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     ) / n**3
     b_term = one_minus_k**2 * (w * (n2 + m1) ** 2 + y * (n1 + m2) ** 2) / n**3
     c_term = (value - p_e * one_minus_k) ** 2
-    variance_core = max(a_term + b_term - c_term, 0.0)
-    se = math.sqrt(variance_core) / ((1.0 - p_e) * math.sqrt(n))
-    if se == 0.0:
+    variance_core = a_term + b_term - c_term
+    # On tables whose variance is exactly 0, a + b - c still leaves a few
+    # ulps of a + b (at most 5e-16 of it seen), and sqrt turns that into
+    # a spurious tiny SE. Real variances sit above 2e-10 of a + b up to
+    # N = 4000, so anything within 1e-12 of a + b counts as 0.
+    if variance_core <= 1e-12 * (a_term + b_term):
         raise DegenerateSE("kappa standard error is zero")
+    se = math.sqrt(variance_core) / ((1.0 - p_e) * math.sqrt(n))
     return value, se
 
 

@@ -105,6 +105,36 @@ def test_analyze_weighting_outside_family_is_usage_error(dataset_path, capsys, t
     assert err.startswith("error: ")
 
 
+# Kappa's variance on (0,4,0,3) is exactly 0 but came out as rounding noise,
+# an SE near 3.5e-9 and a weight near 1e17 that broke the regression fits.
+NEAR_DEGENERATE_KAPPA = [
+    (1, 1, 1, 1), (1, 1, 1, 1), (1, 4, 1, 4), (4, 2, 3, 0),
+    (1, 2, 4, 4), (0, 4, 0, 3), (4, 4, 4, 2), (1, 2, 4, 2),
+]
+KAPPA_VARIANTS = (
+    [["--test", "egger", "--axis", a, "--weighting", w]
+     for a in ("se", "n") for w in ("unweighted", "ivfixed", "ivrandom")]
+    + [["--test", "macaskill", "--axis", a, "--weighting", w]
+       for a in ("n", "ess", "inv-n") for w in ("ivfixed", "ess", "peters")]
+    + [["--test", "begg", "--axis", a] for a in ("se", "n", "ess", "inv-n")]
+    + [["--test", "trimfill", "--axis", a, "--estimator", e] for a in ("se", "n") for e in ("r", "l")]
+)
+
+
+@pytest.mark.parametrize("variant", KAPPA_VARIANTS, ids=" ".join)
+def test_analyze_near_degenerate_kappa_exits_cleanly(tmp_path, capsys, variant):
+    path = tmp_path / "kappa.csv"
+    rows = [f"s{i + 1},{x},{w},{y},{z}" for i, (x, w, y, z) in enumerate(NEAR_DEGENERATE_KAPPA)]
+    path.write_text("study_id,tp,fn,fp,tn\n" + "\n".join(rows) + "\n")
+    code, out, err = run(
+        capsys, "analyze", "--input", str(path), "--measure", "kappa", "--correction", "never", *variant
+    )
+    assert code in (0, 3), err
+    if code == 0:
+        report = json.loads(out)
+        assert "study s6: excluded: kappa standard error is zero" in report["warnings"]
+
+
 def test_funnel_axis_se(dataset_path, capsys):
     code, out, err = run(capsys, "funnel", "--input", dataset_path, "--axis", "se")
     assert code == 0

@@ -107,6 +107,12 @@ def test_kappa_equal_cells_zero():
     assert kappa(7.0, 7.0, 7.0, 7.0)[0] == 0.0
 
 
+def test_kappa_cancelled_variance_is_degenerate():
+    # the variance is exactly 0 here; rounding used to leave se ~ 3.5e-9
+    with pytest.raises(DegenerateSE):
+        kappa(0.0, 4.0, 0.0, 3.0)
+
+
 def test_kappa_equals_youden_balanced():
     k_value, _ = kappa(80.0, 20.0, 40.0, 60.0)
     y_value, _ = youden(80.0, 20.0, 40.0, 60.0)
