@@ -197,16 +197,13 @@ def _cmd_funnel(args) -> int:
     if not ids:
         raise TooFewStudies("no usable studies")
     effects, axis_values = funnel_points(estimates, _AXES[args.axis])
-    points = list(zip(effects.tolist(), axis_values.tolist()))
+    points = list(zip(ids, effects.tolist(), axis_values.tolist()))
     if args.format == "json":
-        rows = [
-            {"study_id": sid, "effect": x, "axis_value": y}
-            for sid, (x, y) in zip(ids, points)
-        ]
+        rows = [{"study_id": sid, "effect": x, "axis_value": y} for sid, x, y in points]
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
         print("study_id,effect,axis_value")
-        for sid, (x, y) in zip(ids, points):
+        for sid, x, y in points:
             print(f"{sid},{x!r},{y!r}")
     return 0
 
