@@ -65,7 +65,6 @@ from .sampler import (
     default_grid,
     generate_meta_analysis,
     load_grid,
-    realize_study,
     replicate_rng,
     sample_logit_pairs,
     sample_sizes,

@@ -95,15 +95,17 @@ class RegressionFit:
 class TrimFillState:
     """Final state of the trim-and-fill iteration.
 
-    ``centered`` and ``ranks`` cover all k original studies; ranks are
-    average ranks of the absolute centered effects. ``r_estimate`` is
-    gamma_plus - 1 before clamping (so it can be -1), ``k0`` the clamped
-    integer actually used for trimming.
+    ``centered`` and ``ranks`` are arrays over all k original studies;
+    ranks are average ranks of the absolute centered effects and
+    ``s_plus`` sums those of the positive centered effects.
+    ``r_estimate`` is gamma_plus - 1 before clamping (so it can be -1),
+    ``k0`` the clamped integer actually used for trimming.
     """
 
     theta_hat: float
-    centered: tuple[float, ...]
-    ranks: tuple[float, ...]
+    centered: np.ndarray
+    ranks: np.ndarray
+    s_plus: float
     gamma_plus: int
     r_estimate: int
     l_estimate: float
@@ -490,17 +492,12 @@ def _center_and_rank(values: np.ndarray, theta: float):
     """
     k = len(values)
     centered = values - theta
-    abs_c = np.abs(centered)
-    levels, tie_group, counts = np.unique(abs_c, return_inverse=True, return_counts=True)
+    _, tie_group, counts = np.unique(np.abs(centered), return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     ranks = (0.5 * (2 * ends - counts + 1))[tie_group]  # average rank within each tie group
-    gamma_plus = 0
-    for value in levels[::-1]:  # descending tie groups
-        group = centered[abs_c == value]
-        if np.all(group > 0):
-            gamma_plus += len(group)
-        else:
-            break
+    # the run: every value in a tie group above the top one holding a non-positive value
+    blocked = tie_group[centered <= 0]
+    gamma_plus = k - int(ends[blocked.max()]) if len(blocked) else k
     s_plus = float(np.sum(ranks[centered > 0]))
     l_estimate = (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0)
     return centered, ranks, gamma_plus, s_plus, l_estimate
@@ -568,24 +565,21 @@ def trim_fill_iterate(
     order = np.argsort(values, kind="stable")  # ascending; trim from the top
     k0 = 0
     converged = False
-    iterations = 0
-    state_parts = None
     for iterations in range(1, MAX_TRIM_ITERATIONS + 1):
         kept = order[: k - k0]
         theta = _trim_pool(values[kept], variances[kept], ns[kept], axis)
         centered, ranks, gamma_plus, s_plus, l_estimate = _center_and_rank(values, theta)
         estimate = float(gamma_plus - 1) if estimator is TrimFillEstimator.R else l_estimate
         k0_new = min(max(round_half_up(estimate), 0), k - 1)
-        state_parts = (theta, centered, ranks, gamma_plus, s_plus, l_estimate)
         if k0_new == k0:
             converged = True
             break
         k0 = k0_new
-    theta, centered, ranks, gamma_plus, s_plus, l_estimate = state_parts
     return TrimFillState(
         theta_hat=theta,
-        centered=tuple(centered),
-        ranks=tuple(ranks),
+        centered=centered,
+        ranks=ranks,
+        s_plus=s_plus,
         gamma_plus=gamma_plus,
         r_estimate=gamma_plus - 1,
         l_estimate=l_estimate,
@@ -613,14 +607,12 @@ def trim_fill_test(
     if axis not in (PrecisionAxis.SE, PrecisionAxis.N):
         raise ValueError("trim and fill supports axis SE or N only")
     state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
-    k = len(estimates)
     if estimator is TrimFillEstimator.R:
         statistic = float(state.r_estimate)
         p = 2.0 ** (-state.gamma_plus)
     else:
         statistic = state.l_estimate
-        s_plus = float(np.sum(np.asarray(state.ranks)[np.asarray(state.centered) > 0]))
-        p = _l_pvalue(k, np.asarray(state.ranks), s_plus)
+        p = _l_pvalue(len(estimates), state.ranks, state.s_plus)
     test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
     return _finish(
         test_id,

@@ -22,7 +22,6 @@ from .asymmetry import (
     funnel_points,
 )
 from .errors import (
-    DataError,
     DatasetFormatError,
     FunnelBiasError,
     GridFormatError,
@@ -55,6 +54,11 @@ _AXES = {"se": PrecisionAxis.SE, "n": PrecisionAxis.N, "ess": PrecisionAxis.ESS,
 _WEIGHTINGS = {TestFamily.EGGER: EggerWeighting, TestFamily.MACASKILL: MacaskillWeighting}
 
 
+def _values(*enums) -> list[str]:
+    """The members' values in declaration order, without repeats."""
+    return list(dict.fromkeys(member.value for e in enums for member in e))
+
+
 def _build_variant(args) -> TestVariantId:
     """The variant the flags name; ``TestVariantId`` validates the combination."""
     family = TestFamily(args.test)
@@ -83,16 +87,12 @@ class _UsageError(Exception):
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", choices=_MEASURES, default="lndor")
     parser.add_argument("--test", choices=sorted(f.value for f in TestFamily), default="trimfill")
-    parser.add_argument("--axis", choices=["se", "n", "ess", "inv-n"], default="se")
-    parser.add_argument(
-        "--weighting",
-        choices=["none", "unweighted", "ivfixed", "ivrandom", "ess", "peters"],
-        default=None,
-    )
-    parser.add_argument("--estimator", choices=["r", "l"], default=None)
-    parser.add_argument("--sided", choices=["one", "two"], default="one")
+    parser.add_argument("--axis", choices=list(_AXES), default="se")
+    parser.add_argument("--weighting", choices=["none", *_values(*_WEIGHTINGS.values())], default=None)
+    parser.add_argument("--estimator", choices=_values(TrimFillEstimator), default=None)
+    parser.add_argument("--sided", choices=_values(Sidedness), default="one")
     parser.add_argument("--alpha", type=float, default=0.1)
-    parser.add_argument("--correction", choices=["half", "never"], default="half")
+    parser.add_argument("--correction", choices=_values(CorrectionPolicy), default="half")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     funnel = sub.add_parser("funnel", help="emit funnel-plot coordinates")
     funnel.add_argument("--input", required=True)
     funnel.add_argument("--measure", choices=_MEASURES, default="lndor")
-    funnel.add_argument("--axis", choices=["se", "n", "ess", "inv-n"], default="se")
-    funnel.add_argument("--correction", choices=["half", "never"], default="half")
+    funnel.add_argument("--axis", choices=list(_AXES), default="se")
+    funnel.add_argument("--correction", choices=_values(CorrectionPolicy), default="half")
     funnel.add_argument("--format", choices=["csv", "json"], default="csv")
 
     simulate = sub.add_parser("simulate", help="run the Monte Carlo rejection-rate study")
@@ -256,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "funnel":
             return _cmd_funnel(args)
         return _cmd_simulate(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DatasetFormatError as exc:
         line = f" (line {exc.line_no})" if exc.line_no is not None else ""
         print(f"error: {args.input if hasattr(args, 'input') else 'input'}{line}: {exc}", file=sys.stderr)
@@ -269,13 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except (StatisticalError, MeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FunnelBiasError as exc:
+    except (_UsageError, FunnelBiasError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

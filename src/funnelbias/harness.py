@@ -46,8 +46,6 @@ from .model import (
 )
 from .sampler import SimCondition, generate_meta_analysis, replicate_rng
 
-MIN_USABLE_STUDIES = 3
-
 
 class TestFamily(enum.Enum):
     EGGER = "egger"
@@ -217,12 +215,8 @@ def run_condition(
             m: compute_usable(dataset, m, policy)[0] for m in measures
         }
         for j, variant in enumerate(variants):
-            estimates = estimates_by_measure[variant.measure]
-            if len(estimates) < MIN_USABLE_STUDIES:
-                degenerate[j] += 1
-                continue
             try:
-                result = run_variant(variant, estimates, alpha)
+                result = run_variant(variant, estimates_by_measure[variant.measure], alpha)
             except (StatisticalError, MeasureError):
                 degenerate[j] += 1
                 continue

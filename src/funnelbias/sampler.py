@@ -12,12 +12,14 @@ derives one counter-based (Philox) stream per (master seed, condition
 index, replicate index), so results never depend on execution order or
 parallelism; within a replicate the draw order is fixed: sample sizes,
 then logit pairs (base before shifted for mixtures), then the mixture
-shuffle, then binomial realizations in study order.
+shuffle, then the binomial realizations, study by study, each study's
+true positives before its false positives.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -41,7 +43,6 @@ __all__ = [
     "load_grid",
     "logistic",
     "logit",
-    "realize_study",
     "replicate_rng",
     "sample_logit_pairs",
     "sample_sizes",
@@ -169,6 +170,12 @@ class SimCondition:
             raise ValueError(f"prevalence must be in (0, 1), got {self.pi}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"bad sample-size range [{self.n_min}, {self.n_max}]")
+        # n1 and n2 never shrink as N grows, so n_min is the binding size
+        n1 = round_half_up(self.pi * self.n_min)
+        if n1 in (0, self.n_min):
+            raise ValueError(
+                f"n_min = {self.n_min} at prevalence {self.pi} leaves a group empty (n1 = {n1})"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,45 +209,36 @@ def sample_logit_pairs(
     return mu + z @ params.sqrt_matrix()
 
 
-def realize_study(
-    theta_a: float, theta_b: float, n1: int, n2: int, rng: np.random.Generator
-) -> StudyTable:
-    """Fill a 2x2 table with binomial error around the true accuracies."""
-    sen = float(expit(theta_a))
-    fpr = float(expit(theta_b))
-    x = int(rng.binomial(n1, sen))
-    y = int(rng.binomial(n2, fpr))
-    return StudyTable(x=x, w=n1 - x, y=y, z=n2 - y)
-
-
 def sample_sizes(
     condition: SimCondition, count: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Total sizes uniform on [n_min, n_max], split by prevalence.
 
-    n1 = round(pi * N) with half-up rounding, n2 the remainder.
+    Returns a (count, 2) int64 array of (n1, n2) rows: n1 = round(pi * N)
+    with half-up rounding, n2 the remainder.
     """
     totals = rng.integers(condition.n_min, condition.n_max + 1, size=count)
-    out = []
-    for total in totals:
-        n1 = round_half_up(condition.pi * int(total))
-        out.append((n1, int(total) - n1))
-    return out
+    n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)
+    return np.column_stack((n1, totals - n1))
 
 
-def _observed_youden(table: StudyTable) -> float:
-    return table.x / table.n1 + table.z / table.n2 - 1.0
+def _youden(tables: np.ndarray) -> np.ndarray:
+    """Observed Youden index x/n1 + z/n2 - 1 of each (x, w, y, z) row."""
+    x, w, y, z = tables.T
+    return x / (x + w) + z / (y + z) - 1.0
 
 
 def _realize_all(
     condition: SimCondition, rng: np.random.Generator
-) -> tuple[list[StudyTable], list[bool], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every realized table, whether it came from the shifted component, and the kept ones.
 
     Selection realizes k + l tables and keeps the k with the highest
     scores, in draw order; a mixture realizes its base and shifted logit
-    pairs into randomly permuted slots. Returns (tables, shifted flags,
-    indices of the kept tables in dataset order).
+    pairs into randomly permuted slots. One binomial call draws every
+    table's (x, y) pair; its C order is each study's x, then its y.
+    Returns the (x, w, y, z) rows as an int64 array, the shifted flags
+    and the boolean mask of the kept tables.
     """
     bias = condition.bias
     k = condition.k
@@ -255,30 +253,34 @@ def _realize_all(
     if bias.mechanism is BiasMechanism.MIXTURE:
         shifted_pairs = sample_logit_pairs(condition.params.shifted(bias.eta), n_shifted, rng)
         pairs = np.vstack([pairs, shifted_pairs])
-        sources = rng.permutation(k).tolist()
+        sources = rng.permutation(k)
     else:
-        sources = list(range(total))
-    tables = [
-        realize_study(pairs[src, 0], pairs[src, 1], sizes[slot][0], sizes[slot][1], rng)
-        for slot, src in enumerate(sources)
-    ]
-    shifted = [src >= total - n_shifted for src in sources]
-    if n_drop == 0:
-        return tables, shifted, list(range(total))
-    if bias.selection_basis is SelectionBasis.TRUE:
-        scores = [float(expit(pairs[i, 0]) - expit(pairs[i, 1])) for i in range(total)]
-    else:
-        scores = [_observed_youden(t) for t in tables]
-    # drop the n_drop lowest scores; ties drop the smaller study first
-    drop_order = sorted(range(total), key=lambda i: (scores[i], tables[i].n, i))
-    dropped = set(drop_order[:n_drop])
-    return tables, shifted, [i for i in range(total) if i not in dropped]
+        sources = np.arange(total)
+    accuracy = expit(pairs)  # (Sen, FPR)
+    positives = rng.binomial(sizes, accuracy[sources])  # (x, y)
+    tables = np.column_stack(
+        (positives[:, 0], sizes[:, 0] - positives[:, 0], positives[:, 1], sizes[:, 1] - positives[:, 1])
+    )
+    kept = np.ones(total, dtype=bool)
+    if n_drop:
+        if bias.selection_basis is SelectionBasis.TRUE:
+            scores = accuracy[:, 0] - accuracy[:, 1]
+        else:
+            scores = _youden(tables)
+        # drop the n_drop lowest scores; ties drop the smaller study, then
+        # the earlier draw (lexsort is stable)
+        kept[np.lexsort((sizes.sum(axis=1), scores))[:n_drop]] = False
+    return tables, sources >= total - n_shifted, kept
+
+
+def _dataset(tables: np.ndarray) -> MetaDataset:
+    return MetaDataset([StudyTable(*row) for row in tables.tolist()])
 
 
 def generate_meta_analysis(condition: SimCondition, rng: np.random.Generator) -> MetaDataset:
     """Generate one meta-analysis under the condition's bias mechanism."""
     tables, _, kept = _realize_all(condition, rng)
-    return MetaDataset([tables[i] for i in kept])
+    return _dataset(tables[kept])
 
 
 def generate_meta_analysis_traced(
@@ -286,14 +288,14 @@ def generate_meta_analysis_traced(
 ) -> tuple[MetaDataset, GenerationTrace]:
     """Generate one meta-analysis and report how each study arose."""
     tables, shifted, kept = _realize_all(condition, rng)
-    dropped = sorted(set(range(len(tables))) - set(kept))
+    youden = _youden(tables)
     trace = GenerationTrace(
-        origins=tuple("shifted" if shifted[i] else "base" for i in kept),
-        kept_youden=tuple(_observed_youden(tables[i]) for i in kept),
-        dropped_youden=tuple(_observed_youden(tables[i]) for i in dropped),
+        origins=tuple("shifted" if s else "base" for s in shifted[kept].tolist()),
+        kept_youden=tuple(youden[kept].tolist()),
+        dropped_youden=tuple(youden[~kept].tolist()),
         generated=len(tables),
     )
-    return MetaDataset([tables[i] for i in kept]), trace
+    return _dataset(tables[kept]), trace
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +320,22 @@ GRID_BIAS = (
 GRID_N_RANGE = (50, 1000)
 
 
+def _product_grid(mus, sigmas, ks, pis, biases, n_min: int, n_max: int) -> list[SimCondition]:
+    """The Cartesian product of the axes, mu outermost and bias innermost."""
+    grid = []
+    for mu, sigma in itertools.product(mus, sigmas):
+        params = BivariateParams.from_matrix(mu, sigma)
+        grid += [
+            SimCondition(params, k, pi, n_min, n_max, bias)
+            for k, pi, bias in itertools.product(ks, pis, biases)
+        ]
+    return grid
+
+
 def default_grid() -> list[SimCondition]:
     """The full 4 x 3 x 2 x 2 x 5 = 240 condition grid."""
-    grid = []
-    for mu in GRID_MU:
-        for sa2, sab, sb2 in GRID_SIGMA:
-            params = BivariateParams(mu=mu, sigma_a2=sa2, sigma_ab=sab, sigma_b2=sb2)
-            for k in GRID_K:
-                for pi in GRID_PI:
-                    for bias in GRID_BIAS:
-                        grid.append(
-                            SimCondition(
-                                params=params,
-                                k=k,
-                                pi=pi,
-                                n_min=GRID_N_RANGE[0],
-                                n_max=GRID_N_RANGE[1],
-                                bias=bias,
-                            )
-                        )
-    return grid
+    sigmas = [((a2, ab), (ab, b2)) for a2, ab, b2 in GRID_SIGMA]
+    return _product_grid(GRID_MU, sigmas, GRID_K, GRID_PI, GRID_BIAS, *GRID_N_RANGE)
 
 
 def _parse_bias(entry: dict) -> BiasSpec:
@@ -382,24 +380,8 @@ def load_grid(path: str | Path) -> list[SimCondition]:
         n_max = int(spec.get("n_max", GRID_N_RANGE[1]))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GridFormatError(f"bad grid definition: {exc!r}") from None
-    grid = []
     try:
-        for mu in mus:
-            for sigma in sigmas:
-                params = BivariateParams.from_matrix(mu, sigma)
-                for k in ks:
-                    for pi in pis:
-                        for bias in biases:
-                            grid.append(
-                                SimCondition(
-                                    params=params,
-                                    k=k,
-                                    pi=pi,
-                                    n_min=n_min,
-                                    n_max=n_max,
-                                    bias=bias,
-                                )
-                            )
+        grid = _product_grid(mus, sigmas, ks, pis, biases, n_min, n_max)
     except (NonPSDCovariance, ValueError) as exc:
         raise GridFormatError(f"bad grid values: {exc}") from None
     if not grid:

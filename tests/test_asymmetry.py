@@ -429,6 +429,50 @@ def test_center_and_rank_hand_case():
     assert round(l_est + 0.5 - 1e-12) == 1  # rounds to k0 = 1
 
 
+def test_gamma_plus_tie_groups():
+    # a tie group counts whole when every member is positive ...
+    _, ranks, gamma, _, _ = _center_and_rank(np.array([5.0, 5.0, 3.0, -1.0]), 0.0)
+    assert list(ranks) == [3.5, 3.5, 2, 1]
+    assert gamma == 3
+    # ... a mixed top group leaves no run ...
+    _, _, gamma, s_plus, _ = _center_and_rank(np.array([-3.0, 3.0, 1.0, -1.0, 2.0]), 0.0)
+    assert gamma == 0
+    assert s_plus == 4.5 + 3 + 1.5
+    # ... and a mixed lower group ends the run before any of its members
+    _, _, gamma, _, _ = _center_and_rank(np.array([5.0, 4.0, 2.0, -2.0, 1.0]), 0.0)
+    assert gamma == 2
+    # a centered value of exactly 0 is not positive
+    _, _, gamma, _, _ = _center_and_rank(np.array([1.0, 3.0, 1.0]), 1.0)
+    assert gamma == 1
+
+
+def test_gamma_plus_matches_group_loop():
+    def reference(centered):
+        gamma = 0
+        for level in sorted(set(np.abs(centered).tolist()), reverse=True):
+            group = centered[np.abs(centered) == level]
+            if not np.all(group > 0):
+                break
+            gamma += len(group)
+        return gamma
+
+    rng = np.random.default_rng(39)
+    for _ in range(2000):
+        values = rng.integers(-3, 4, size=int(rng.integers(1, 12))) * 0.5
+        theta = float(rng.choice([0.0, 0.5, -1.0]))
+        centered, _, gamma, _, _ = _center_and_rank(values, theta)
+        assert gamma == reference(centered)
+
+
+def test_trim_fill_state_is_array_based():
+    values = np.array([-1.0, -2.0, -3.0, 4.0, 5.0])
+    state = trim_fill_iterate(values, np.full(5, 0.25), np.full(5, 100.0), TrimFillEstimator.L)
+    centered, ranks, _, s_plus, _ = _center_and_rank(values, state.theta_hat)
+    assert np.array_equal(state.centered, centered)
+    assert np.array_equal(state.ranks, ranks)
+    assert state.s_plus == s_plus
+
+
 def test_trim_fill_symmetric_no_bias():
     ests = est([-2.0, -1.0, 0.0, 1.0, 2.0], 0.5)
     r = trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R)

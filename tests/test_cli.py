@@ -207,6 +207,20 @@ def test_simulate_bad_grid_file(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("bias", [{"mechanism": "none"}, {"mechanism": "selection", "fraction": 0.2}])
+def test_simulate_grid_with_empty_group_is_usage_error(tmp_path, capsys, bias):
+    # N = 1 at prevalence 0.2 gives n1 = 0 diseased subjects
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**GRID, "pi": [0.2], "bias": [bias], "n_min": 1, "n_max": 4}))
+    code, _, err = run(
+        capsys, "simulate", "--grid", str(grid_path), "--reps", "5", "--measure", "youden",
+        "--test", "egger", "--correction", "never", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "leaves a group empty" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_summary_on_stdout(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(GRID))

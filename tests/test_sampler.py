@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,8 +7,13 @@ import pytest
 from scipy.special import expit
 
 from funnelbias.errors import GridFormatError, NonPSDCovariance
+from funnelbias.model import round_half_up
 from funnelbias.sampler import (
     GRID_BIAS,
+    GRID_K,
+    GRID_MU,
+    GRID_PI,
+    GRID_SIGMA,
     BiasMechanism,
     BiasSpec,
     BivariateParams,
@@ -19,7 +25,6 @@ from funnelbias.sampler import (
     load_grid,
     logistic,
     logit,
-    realize_study,
     replicate_rng,
     sample_logit_pairs,
     sample_sizes,
@@ -69,35 +74,39 @@ def test_sample_covariance_converges():
     assert np.allclose(cov, params.matrix(), rtol=0.03, atol=0.01)
 
 
-def test_realize_study_mean_behavior():
-    rng = replicate_rng(2, 0, 0)
-    table = realize_study(2.0, -2.0, 100_000, 100_000, rng)
-    assert abs(table.x / table.n1 - float(expit(2.0))) < 0.005 * float(expit(2.0))
-    assert table.x + table.w == 100_000
-    assert table.y + table.z == 100_000
+def test_generated_tables_mean_behavior():
+    cond = condition(params=BivariateParams(mu=(2.0, -2.0)), k=3, n_min=200_000, n_max=200_000)
+    for table in generate_meta_analysis(cond, replicate_rng(2, 0, 0)).studies:
+        assert abs(table.x / table.n1 - float(expit(2.0))) < 0.005 * float(expit(2.0))
+        assert table.x + table.w == 100_000
+        assert table.y + table.z == 100_000
     # theta = 0 gives Sen = 0.5
-    xs = [realize_study(0.0, 0.0, 200, 200, replicate_rng(3, 0, i)).x for i in range(200)]
+    cond = condition(params=BivariateParams(mu=(0.0, 0.0)), k=10, n_min=400, n_max=400)
+    xs = [t.x for i in range(20) for t in generate_meta_analysis(cond, replicate_rng(3, 0, i)).studies]
     assert abs(np.mean(xs) - 100.0) < 2.0
-
-
-def test_realize_study_deterministic():
-    t1 = realize_study(1.0, -1.0, 80, 120, replicate_rng(4, 1, 2))
-    t2 = realize_study(1.0, -1.0, 80, 120, replicate_rng(4, 1, 2))
-    assert t1 == t2
 
 
 def test_sample_sizes_rounding():
     cond = condition(pi=0.5, n_min=101, n_max=101)
-    assert sample_sizes(cond, 3, replicate_rng(5, 0, 0)) == [(51, 50)] * 3
+    sizes = sample_sizes(cond, 3, replicate_rng(5, 0, 0))
+    assert sizes.shape == (3, 2) and sizes.dtype == np.int64
+    assert sizes.tolist() == [[51, 50]] * 3
     cond = condition(pi=0.2, n_min=50, n_max=50)
-    assert sample_sizes(cond, 2, replicate_rng(5, 0, 1)) == [(10, 40)] * 2
+    assert sample_sizes(cond, 2, replicate_rng(5, 0, 1)).tolist() == [[10, 40]] * 2
 
 
 def test_sample_sizes_uniform_mean():
     cond = condition(n_min=50, n_max=1000)
     sizes = sample_sizes(cond, 100_000, replicate_rng(6, 0, 0))
-    totals = [a + b for a, b in sizes]
-    assert abs(np.mean(totals) - 525.0) < 0.01 * 525.0
+    assert abs(np.mean(sizes.sum(axis=1)) - 525.0) < 0.01 * 525.0
+
+
+def test_small_n_min_leaving_a_group_empty_rejected():
+    for pi, n_min in ((0.2, 1), (0.2, 2), (0.5, 1), (0.9, 2), (0.8, 2)):
+        with pytest.raises(ValueError, match="leaves a group empty"):
+            condition(pi=pi, n_min=n_min, n_max=max(n_min, 4))
+    # n1 = round(0.6) = 1 and n2 = 2 at N = 3; larger N only adds to either
+    assert condition(pi=0.2, n_min=3, n_max=4).n_min == 3
 
 
 def test_logit_logistic_roundtrip():
@@ -120,6 +129,64 @@ def test_generate_deterministic():
     a = generate_meta_analysis(condition(params=SMALL, k=12), replicate_rng(8, 3, 5))
     b = generate_meta_analysis(condition(params=SMALL, k=12), replicate_rng(8, 3, 5))
     assert a.studies == b.studies
+    assert all(type(cell) is int for t in a.studies for cell in (t.x, t.w, t.y, t.z))
+
+
+def _scalar_tables(cond, rng):
+    """The documented draw order, one scalar binomial call per cell."""
+    bias, k = cond.bias, cond.k
+    n_drop = n_shifted = 0
+    if bias.mechanism is BiasMechanism.SELECTION:
+        n_drop = round_half_up(bias.selection_fraction * k)
+    elif bias.mechanism is BiasMechanism.MIXTURE:
+        n_shifted = round_half_up(bias.mixture_fraction * k)
+    total = k + n_drop
+    totals = rng.integers(cond.n_min, cond.n_max + 1, size=total).tolist()
+    sizes = [(round_half_up(cond.pi * n), n - round_half_up(cond.pi * n)) for n in totals]
+    pairs = sample_logit_pairs(cond.params, total - n_shifted, rng)
+    sources = list(range(total))
+    if n_shifted:
+        shifted = sample_logit_pairs(cond.params.shifted(bias.eta), n_shifted, rng)
+        pairs = np.vstack([pairs, shifted])
+        sources = rng.permutation(k).tolist()
+    tables = []
+    for (n1, n2), src in zip(sizes, sources):
+        x = int(rng.binomial(n1, float(expit(pairs[src, 0]))))
+        y = int(rng.binomial(n2, float(expit(pairs[src, 1]))))
+        tables.append((x, n1 - x, y, n2 - y))
+    if not n_drop:
+        return tables
+    if bias.selection_basis is SelectionBasis.TRUE:
+        scores = [float(expit(a) - expit(b)) for a, b in pairs]
+    else:
+        scores = [x / (x + w) + z / (y + z) - 1.0 for x, w, y, z in tables]
+    order = sorted(range(total), key=lambda i: (scores[i], sum(tables[i]), i))
+    dropped = set(order[:n_drop])
+    return [t for i, t in enumerate(tables) if i not in dropped]
+
+
+SELECT_40 = BiasSpec(BiasMechanism.SELECTION, selection_fraction=0.4)
+
+
+@pytest.mark.parametrize(
+    "cond",
+    [
+        condition(params=SMALL, pi=0.2, n_min=10, n_max=40),
+        condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=SELECT_40),
+        condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=BiasSpec(
+            BiasMechanism.SELECTION, selection_fraction=0.4, selection_basis=SelectionBasis.TRUE)),
+        condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=BiasSpec(
+            BiasMechanism.MIXTURE, eta=(1.25, -1.25))),
+        # one study size: ties in the observed Youden index fall back to draw order
+        condition(params=FE, n_min=10, n_max=10, bias=SELECT_40),
+    ],
+    ids=["none", "selection-observed", "selection-true", "mixture", "selection-ties"],
+)
+def test_stream_contract_matches_scalar_draws(cond):
+    for rep in range(30):
+        expected = _scalar_tables(cond, replicate_rng(15, 2, rep))
+        dataset = generate_meta_analysis(cond, replicate_rng(15, 2, rep))
+        assert [(t.x, t.w, t.y, t.z) for t in dataset.studies] == expected
 
 
 def test_selection_drops_lowest_youden():
@@ -191,6 +258,14 @@ def test_observed_logit_sen_matches_mu():
 # ---------------------------------------------------------------------------
 # the grid
 # ---------------------------------------------------------------------------
+
+
+def test_default_grid_order():
+    cells = [
+        (c.params.mu, (c.params.sigma_a2, c.params.sigma_ab, c.params.sigma_b2), c.k, c.pi, c.bias)
+        for c in default_grid()
+    ]
+    assert cells == list(itertools.product(GRID_MU, GRID_SIGMA, GRID_K, GRID_PI, GRID_BIAS))
 
 
 def test_default_grid_cardinality():
