@@ -19,7 +19,6 @@ from .asymmetry import (
     begg_test,
     egger_test,
     funnel_points,
-    kendall_tau,
     macaskill_test,
     pool_fixed_effects,
     pool_random_effects,

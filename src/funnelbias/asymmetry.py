@@ -26,14 +26,12 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import ndtr, stdtr
 
 from .errors import (
     AllTied,
-    LengthMismatch,
     SingularDesign,
     TooFewStudies,
 )
@@ -417,49 +415,25 @@ def _kendall_detail(xs: np.ndarray, ys: np.ndarray) -> _KendallDetail:
     return _KendallDetail(tau, s, p_greater, p_less, p_two, exact=False)
 
 
-def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Kendall's tau-b and the one-sided (tau > 0) p-value.
-
-    Uses exact enumeration of the permutation null for k <= 7 untied
-    samples and the tie-corrected normal approximation with continuity
-    correction otherwise. A constant vector carries no ordering
-    information and yields (0.0, 0.5) by convention.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 3:
-        raise TooFewStudies(f"Kendall's tau needs k >= 3, got {len(xs)}")
-    detail = _kendall_detail(xs, ys)
-    return detail.tau, detail.p_greater
-
-
 def begg_test(
     estimates: EstimateSet,
     dispersion: BeggDispersion = BeggDispersion.VARIANCE,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
     alpha: float = 0.1,
-    plain_se_standardization: bool = False,
 ) -> AsymmetryTestResult:
     """Rank correlation between standardized centered effects and dispersion.
 
     Effects are centered on the fixed-effects pooled mean and divided by
-    sqrt(Var_i - Var(t_bar)), the variance of the centered value (the
-    naive division by SE_i alone is available behind
-    ``plain_se_standardization`` but is miscalibrated under the null).
-    Every dispersion variant (variance, 1/N, 1/ESS) grows as studies
-    shrink, so the one-sided alternative is tau > 0 throughout.
+    sqrt(Var_i - Var(t_bar)), the variance of the centered value
+    (dividing by SE_i alone is miscalibrated under the null). Every
+    dispersion variant (variance, 1/N, 1/ESS) grows as studies shrink,
+    so the one-sided alternative is tau > 0 throughout.
     """
     _require_studies(estimates)
     values, ses = estimates.value, estimates.se
     variances = ses**2
     t_bar = _pool_fixed(values, variances)
-    if plain_se_standardization:
-        se_star = ses
-    else:
-        pooled_var = 1.0 / np.sum(1.0 / variances)
-        se_star = np.sqrt(variances - pooled_var)
+    se_star = np.sqrt(variances - 1.0 / np.sum(1.0 / variances))
     if np.any(se_star <= 0.0):
         raise AllTied("centered-effect variance is not positive for every study")
     t_star = (values - t_bar) / se_star
@@ -492,8 +466,15 @@ def _center_and_rank(values: np.ndarray, theta: float):
     """
     k = len(values)
     centered = values - theta
-    _, tie_group, counts = np.unique(np.abs(centered), return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
+    order = np.argsort(np.abs(centered), kind="stable")
+    ascending = np.abs(centered[order])
+    # a tie group starts wherever the sorted magnitude changes
+    starts_group = np.concatenate(([True], ascending[1:] != ascending[:-1]))
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], k)
+    counts = ends - starts
+    tie_group = np.empty(k, dtype=np.intp)
+    tie_group[order] = np.cumsum(starts_group) - 1
     ranks = (0.5 * (2 * ends - counts + 1))[tie_group]  # average rank within each tie group
     # the run: every value in a tie group above the top one holding a non-positive value
     blocked = tie_group[centered <= 0]

@@ -25,7 +25,6 @@ from .errors import (
     DatasetFormatError,
     FunnelBiasError,
     GridFormatError,
-    MeasureError,
     StatisticalError,
     TooFewStudies,
 )
@@ -263,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except GridFormatError as exc:
         print(f"error: bad grid: {exc}", file=sys.stderr)
         return 2
-    except (StatisticalError, MeasureError) as exc:
+    except StatisticalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (_UsageError, FunnelBiasError, FileNotFoundError) as exc:

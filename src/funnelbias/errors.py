@@ -1,9 +1,10 @@
 """Exception hierarchy for funnelbias.
 
-Three broad groups: data problems (bad tables, bad files), per-study
-measure failures (degenerate 2x2 tables), and statistical preconditions
-of the asymmetry tests. The CLI maps data/format errors to exit code 2
-and statistical preconditions to exit code 3.
+Two broad groups: data problems (bad tables, bad files) and statistical
+preconditions of the asymmetry tests. The CLI maps data/format errors
+to exit code 2 and statistical preconditions to exit code 3. A study
+whose measure is undefined raises nothing: ``measure_studies`` lists it
+as excluded, with the reason.
 """
 
 
@@ -39,34 +40,6 @@ class EmptyInput(DataError):
     """An aggregation was asked to summarize nothing."""
 
 
-class MeasureError(FunnelBiasError):
-    """An accuracy measure is undefined for a particular table.
-
-    ``study_index`` is attached when the failure is reported for a study
-    inside a dataset (0-based position).
-    """
-
-    def __init__(self, message: str, study_index: int | None = None):
-        super().__init__(message)
-        self.study_index = study_index
-
-
-class ZeroCell(MeasureError):
-    """A formula divides by (or takes the log of) a zero cell."""
-
-
-class BoundaryProportion(MeasureError):
-    """An observed proportion sits on 0 or 1 where a log-ratio degenerates."""
-
-
-class DegenerateSE(MeasureError):
-    """The standard error of the measure is zero."""
-
-
-class DegenerateMarginals(MeasureError):
-    """A marginal-based denominator of kappa is zero."""
-
-
 class StatisticalError(FunnelBiasError):
     """An asymmetry test's statistical preconditions are not met."""
 
@@ -81,10 +54,6 @@ class SingularDesign(StatisticalError):
 
 class AllTied(StatisticalError):
     """Rank correlation is undefined because one variable is constant."""
-
-
-class LengthMismatch(StatisticalError):
-    """Paired vectors have different lengths."""
 
 
 class NonPSDCovariance(FunnelBiasError):

@@ -35,7 +35,7 @@ from .asymmetry import (
     macaskill_test,
     trim_fill_test,
 )
-from .errors import EmptyInput, MeasureError, StatisticalError
+from .errors import EmptyInput, StatisticalError
 from .measures import measure_studies as compute_usable  # the name perfbench/tracing.py wraps
 from .model import (
     AsymmetryTestResult,
@@ -217,7 +217,7 @@ def run_condition(
         for j, variant in enumerate(variants):
             try:
                 result = run_variant(variant, estimates_by_measure[variant.measure], alpha)
-            except (StatisticalError, MeasureError):
+            except StatisticalError:
                 degenerate[j] += 1
                 continue
             if result.reject:

@@ -25,14 +25,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundaryProportion,
-    DegenerateMarginals,
-    DegenerateSE,
-    MeasureError,
-    ZeroCell,
-)
 from .model import CorrectionPolicy, EstimateSet, MeasureId, MetaDataset
+
+# Each measure maps the (possibly corrected) cell columns x, w, y, z to
+# (value, se, checks): value and se for every study, and (undefined,
+# reason) pairs in check order, where ``undefined`` marks the studies
+# whose measure fails that check. A study's value and se mean nothing
+# once any check fails. The formulas keep the order of operations of
+# the published scalar forms; + - * / and sqrt round the same in numpy
+# as in Python floats, but np.log and numpy's ** can differ from
+# math.log and float ** in the last bit, so those go through _log and
+# _pow.
+Checks = list[tuple[np.ndarray, str]]
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """math.log of each value, in the input's shape; nan where it is undefined."""
+    logs = [math.log(v) if v > 0.0 else math.nan for v in values.ravel().tolist()]
+    return np.array(logs).reshape(values.shape)
+
+
+def _pow(values: np.ndarray, exponent: int) -> np.ndarray:
+    """Python's float ** of each value, in the input's shape."""
+    return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def effective_sample_size(n1, n2):
@@ -40,46 +55,44 @@ def effective_sample_size(n1, n2):
     return 4.0 * n1 * n2 / (n1 + n2)
 
 
-def ln_dor(x: float, w: float, y: float, z: float) -> tuple[float, float]:
-    """Log diagnostic odds ratio with se = sqrt(1/x + 1/y + 1/w + 1/z)."""
-    if 0.0 in (x, w, y, z):
-        raise ZeroCell("lnDOR undefined with a zero cell; apply continuity correction")
-    value = math.log(x * z / (y * w))
-    se = math.sqrt(1.0 / x + 1.0 / y + 1.0 / w + 1.0 / z)
-    return value, se
+def ln_dor(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
+    """Log diagnostic odds ratio ln(xz / yw) with se = sqrt(1/x + 1/y + 1/w + 1/z)."""
+    xz, yw = x * z, y * w
+    value = _log(xz / yw)
+    se = np.sqrt(1.0 / x + 1.0 / y + 1.0 / w + 1.0 / z)
+    zero = (xz == 0.0) | (yw == 0.0)  # cells are 0 or at least 0.5, so no product underflows
+    return value, se, [(zero, "lnDOR undefined with a zero cell; apply continuity correction")]
 
 
-def neg_ln_theta(x: float, w: float, y: float, z: float) -> tuple[float, float]:
+def neg_ln_theta(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     """Negated log Lehmann parameter, -ln(ln(Sen) / ln(FPR))."""
     n1, n2 = x + w, y + z
-    if x == 0.0 or y == 0.0:
-        raise ZeroCell("lnTheta undefined with x = 0 or y = 0")
-    if x == n1 or y == n2:
-        raise BoundaryProportion("lnTheta degenerate when Sen = 1 or FPR = 1")
-    log_sen = math.log(x) - math.log(n1)
-    log_fpr = math.log(y) - math.log(n2)
-    value = -math.log(log_sen / log_fpr)
-    se = math.sqrt(
-        (1.0 / x - 1.0 / n1) / log_sen**2 + (1.0 / y - 1.0 / n2) / log_fpr**2
-    )
-    if se == 0.0:
-        raise DegenerateSE("lnTheta standard error is zero")
-    return value, se
+    log_x, log_n1, log_y, log_n2 = _log(np.array((x, n1, y, n2)))
+    log_sen = log_x - log_n1
+    log_fpr = log_y - log_n2
+    value = -_log(log_sen / log_fpr)
+    log_sen_sq, log_fpr_sq = _pow(np.array((log_sen, log_fpr)), 2)
+    se = np.sqrt((1.0 / x - 1.0 / n1) / log_sen_sq + (1.0 / y - 1.0 / n2) / log_fpr_sq)
+    return value, se, [
+        ((x == 0.0) | (y == 0.0), "lnTheta undefined with x = 0 or y = 0"),
+        ((x == n1) | (y == n2), "lnTheta degenerate when Sen = 1 or FPR = 1"),
+        (se == 0.0, "lnTheta standard error is zero"),
+    ]
 
 
-def youden(x: float, w: float, y: float, z: float) -> tuple[float, float]:
+def youden(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     """Youden's index x/n1 + z/n2 - 1 with the binomial standard error."""
     n1, n2 = x + w, y + z
     sen = x / n1
     fpr = y / n2
     value = sen + (1.0 - fpr) - 1.0
-    se = math.sqrt(sen * (1.0 - sen) / n1 + fpr * (1.0 - fpr) / n2)
-    if se == 0.0:
-        raise DegenerateSE("Youden standard error is zero (both proportions on a boundary)")
-    return value, se
+    se = np.sqrt(sen * (1.0 - sen) / n1 + fpr * (1.0 - fpr) / n2)
+    return value, se, [
+        (se == 0.0, "Youden standard error is zero (both proportions on a boundary)")
+    ]
 
 
-def kappa(x: float, w: float, y: float, z: float) -> tuple[float, float]:
+def kappa(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     """Cohen's kappa 2(xz - yw) / (n1*m2 + n2*m1) with the Fleiss SE.
 
     The variance pieces follow the Fleiss-Cohen-Everitt large-sample
@@ -90,30 +103,37 @@ def kappa(x: float, w: float, y: float, z: float) -> tuple[float, float]:
     n1, n2, m1, m2 = x + w, y + z, x + y, w + z
     n = n1 + n2
     denom = n1 * m2 + n2 * m1
-    if denom == 0.0:
-        raise DegenerateMarginals("kappa undefined: n1*m2 + n2*m1 = 0")
     value = 2.0 * (x * z - y * w) / denom
-    p_e = (n1 * m1 + n2 * m2) / n**2
-    if p_e == 1.0:
-        raise DegenerateMarginals("kappa SE undefined: expected agreement is 1")
+    # each squared distance is named after the cell that weights it
+    n_sq, w_sq, y_sq = _pow(np.array((n, n2 + m1, n1 + m2)), 2)
+    n_cubed = _pow(n, 3)
+    p_e = (n1 * m1 + n2 * m2) / n_sq
     one_minus_k = 1.0 - value
-    a_term = (
-        x * (n - (n1 + m1) * one_minus_k) ** 2 + z * (n - (n2 + m2) * one_minus_k) ** 2
-    ) / n**3
-    b_term = one_minus_k**2 * (w * (n2 + m1) ** 2 + y * (n1 + m2) ** 2) / n**3
-    c_term = (value - p_e * one_minus_k) ** 2
+    x_sq, z_sq, one_minus_k_sq, c_term = _pow(
+        np.array((
+            n - (n1 + m1) * one_minus_k,
+            n - (n2 + m2) * one_minus_k,
+            one_minus_k,
+            value - p_e * one_minus_k,
+        )),
+        2,
+    )
+    a_term = (x * x_sq + z * z_sq) / n_cubed
+    b_term = one_minus_k_sq * (w * w_sq + y * y_sq) / n_cubed
     variance_core = a_term + b_term - c_term
+    se = np.sqrt(variance_core) / ((1.0 - p_e) * np.sqrt(n))
     # On tables whose variance is exactly 0, a + b - c still leaves a few
     # ulps of a + b (at most 5e-16 of it seen), and sqrt turns that into
     # a spurious tiny SE. Real variances sit above 2e-10 of a + b up to
     # N = 4000, so anything within 1e-12 of a + b counts as 0.
-    if variance_core <= 1e-12 * (a_term + b_term):
-        raise DegenerateSE("kappa standard error is zero")
-    se = math.sqrt(variance_core) / ((1.0 - p_e) * math.sqrt(n))
-    return value, se
+    return value, se, [
+        (denom == 0.0, "kappa undefined: n1*m2 + n2*m1 = 0"),
+        (p_e == 1.0, "kappa SE undefined: expected agreement is 1"),
+        (variance_core <= 1e-12 * (a_term + b_term), "kappa standard error is zero"),
+    ]
 
 
-MEASURES: dict[MeasureId, Callable[[float, float, float, float], tuple[float, float]]] = {
+MEASURES: dict[MeasureId, Callable[..., tuple[np.ndarray, np.ndarray, Checks]]] = {
     MeasureId.LNDOR: ln_dor,
     MeasureId.NEG_LNTHETA: neg_ln_theta,
     MeasureId.YOUDEN: youden,
@@ -134,48 +154,37 @@ def measure_studies(
     measure: MeasureId,
     policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
 ) -> Measurement:
-    """Correct and measure every study, in order, skipping degenerate ones.
+    """Correct and measure every study, skipping degenerate ones.
 
     Under ``HALF_IF_ANY_ZERO`` all four cells of a study get +0.5 as soon
     as any one of them is zero; under ``NEVER`` the cells pass through.
     A study whose measure is undefined is left out of the estimates and
-    listed in ``excluded`` with the reason, so callers can surface it
-    instead of silently dropping data. The size columns come from the
-    observed tables.
+    listed in ``excluded`` with the reason of the first check it fails,
+    so callers can surface it instead of silently dropping data. The
+    size columns come from the observed tables.
     """
-    fn = MEASURES[measure]
-    correct = policy is CorrectionPolicy.HALF_IF_ANY_ZERO
-    values: list[float] = []
-    ses: list[float] = []
-    kept: list[int] = []
-    corrected: list[int] = []
-    excluded: list[tuple[int, str]] = []
-    for i, study in enumerate(dataset.studies):
-        x, w, y, z = study.x, study.w, study.y, study.z
-        if correct and 0 in (x, w, y, z):
-            cells = (x + 0.5, w + 0.5, y + 0.5, z + 0.5)
-            corrected.append(i)
-        else:
-            cells = (float(x), float(w), float(y), float(z))
-        try:
-            value, se = fn(*cells)
-        except MeasureError as exc:
-            excluded.append((i, str(exc)))
-            continue
-        values.append(value)
-        ses.append(se)
-        kept.append(i)
-    raw = np.array([(t.x, t.w, t.y, t.z) for t in dataset.studies], dtype=np.int64)
-    x, w, y, z = raw.reshape(-1, 4)[kept].T
+    tables = dataset.tables
+    corrected = (tables == 0).any(axis=1) & (policy is CorrectionPolicy.HALF_IF_ANY_ZERO)
+    cells = tables + 0.5 * corrected[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, se, checks = MEASURES[measure](*cells.T)
+    usable = np.ones(len(tables), dtype=bool)
+    excluded = []
+    for undefined, reason in checks:
+        failed = undefined & usable
+        if failed.any():
+            excluded += [(i, reason) for i in np.flatnonzero(failed).tolist()]
+            usable &= ~failed
+    x, w, y, z = tables[usable].T
     n1, n2 = x + w, y + z
     estimates = EstimateSet(
         measure=measure,
-        value=values,
-        se=ses,
+        value=value[usable],
+        se=se[usable],
         n=n1 + n2,
         ess=effective_sample_size(n1, n2),
         m1=x + y,
         m2=w + z,
-        index=kept,
+        index=np.flatnonzero(usable),
     )
-    return Measurement(estimates, tuple(corrected), tuple(excluded))
+    return Measurement(estimates, tuple(np.flatnonzero(corrected).tolist()), tuple(sorted(excluded)))

@@ -20,10 +20,12 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DatasetFormatError,
     EmptyGroup,
     NegativeCell,
@@ -54,13 +56,8 @@ class Sidedness(enum.Enum):
     TWO_SIDED = "two"
 
 
-@dataclass(frozen=True, slots=True)
-class StudyTable:
-    """One diagnostic 2x2 table of raw integer counts.
-
-    Construction does not validate; call :meth:`validate` (or
-    :func:`validate_dataset`) at trust boundaries.
-    """
+class StudyTable(NamedTuple):
+    """One diagnostic 2x2 table of integer counts: a row of ``MetaDataset.tables``."""
 
     x: int  # true positives
     w: int  # false negatives
@@ -86,19 +83,6 @@ class StudyTable:
     @property
     def n(self) -> int:
         return self.n1 + self.n2
-
-    def validate(self) -> "StudyTable":
-        for name in ("x", "w", "y", "z"):
-            cell = getattr(self, name)
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise NegativeCell(f"cell {name} must be an integer count, got {cell!r}")
-            if cell < 0:
-                raise NegativeCell(f"cell {name} is negative: {cell}")
-        if self.n1 == 0:
-            raise EmptyGroup("no diseased subjects (n1 = 0)")
-        if self.n2 == 0:
-            raise EmptyGroup("no healthy subjects (n2 = 0)")
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +117,7 @@ class EstimateSet:
                 raise ValueError(f"column {name} has shape {column.shape}, expected ({k},)")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if not (np.all(self.se > 0) and np.all(self.ess > 0) and np.all(self.n > 0)):
+        if not (np.array((self.se, self.ess, self.n)) > 0).all():
             raise ValueError("se, ess and n must be positive for every study")
 
     def __len__(self) -> int:
@@ -172,19 +156,36 @@ class AsymmetryTestResult:
             raise ValueError("reject flag inconsistent with p_value and alpha")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaDataset:
-    """An ordered collection of study tables forming one meta-analysis."""
+    """The 2x2 tables of one meta-analysis, one (x, w, y, z) row per study.
 
-    studies: tuple[StudyTable, ...]
+    ``tables`` is a read-only (k, 4) int64 copy of whatever rows it is
+    given (an array, or a sequence of 4-tuples or ``StudyTable``s).
+    Construction rejects cells that are not integers (bool and float
+    arrays included) but checks no counts; call :func:`validate_dataset`
+    at trust boundaries.
+    """
+
+    tables: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "studies", tuple(self.studies))
+        cells = np.asarray(self.tables)
+        if cells.size and (cells.dtype == bool or not np.can_cast(cells.dtype, np.int64)):
+            raise NegativeCell(f"cells must be integer counts within int64, got dtype {cells.dtype}")
+        cells = cells.astype(np.int64).reshape(len(cells), 4)
+        cells.flags.writeable = False
+        object.__setattr__(self, "tables", cells)
 
     @property
     def k(self) -> int:
-        return len(self.studies)
+        return len(self.tables)
+
+    @property
+    def studies(self) -> tuple[StudyTable, ...]:
+        """The rows as ``StudyTable``s of Python ints."""
+        return tuple(map(StudyTable._make, self.tables.tolist()))
 
 
 MIN_STUDIES = 3  # regression tests need k - 2 >= 1 residual df
@@ -193,6 +194,25 @@ MIN_STUDIES = 3  # regression tests need k - 2 >= 1 residual df
 def round_half_up(value: float) -> int:
     """Nearest integer with halves rounded up (``round`` rounds them to even)."""
     return math.floor(value + 0.5)
+
+
+def _first_invalid(tables: np.ndarray) -> tuple[int, DataError] | None:
+    """The first study, in row order, with a negative cell or an empty group, and its error.
+
+    Within a study the cells are checked in x, w, y, z order, then n1,
+    then n2.
+    """
+    negative = tables < 0
+    bad = negative.any(axis=1) | (tables[:, 0] + tables[:, 1] == 0) | (tables[:, 2] + tables[:, 3] == 0)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if negative[i].any():
+        j = int(np.argmax(negative[i]))
+        return i, NegativeCell(f"cell {'xwyz'[j]} is negative: {tables[i, j]}")
+    if tables[i, 0] + tables[i, 1] == 0:
+        return i, EmptyGroup("no diseased subjects (n1 = 0)")
+    return i, EmptyGroup("no healthy subjects (n2 = 0)")
 
 
 def validate_dataset(dataset: MetaDataset) -> MetaDataset:
@@ -204,11 +224,10 @@ def validate_dataset(dataset: MetaDataset) -> MetaDataset:
     """
     if dataset.k < MIN_STUDIES:
         raise TooFewStudies(f"need at least {MIN_STUDIES} studies, got {dataset.k}")
-    for i, study in enumerate(dataset.studies):
-        try:
-            study.validate()
-        except (NegativeCell, EmptyGroup) as exc:
-            raise type(exc)(f"study {i}: {exc}") from None
+    invalid = _first_invalid(dataset.tables)
+    if invalid is not None:
+        i, exc = invalid
+        raise type(exc)(f"study {i}: {exc}")
     return dataset
 
 
@@ -220,8 +239,10 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     raises :class:`DatasetFormatError` carrying the 1-based line number.
     """
     path = Path(path)
-    studies: list[StudyTable] = []
+    rows: list[list[int]] = []
     ids: list[str] = []
+    line_nos: list[int] = []
+    parse_error = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -237,24 +258,26 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
             if not row or all(not cell.strip() for cell in row):
                 continue  # tolerate blank lines
             if len(row) != 5:
-                raise DatasetFormatError(
-                    f"expected 5 fields, got {len(row)}", line_no=line_no
-                )
-            study_id = row[0].strip()
+                parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
+                break
             try:
-                tp, fn, fp, tn = (int(cell.strip()) for cell in row[1:])
+                rows.append([int(cell.strip()) for cell in row[1:]])
             except ValueError:
-                raise DatasetFormatError(
+                parse_error = DatasetFormatError(
                     f"non-integer cell count in {row[1:]!r}", line_no=line_no
-                ) from None
-            table = StudyTable(x=tp, w=fn, y=fp, z=tn)
-            try:
-                table.validate()
-            except (NegativeCell, EmptyGroup) as exc:
-                raise DatasetFormatError(str(exc), line_no=line_no) from None
-            studies.append(table)
-            ids.append(study_id)
-    return MetaDataset(studies, label=path.stem), tuple(ids)
+                )
+                break
+            ids.append(row[0].strip())
+            line_nos.append(line_no)
+    dataset = MetaDataset(rows, label=path.stem)
+    # the rows read before a parse error come first in the file
+    invalid = _first_invalid(dataset.tables)
+    if invalid is not None:
+        i, exc = invalid
+        raise DatasetFormatError(str(exc), line_no=line_nos[i])
+    if parse_error is not None:
+        raise parse_error
+    return dataset, tuple(ids)
 
 
 def write_dataset_csv(
@@ -271,5 +294,4 @@ def write_dataset_csv(
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for sid, t in zip(study_ids, dataset.studies):
-            writer.writerow([sid, t.x, t.w, t.y, t.z])
+        writer.writerows([sid, *row] for sid, row in zip(study_ids, dataset.tables.tolist()))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import GridFormatError, NonPSDCovariance
-from .model import MetaDataset, StudyTable, round_half_up
+from .model import MetaDataset, round_half_up
 
 __all__ = [
     "BiasMechanism",
@@ -41,14 +41,11 @@ __all__ = [
     "generate_meta_analysis",
     "generate_meta_analysis_traced",
     "load_grid",
-    "logistic",
     "logit",
     "replicate_rng",
     "sample_logit_pairs",
     "sample_sizes",
 ]
-
-logistic = expit  # inverse of logit, numerically stable on both tails
 
 PSD_TOLERANCE = 1e-12
 
@@ -113,11 +110,6 @@ class BiasMechanism(enum.Enum):
     MIXTURE = "mixture"
 
 
-class SelectionBasis(enum.Enum):
-    OBSERVED = "observed"  # Youden index of the realized 2x2 table
-    TRUE = "true"  # Sen - FPR from the sampled logits
-
-
 @dataclass(frozen=True, slots=True)
 class BiasSpec:
     """How (and how strongly) publication bias is injected."""
@@ -126,7 +118,6 @@ class BiasSpec:
     selection_fraction: float = 0.0
     eta: tuple[float, float] = (0.0, 0.0)
     mixture_fraction: float = 1.0 / 3.0
-    selection_basis: SelectionBasis = SelectionBasis.OBSERVED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", (float(self.eta[0]), float(self.eta[1])))
@@ -234,9 +225,10 @@ def _realize_all(
     """Every realized table, whether it came from the shifted component, and the kept ones.
 
     Selection realizes k + l tables and keeps the k with the highest
-    scores, in draw order; a mixture realizes its base and shifted logit
-    pairs into randomly permuted slots. One binomial call draws every
-    table's (x, y) pair; its C order is each study's x, then its y.
+    observed Youden indices, in draw order; a mixture realizes its base
+    and shifted logit pairs into randomly permuted slots. One binomial
+    call draws every table's (x, y) pair; its C order is each study's x,
+    then its y.
     Returns the (x, w, y, z) rows as an int64 array, the shifted flags
     and the boolean mask of the kept tables.
     """
@@ -256,31 +248,22 @@ def _realize_all(
         sources = rng.permutation(k)
     else:
         sources = np.arange(total)
-    accuracy = expit(pairs)  # (Sen, FPR)
-    positives = rng.binomial(sizes, accuracy[sources])  # (x, y)
+    positives = rng.binomial(sizes, expit(pairs)[sources])  # (x, y) from (Sen, FPR)
     tables = np.column_stack(
         (positives[:, 0], sizes[:, 0] - positives[:, 0], positives[:, 1], sizes[:, 1] - positives[:, 1])
     )
     kept = np.ones(total, dtype=bool)
     if n_drop:
-        if bias.selection_basis is SelectionBasis.TRUE:
-            scores = accuracy[:, 0] - accuracy[:, 1]
-        else:
-            scores = _youden(tables)
-        # drop the n_drop lowest scores; ties drop the smaller study, then
-        # the earlier draw (lexsort is stable)
-        kept[np.lexsort((sizes.sum(axis=1), scores))[:n_drop]] = False
+        # drop the n_drop lowest observed Youden indices; ties drop the
+        # smaller study, then the earlier draw (lexsort is stable)
+        kept[np.lexsort((sizes.sum(axis=1), _youden(tables)))[:n_drop]] = False
     return tables, sources >= total - n_shifted, kept
-
-
-def _dataset(tables: np.ndarray) -> MetaDataset:
-    return MetaDataset([StudyTable(*row) for row in tables.tolist()])
 
 
 def generate_meta_analysis(condition: SimCondition, rng: np.random.Generator) -> MetaDataset:
     """Generate one meta-analysis under the condition's bias mechanism."""
     tables, _, kept = _realize_all(condition, rng)
-    return _dataset(tables[kept])
+    return MetaDataset(tables[kept])
 
 
 def generate_meta_analysis_traced(
@@ -295,7 +278,7 @@ def generate_meta_analysis_traced(
         dropped_youden=tuple(youden[~kept].tolist()),
         generated=len(tables),
     )
-    return _dataset(tables[kept]), trace
+    return MetaDataset(tables[kept]), trace
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +340,22 @@ def _parse_bias(entry: dict) -> BiasSpec:
     raise GridFormatError(f"unknown bias mechanism {mechanism!r}")
 
 
+def _integer(value) -> int:
+    """An integral grid value as an int; a fraction is an error, not truncated."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
 def load_grid(path: str | Path) -> list[SimCondition]:
     """Read a grid definition from JSON; the Cartesian product of its axes.
 
     Expected keys: ``mu`` (list of [mu_a, mu_b]), ``sigma`` (list of 2x2
     matrices), ``k``, ``pi`` (lists), ``bias`` (list of objects with a
     ``mechanism`` plus per-mechanism fields) and optional ``n_min`` /
-    ``n_max``.
+    ``n_max``. ``k``, ``n_min`` and ``n_max`` must be integers (10 or
+    10.0, not 10.9).
     """
     path = Path(path)
     try:
@@ -373,12 +365,12 @@ def load_grid(path: str | Path) -> list[SimCondition]:
     try:
         mus = [(float(m[0]), float(m[1])) for m in spec["mu"]]
         sigmas = [np.asarray(s, dtype=float) for s in spec["sigma"]]
-        ks = [int(k) for k in spec["k"]]
+        ks = [_integer(k) for k in spec["k"]]
         pis = [float(p) for p in spec["pi"]]
         biases = [_parse_bias(b) for b in spec["bias"]]
-        n_min = int(spec.get("n_min", GRID_N_RANGE[0]))
-        n_max = int(spec.get("n_max", GRID_N_RANGE[1]))
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        n_min = _integer(spec.get("n_min", GRID_N_RANGE[0]))
+        n_max = _integer(spec.get("n_max", GRID_N_RANGE[1]))
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise GridFormatError(f"bad grid definition: {exc!r}") from None
     try:
         grid = _product_grid(mus, sigmas, ks, pis, biases, n_min, n_max)

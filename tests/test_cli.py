@@ -78,6 +78,14 @@ def test_analyze_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,30,5,8,57\ns3,100000000000000000000,15,12,38\n")
+    code, _, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 2
+    assert "within int64" in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/nonexistent/ds.csv")
     assert code == 2
@@ -218,6 +226,17 @@ def test_simulate_grid_with_empty_group_is_usage_error(tmp_path, capsys, bias):
     )
     assert code == 2
     assert "leaves a group empty" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_grid_with_fractional_k_is_usage_error(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**GRID, "k": [10.9]}))
+    code, _, err = run(
+        capsys, "simulate", "--grid", str(grid_path), "--reps", "5", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "expected an integer, got 10.9" in err
     assert not (tmp_path / "x.csv").exists()
 
 

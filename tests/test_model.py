@@ -66,21 +66,34 @@ def test_validate_dataset_negative_cell():
         validate_dataset(ds)
 
 
+def test_validate_dataset_reports_first_problem_in_study_order():
+    ds = MetaDataset([(10, 5, 4, 11), (3, 4, 0, 0), (0, -2, -1, 5), (0, 0, 4, 11)])
+    with pytest.raises(EmptyGroup, match=r"^study 1: no healthy subjects \(n2 = 0\)$"):
+        validate_dataset(ds)
+    ds = MetaDataset([(10, 5, 4, 11), (0, -2, -1, 5), (3, 4, 0, 0)])
+    with pytest.raises(NegativeCell, match="^study 1: cell w is negative: -2$"):
+        validate_dataset(ds)
+
+
 def measure_one(table, policy):
     return measure_studies(MetaDataset([table]), MeasureId.LNDOR, policy)
+
+
+def lndor_value(*cells):
+    return ln_dor(*(np.array([c], dtype=float) for c in cells))[0][0]
 
 
 def test_correction_applies_on_zero_cell():
     m = measure_one(StudyTable(50, 0, 5, 45), CorrectionPolicy.HALF_IF_ANY_ZERO)
     assert m.corrected == (0,)
-    assert m.estimates.value[0] == ln_dor(50.5, 0.5, 5.5, 45.5)[0]
+    assert m.estimates.value[0] == lndor_value(50.5, 0.5, 5.5, 45.5)
     assert m.estimates.n[0] == 100  # bookkeeping stays on the source table
 
 
 def test_correction_no_zero_cell_unchanged():
     m = measure_one(StudyTable(40, 10, 10, 40), CorrectionPolicy.HALF_IF_ANY_ZERO)
     assert m.corrected == ()
-    assert m.estimates.value[0] == ln_dor(40.0, 10.0, 10.0, 40.0)[0]
+    assert m.estimates.value[0] == lndor_value(40.0, 10.0, 10.0, 40.0)
 
 
 def test_correction_never_policy():
@@ -100,7 +113,7 @@ def test_correction_fires_at_most_once():
     assert m.corrected == tuple(i for i, t in enumerate(tables) if 0 in (t.x, t.w, t.y, t.z))
     for i, t in enumerate(tables):
         if i not in m.corrected:
-            assert m.estimates.value[i] == ln_dor(float(t.x), float(t.w), float(t.y), float(t.z))[0]
+            assert m.estimates.value[i] == lndor_value(t.x, t.w, t.y, t.z)
 
 
 def test_effect_estimate_requires_positive_se():
@@ -152,3 +165,19 @@ def test_csv_invalid_study_reported_with_line(tmp_path):
     with pytest.raises(DatasetFormatError) as err:
         read_dataset_csv(path)
     assert err.value.line_no == 2
+
+
+def test_csv_first_error_in_file_order_wins(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,0,0,3,4\ns3,x,1,1,1\n")
+    with pytest.raises(DatasetFormatError, match="no diseased subjects") as err:
+        read_dataset_csv(path)
+    assert err.value.line_no == 3
+    path.write_text("study_id,tp,fn,fp,tn\ns1,40,10,10,40\n\ns2,1,2\ns3,0,0,3,4\n")
+    with pytest.raises(DatasetFormatError, match="expected 5 fields") as err:
+        read_dataset_csv(path)
+    assert err.value.line_no == 4
+    path.write_text("study_id,tp,fn,fp,tn\ns1,40,10,10,40\n\ns2,1,2,-3,4\n")
+    with pytest.raises(DatasetFormatError, match="cell y is negative: -3") as err:
+        read_dataset_csv(path)
+    assert err.value.line_no == 4

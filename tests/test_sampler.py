@@ -17,14 +17,11 @@ from funnelbias.sampler import (
     BiasMechanism,
     BiasSpec,
     BivariateParams,
-    SelectionBasis,
     SimCondition,
     default_grid,
     generate_meta_analysis,
     generate_meta_analysis_traced,
     load_grid,
-    logistic,
-    logit,
     replicate_rng,
     sample_logit_pairs,
     sample_sizes,
@@ -109,12 +106,6 @@ def test_small_n_min_leaving_a_group_empty_rejected():
     assert condition(pi=0.2, n_min=3, n_max=4).n_min == 3
 
 
-def test_logit_logistic_roundtrip():
-    ps = np.linspace(0.01, 0.99, 197)
-    back = logistic(logit(ps))
-    assert np.allclose(back, ps, rtol=0, atol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # generation mechanisms
 # ---------------------------------------------------------------------------
@@ -156,10 +147,7 @@ def _scalar_tables(cond, rng):
         tables.append((x, n1 - x, y, n2 - y))
     if not n_drop:
         return tables
-    if bias.selection_basis is SelectionBasis.TRUE:
-        scores = [float(expit(a) - expit(b)) for a, b in pairs]
-    else:
-        scores = [x / (x + w) + z / (y + z) - 1.0 for x, w, y, z in tables]
+    scores = [x / (x + w) + z / (y + z) - 1.0 for x, w, y, z in tables]
     order = sorted(range(total), key=lambda i: (scores[i], sum(tables[i]), i))
     dropped = set(order[:n_drop])
     return [t for i, t in enumerate(tables) if i not in dropped]
@@ -174,13 +162,11 @@ SELECT_40 = BiasSpec(BiasMechanism.SELECTION, selection_fraction=0.4)
         condition(params=SMALL, pi=0.2, n_min=10, n_max=40),
         condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=SELECT_40),
         condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=BiasSpec(
-            BiasMechanism.SELECTION, selection_fraction=0.4, selection_basis=SelectionBasis.TRUE)),
-        condition(params=SMALL, pi=0.2, n_min=10, n_max=40, bias=BiasSpec(
             BiasMechanism.MIXTURE, eta=(1.25, -1.25))),
         # one study size: ties in the observed Youden index fall back to draw order
         condition(params=FE, n_min=10, n_max=10, bias=SELECT_40),
     ],
-    ids=["none", "selection-observed", "selection-true", "mixture", "selection-ties"],
+    ids=["none", "selection-observed", "mixture", "selection-ties"],
 )
 def test_stream_contract_matches_scalar_draws(cond):
     for rep in range(30):
@@ -204,17 +190,6 @@ def test_selection_small_fraction_rounding():
     cond = condition(k=10, bias=bias)
     _, trace = generate_meta_analysis_traced(cond, replicate_rng(10, 0, 0))
     assert trace.generated == 12
-
-
-def test_selection_on_true_youden():
-    bias = BiasSpec(
-        BiasMechanism.SELECTION, selection_fraction=0.4,
-        selection_basis=SelectionBasis.TRUE,
-    )
-    cond = condition(params=SMALL, k=20, bias=bias)
-    ds, trace = generate_meta_analysis_traced(cond, replicate_rng(11, 0, 0))
-    assert ds.k == 20
-    assert trace.generated == 28
 
 
 def test_mixture_component_counts():
@@ -338,6 +313,30 @@ def test_load_grid_errors(tmp_path):
     }))
     with pytest.raises(GridFormatError):
         load_grid(unknown)
+
+
+GRID_SPEC = {
+    "mu": [[1, -1]], "sigma": [[[0, 0], [0, 0]]], "k": [10], "pi": [0.5],
+    "bias": [{"mechanism": "none"}], "n_min": 50, "n_max": 100,
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k", [10.9]), ("k", [10, 30.5]), ("n_min", 50.7), ("n_max", 99.9), ("k", ["ten"]),
+])
+def test_load_grid_rejects_non_integral_sizes(tmp_path, key, value):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID_SPEC, key: value}))
+    with pytest.raises(GridFormatError, match="integer|invalid literal"):
+        load_grid(path)
+
+
+def test_load_grid_accepts_integral_floats(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID_SPEC, "k": [10.0, 30], "n_min": 50.0, "n_max": 100}))
+    grid = load_grid(path)
+    assert [(c.k, c.n_min, c.n_max) for c in grid] == [(10, 50, 100), (30, 50, 100)]
+    assert all(type(v) is int for c in grid for v in (c.k, c.n_min, c.n_max))
 
 
 def test_replicate_rng_streams_are_stable_and_distinct():
