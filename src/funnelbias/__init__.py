@@ -8,9 +8,7 @@ Monte Carlo harness that measures type I error and power over a
 """
 
 from .asymmetry import (
-    BeggDispersion,
     EggerWeighting,
-    MacaskillPredictor,
     MacaskillWeighting,
     PrecisionAxis,
     RegressionFit,

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -41,7 +43,7 @@ MAX_TRIM_ITERATIONS = 50
 
 
 class PrecisionAxis(enum.Enum):
-    """Funnel-plot y-axis choices (and test variants keyed on them)."""
+    """Funnel-plot y-axis choices; every test family keys its variants on them."""
 
     SE = "se"  # precision 1/SE
     N = "n"  # total sample size
@@ -55,22 +57,10 @@ class EggerWeighting(enum.Enum):
     INV_VARIANCE_RANDOM = "ivrandom"
 
 
-class MacaskillPredictor(enum.Enum):
-    N = "n"
-    INV_SQRT_ESS = "inv_sqrt_ess"  # Deeks' 1/sqrt(ESS)
-    INV_N = "inv_n"  # Peters' 1/N
-
-
 class MacaskillWeighting(enum.Enum):
     INV_VARIANCE_FIXED = "ivfixed"
     ESS = "ess"
     PETERS = "peters"  # m1*m2/N mass weight
-
-
-class BeggDispersion(enum.Enum):
-    VARIANCE = "var"
-    INV_N = "inv_n"
-    INV_ESS = "inv_ess"
 
 
 class TrimFillEstimator(enum.Enum):
@@ -110,6 +100,27 @@ class TrimFillState:
     k0: int
     iterations: int
     converged: bool
+
+
+class AxisRule(NamedTuple):
+    """What a regression or rank test does on one funnel axis."""
+
+    tag: str  # the axis's part of the test_id
+    column: Callable[[EstimateSet], np.ndarray]  # the predictor or dispersion
+    weighting: enum.Enum | None = None  # the weighting used when none is given
+    alternative: str = "greater"  # one-sided alternative for the tested coefficient
+
+
+class AxisTable(dict):
+    """A test family's rules by :class:`PrecisionAxis`; an axis it lacks raises ``ValueError``."""
+
+    def __init__(self, family: str, rules: dict):
+        super().__init__(rules)
+        self.family = family
+
+    def __missing__(self, axis):
+        accepted = ", ".join(a.name for a in self)
+        raise ValueError(f"{self.family} axis must be one of {accepted}, got {axis}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +265,22 @@ def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[
 # ---------------------------------------------------------------------------
 
 
+EGGER_AXES = AxisTable("Egger", {
+    PrecisionAxis.SE: AxisRule("se", lambda e: 1.0 / e.se, EggerWeighting.UNWEIGHTED),
+    PrecisionAxis.N: AxisRule("n", lambda e: e.n, EggerWeighting.UNWEIGHTED),
+})
+
+MACASKILL_AXES = AxisTable("Macaskill", {
+    PrecisionAxis.N: AxisRule("n", lambda e: e.n, MacaskillWeighting.INV_VARIANCE_FIXED, "less"),
+    PrecisionAxis.ESS: AxisRule("inv_sqrt_ess", lambda e: 1.0 / np.sqrt(e.ess), MacaskillWeighting.ESS),
+    PrecisionAxis.INV_N: AxisRule("inv_n", lambda e: 1.0 / e.n, MacaskillWeighting.PETERS),
+})
+
+
 def egger_test(
     estimates: EstimateSet,
     axis: PrecisionAxis = PrecisionAxis.SE,
-    weighting: EggerWeighting = EggerWeighting.UNWEIGHTED,
+    weighting: EggerWeighting | None = None,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
     alpha: float = 0.1,
 ) -> AsymmetryTestResult:
@@ -267,11 +290,10 @@ def egger_test(
     studies drag the standardized effects up near the origin.
     """
     _require_studies(estimates)
-    if axis not in (PrecisionAxis.SE, PrecisionAxis.N):
-        raise ValueError("Egger regression supports axis SE or N only")
+    rule = EGGER_AXES[axis]
+    weighting = rule.weighting if weighting is None else weighting
     values, ses = estimates.value, estimates.se
     response = values / ses
-    predictor = 1.0 / ses if axis is PrecisionAxis.SE else estimates.n
     if weighting is EggerWeighting.UNWEIGHTED:
         weights = None
     elif weighting is EggerWeighting.INV_VARIANCE_FIXED:
@@ -279,46 +301,41 @@ def egger_test(
     else:
         _, tau2 = _pool_dersimonian_laird(values, ses**2)
         weights = 1.0 / (ses**2 + tau2)
-    fit = weighted_linear_fit(predictor, response, weights)
+    fit = weighted_linear_fit(rule.column(estimates), response, weights)
     statistic = _coefficient_statistic(fit.b0, fit.se_b0, float(np.max(np.abs(response))))
-    p = _t_pvalue(statistic, fit.df, sidedness, "greater")
-    test_id = f"E({estimates.measure.value},{axis.value},{weighting.value})"
+    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
+    test_id = f"E({estimates.measure.value},{rule.tag},{weighting.value})"
     return _finish(test_id, statistic, p, sidedness, alpha)
 
 
 def macaskill_test(
     estimates: EstimateSet,
-    predictor: MacaskillPredictor = MacaskillPredictor.N,
-    weighting: MacaskillWeighting = MacaskillWeighting.INV_VARIANCE_FIXED,
+    axis: PrecisionAxis = PrecisionAxis.N,
+    weighting: MacaskillWeighting | None = None,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
     alpha: float = 0.1,
 ) -> AsymmetryTestResult:
     """Weighted regression of the raw effect on a size coordinate; tests b1.
 
-    With predictor N the alternative is b1 < 0 (small studies inflated);
-    the reciprocal predictors 1/sqrt(ESS) and 1/N flip it to b1 > 0.
+    The axis picks the predictor, the one-sided alternative and the
+    default weighting from ``MACASKILL_AXES``: those of Macaskill et al.
+    (2001) on N (b1 < 0 under bias), Deeks et al. (2005) on 1/sqrt(ESS)
+    and Peters et al. (2006) on 1/N (b1 > 0).
     """
     _require_studies(estimates)
-    values, ses, ns, esses = estimates.value, estimates.se, estimates.n, estimates.ess
-    if predictor is MacaskillPredictor.N:
-        x = ns
-        direction = "less"
-    elif predictor is MacaskillPredictor.INV_SQRT_ESS:
-        x = 1.0 / np.sqrt(esses)
-        direction = "greater"
-    else:
-        x = 1.0 / ns
-        direction = "greater"
+    rule = MACASKILL_AXES[axis]
+    weighting = rule.weighting if weighting is None else weighting
+    values = estimates.value
     if weighting is MacaskillWeighting.INV_VARIANCE_FIXED:
-        weights = 1.0 / ses**2
+        weights = 1.0 / estimates.se**2
     elif weighting is MacaskillWeighting.ESS:
-        weights = esses
+        weights = estimates.ess
     else:
-        weights = estimates.m1 * estimates.m2 / ns
-    fit = weighted_linear_fit(x, values, weights)
+        weights = estimates.m1 * estimates.m2 / estimates.n
+    fit = weighted_linear_fit(rule.column(estimates), values, weights)
     statistic = _coefficient_statistic(fit.b1, fit.se_b1, float(np.max(np.abs(values))))
-    p = _t_pvalue(statistic, fit.df, sidedness, direction)
-    test_id = f"M({estimates.measure.value},{predictor.value},{weighting.value})"
+    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
+    test_id = f"M({estimates.measure.value},{rule.tag},{weighting.value})"
     return _finish(test_id, statistic, p, sidedness, alpha)
 
 
@@ -356,16 +373,6 @@ def _exact_kendall_tail(k: int, s: int) -> float:
     return float(tail[idx[-1]])
 
 
-@dataclass(frozen=True, slots=True)
-class _KendallDetail:
-    tau: float
-    s: float
-    p_greater: float
-    p_less: float
-    p_two: float
-    exact: bool
-
-
 def _tie_stats(values: np.ndarray) -> tuple[float, float, float]:
     _, counts = np.unique(values, return_counts=True)
     t = counts.astype(float)
@@ -376,7 +383,8 @@ def _tie_stats(values: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def _kendall_detail(xs: np.ndarray, ys: np.ndarray) -> _KendallDetail:
+def _kendall_tau(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Kendall's tau-b, P(S >= s) for the alternative tau > 0, and the two-sided p."""
     k = len(xs)
     iu = np.triu_indices(k, 1)
     dx = np.sign(xs[:, None] - xs[None, :])[iu]
@@ -388,36 +396,41 @@ def _kendall_detail(xs: np.ndarray, ys: np.ndarray) -> _KendallDetail:
     denom = math.sqrt((n0 - tx_pairs) * (n0 - ty_pairs))
     if denom == 0.0:
         # one vector is constant: every pair ties, no evidence either way
-        return _KendallDetail(0.0, 0.0, 0.5, 0.5, 1.0, exact=False)
+        return 0.0, 0.5, 1.0
     tau = s / denom
 
     no_ties = tx_pairs == 0.0 and ty_pairs == 0.0
     if no_ties and k <= EXACT_KENDALL_MAX_K:
         p_greater = _exact_kendall_tail(k, int(round(s)))
         p_less = _exact_kendall_tail(k, int(round(-s)))  # symmetric null
-        p_two = min(1.0, 2.0 * min(p_greater, p_less))
-        return _KendallDetail(tau, s, p_greater, p_less, p_two, exact=True)
+    else:
+        var_s = (
+            (k * (k - 1) * (2 * k + 5) - tx_var - ty_var) / 18.0
+            + tx_pairs * ty_pairs / n0
+            + tx_triple * ty_triple / (9.0 * k * (k - 1) * (k - 2))
+        )
+        sd = math.sqrt(var_s) if var_s > 0 else 0.0
+        if sd == 0.0:
+            # All pair comparisons tied away; no information either way.
+            return tau, 0.5, 1.0
+        # continuity correction: S moves on a lattice of spacing 2 when untied,
+        # so each tail threshold shifts by half a step toward the center
+        p_greater = float(ndtr(-((s - 1.0) / sd)))
+        p_less = float(ndtr((s + 1.0) / sd))
+    return tau, p_greater, min(1.0, 2.0 * min(p_greater, p_less))
 
-    var_s = (
-        (k * (k - 1) * (2 * k + 5) - tx_var - ty_var) / 18.0
-        + tx_pairs * ty_pairs / n0
-        + tx_triple * ty_triple / (9.0 * k * (k - 1) * (k - 2))
-    )
-    sd = math.sqrt(var_s) if var_s > 0 else 0.0
-    if sd == 0.0:
-        # All pair comparisons tied away; no information either way.
-        return _KendallDetail(tau, s, 0.5, 0.5, 1.0, exact=False)
-    # continuity correction: S moves on a lattice of spacing 2 when untied,
-    # so each tail threshold shifts by half a step toward the center
-    p_greater = float(ndtr(-((s - 1.0) / sd)))
-    p_less = float(ndtr((s + 1.0) / sd))
-    p_two = min(1.0, 2.0 * min(p_greater, p_less))
-    return _KendallDetail(tau, s, p_greater, p_less, p_two, exact=False)
+
+BEGG_AXES = AxisTable("Begg", {
+    PrecisionAxis.SE: AxisRule("var", lambda e: e.se**2),
+    PrecisionAxis.N: AxisRule("inv_n", lambda e: 1.0 / e.n),
+    PrecisionAxis.ESS: AxisRule("inv_ess", lambda e: 1.0 / e.ess),
+    PrecisionAxis.INV_N: AxisRule("inv_n", lambda e: 1.0 / e.n),  # the same test as axis N
+})
 
 
 def begg_test(
     estimates: EstimateSet,
-    dispersion: BeggDispersion = BeggDispersion.VARIANCE,
+    axis: PrecisionAxis = PrecisionAxis.SE,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
     alpha: float = 0.1,
 ) -> AsymmetryTestResult:
@@ -425,9 +438,10 @@ def begg_test(
 
     Effects are centered on the fixed-effects pooled mean and divided by
     sqrt(Var_i - Var(t_bar)), the variance of the centered value
-    (dividing by SE_i alone is miscalibrated under the null). Every
-    dispersion variant (variance, 1/N, 1/ESS) grows as studies shrink,
-    so the one-sided alternative is tau > 0 throughout.
+    (dividing by SE_i alone is miscalibrated under the null). The axis
+    picks the dispersion: the variance for SE, 1/N for N and inv-N, 1/ESS
+    for ESS. Each grows as studies shrink, so the one-sided alternative
+    is tau > 0 throughout.
     """
     _require_studies(estimates)
     values, ses = estimates.value, estimates.se
@@ -437,18 +451,14 @@ def begg_test(
     if np.any(se_star <= 0.0):
         raise AllTied("centered-effect variance is not positive for every study")
     t_star = (values - t_bar) / se_star
-    if dispersion is BeggDispersion.VARIANCE:
-        disp = variances
-    elif dispersion is BeggDispersion.INV_N:
-        disp = 1.0 / estimates.n
-    else:
-        disp = 1.0 / estimates.ess
+    rule = BEGG_AXES[axis]
+    disp = rule.column(estimates)
     if np.ptp(disp) == 0.0:
         raise AllTied("dispersion values are all identical")
-    detail = _kendall_detail(t_star, disp)
-    p = detail.p_two if sidedness is Sidedness.TWO_SIDED else detail.p_greater
-    test_id = f"B({estimates.measure.value},{dispersion.value})"
-    return _finish(test_id, detail.tau, p, sidedness, alpha)
+    tau, p_greater, p_two = _kendall_tau(t_star, disp)
+    p = p_two if sidedness is Sidedness.TWO_SIDED else p_greater
+    test_id = f"B({estimates.measure.value},{rule.tag})"
+    return _finish(test_id, tau, p, sidedness, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,8 @@ def _signed_rank_tail_counts(k: int) -> np.ndarray:
     counts = np.zeros(max_sum + 1, dtype=float)
     counts[0] = 1.0
     for r in range(1, k + 1):
-        counts[r:] += counts[:-r].copy()
+        # before this step only sums up to r(r-1)/2 are reachable
+        counts[r:r * (r + 1) // 2 + 1] += counts[:r * (r - 1) // 2 + 1].copy()
     return counts
 
 
@@ -521,11 +532,11 @@ def _l_pvalue(k: int, ranks: np.ndarray, s_plus: float) -> float:
     return float(ndtr(-((s_plus - 0.5 - mean) / sd)))
 
 
-def _trim_pool(values: np.ndarray, variances: np.ndarray, ns: np.ndarray, axis: PrecisionAxis) -> float:
-    if axis is PrecisionAxis.N:
-        return float(np.sum(ns * values) / np.sum(ns))
-    theta, _ = _pool_dersimonian_laird(values, variances)
-    return theta
+# Each axis's pooled effect from (values, variances, sample sizes).
+TRIM_FILL_AXES = AxisTable("trim and fill", {
+    PrecisionAxis.SE: lambda values, variances, ns: _pool_dersimonian_laird(values, variances)[0],
+    PrecisionAxis.N: lambda values, variances, ns: float(np.sum(ns * values) / np.sum(ns)),
+})
 
 
 def trim_fill_iterate(
@@ -543,12 +554,13 @@ def trim_fill_iterate(
     next pass until k0 stabilizes (or the iteration cap is hit).
     """
     k = len(values)
+    pool = TRIM_FILL_AXES[axis]
     order = np.argsort(values, kind="stable")  # ascending; trim from the top
     k0 = 0
     converged = False
     for iterations in range(1, MAX_TRIM_ITERATIONS + 1):
         kept = order[: k - k0]
-        theta = _trim_pool(values[kept], variances[kept], ns[kept], axis)
+        theta = pool(values[kept], variances[kept], ns[kept])
         centered, ranks, gamma_plus, s_plus, l_estimate = _center_and_rank(values, theta)
         estimate = float(gamma_plus - 1) if estimator is TrimFillEstimator.R else l_estimate
         k0_new = min(max(round_half_up(estimate), 0), k - 1)
@@ -585,8 +597,6 @@ def trim_fill_test(
     Laird) for SE, plain sample-size weights for N.
     """
     _require_studies(estimates)
-    if axis not in (PrecisionAxis.SE, PrecisionAxis.N):
-        raise ValueError("trim and fill supports axis SE or N only")
     state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
     if estimator is TrimFillEstimator.R:
         statistic = float(state.r_estimate)

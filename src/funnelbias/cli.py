@@ -15,8 +15,6 @@ import tempfile
 from pathlib import Path
 
 from .asymmetry import (
-    EggerWeighting,
-    MacaskillWeighting,
     PrecisionAxis,
     TrimFillEstimator,
     funnel_points,
@@ -29,6 +27,7 @@ from .errors import (
     TooFewStudies,
 )
 from .harness import (
+    FAMILIES,
     TestFamily,
     TestVariantId,
     run_grid,
@@ -50,7 +49,6 @@ SCHEMA_VERSION = 1
 
 _MEASURES = sorted(m.value for m in MeasureId)
 _AXES = {"se": PrecisionAxis.SE, "n": PrecisionAxis.N, "ess": PrecisionAxis.ESS, "inv-n": PrecisionAxis.INV_N}
-_WEIGHTINGS = {TestFamily.EGGER: EggerWeighting, TestFamily.MACASKILL: MacaskillWeighting}
 
 
 def _values(*enums) -> list[str]:
@@ -64,9 +62,10 @@ def _build_variant(args) -> TestVariantId:
     try:
         weighting = None
         if args.weighting not in (None, "none"):
-            if family not in _WEIGHTINGS:
+            weightings = FAMILIES[family].weighting
+            if weightings is None:
                 raise ValueError(f"--weighting does not apply to {family.value}")
-            weighting = _WEIGHTINGS[family](args.weighting)
+            weighting = weightings(args.weighting)
         return TestVariantId(
             family=family,
             measure=MeasureId(args.measure),
@@ -87,7 +86,8 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", choices=_MEASURES, default="lndor")
     parser.add_argument("--test", choices=sorted(f.value for f in TestFamily), default="trimfill")
     parser.add_argument("--axis", choices=list(_AXES), default="se")
-    parser.add_argument("--weighting", choices=["none", *_values(*_WEIGHTINGS.values())], default=None)
+    weightings = [rule.weighting for rule in FAMILIES.values() if rule.weighting is not None]
+    parser.add_argument("--weighting", choices=["none", *_values(*weightings)], default=None)
     parser.add_argument("--estimator", choices=_values(TrimFillEstimator), default=None)
     parser.add_argument("--sided", choices=_values(Sidedness), default="one")
     parser.add_argument("--alpha", type=float, default=0.1)

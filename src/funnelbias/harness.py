@@ -20,13 +20,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from scipy.special import ndtri
 
 from .asymmetry import (
-    BeggDispersion,
+    BEGG_AXES,
+    EGGER_AXES,
+    MACASKILL_AXES,
+    TRIM_FILL_AXES,
+    AxisTable,
     EggerWeighting,
-    MacaskillPredictor,
     MacaskillWeighting,
     PrecisionAxis,
     TrimFillEstimator,
@@ -54,22 +58,20 @@ class TestFamily(enum.Enum):
     TRIMFILL = "trimfill"
 
 
-_EGGER_AXES = (PrecisionAxis.SE, PrecisionAxis.N)
-_MACASKILL_PREDICTORS = {
-    PrecisionAxis.N: MacaskillPredictor.N,
-    PrecisionAxis.ESS: MacaskillPredictor.INV_SQRT_ESS,
-    PrecisionAxis.INV_N: MacaskillPredictor.INV_N,
-}
-_MACASKILL_DEFAULT_WEIGHTING = {
-    PrecisionAxis.N: MacaskillWeighting.INV_VARIANCE_FIXED,
-    PrecisionAxis.ESS: MacaskillWeighting.ESS,
-    PrecisionAxis.INV_N: MacaskillWeighting.PETERS,
-}
-_BEGG_DISPERSIONS = {
-    PrecisionAxis.SE: BeggDispersion.VARIANCE,
-    PrecisionAxis.N: BeggDispersion.INV_N,
-    PrecisionAxis.INV_N: BeggDispersion.INV_N,
-    PrecisionAxis.ESS: BeggDispersion.INV_ESS,
+class FamilyRule(NamedTuple):
+    """The variants one test family takes."""
+
+    axes: AxisTable  # the family's per-axis rules
+    weighting: type[enum.Enum] | None = None  # its weighting enum; default per axis
+    estimator: TrimFillEstimator | None = None  # the default, for a family with estimators
+    two_sided: bool = True
+
+
+FAMILIES = {
+    TestFamily.EGGER: FamilyRule(EGGER_AXES, EggerWeighting),
+    TestFamily.MACASKILL: FamilyRule(MACASKILL_AXES, MacaskillWeighting),
+    TestFamily.BEGG: FamilyRule(BEGG_AXES),
+    TestFamily.TRIMFILL: FamilyRule(TRIM_FILL_AXES, estimator=TrimFillEstimator.R, two_sided=False),
 }
 
 
@@ -77,12 +79,9 @@ _BEGG_DISPERSIONS = {
 class TestVariantId:
     """One runnable combination of family, measure, axis and options.
 
-    Construction validates the combination: Egger takes SE/N axes and an
-    Egger weighting; Macaskill takes N/ESS/inv-N axes (mapped to the
-    predictors N, 1/sqrt(ESS), 1/N) and a Macaskill weighting, defaulted
-    canonically per axis; Begg takes SE/N/ESS/inv-N (mapped to the
-    dispersions variance, 1/N, 1/ESS); trim and fill takes SE/N plus an
-    estimator and is one-sided only.
+    Construction validates the combination against the family's rule in
+    ``FAMILIES`` and fills in a missing weighting or estimator with the
+    family's default on that axis.
     """
 
     family: TestFamily
@@ -93,50 +92,25 @@ class TestVariantId:
     sidedness: Sidedness = Sidedness.ONE_SIDED
 
     def __post_init__(self) -> None:
-        if self.family is TestFamily.EGGER:
-            if self.axis not in _EGGER_AXES:
-                raise ValueError(f"Egger axis must be SE or N, got {self.axis}")
-            if self.weighting is None:
-                object.__setattr__(self, "weighting", EggerWeighting.UNWEIGHTED)
-            elif not isinstance(self.weighting, EggerWeighting):
-                raise ValueError(f"Egger weighting expected, got {self.weighting}")
-            if self.estimator is not None:
-                raise ValueError("estimator applies to trim and fill only")
-        elif self.family is TestFamily.MACASKILL:
-            if self.axis not in _MACASKILL_PREDICTORS:
-                raise ValueError(f"Macaskill axis must be N, ESS or inv-N, got {self.axis}")
-            if self.weighting is None:
-                object.__setattr__(
-                    self, "weighting", _MACASKILL_DEFAULT_WEIGHTING[self.axis]
-                )
-            elif not isinstance(self.weighting, MacaskillWeighting):
-                raise ValueError(f"Macaskill weighting expected, got {self.weighting}")
-            if self.estimator is not None:
-                raise ValueError("estimator applies to trim and fill only")
-        elif self.family is TestFamily.BEGG:
-            if self.axis not in _BEGG_DISPERSIONS:
-                raise ValueError(f"Begg axis must be SE, N, ESS or inv-N, got {self.axis}")
-            if self.weighting is not None:
-                raise ValueError("Begg's test takes no weighting")
-            if self.estimator is not None:
-                raise ValueError("estimator applies to trim and fill only")
-        else:
-            if self.axis not in _EGGER_AXES:
-                raise ValueError(f"trim-and-fill axis must be SE or N, got {self.axis}")
-            if self.estimator is None:
-                object.__setattr__(self, "estimator", TrimFillEstimator.R)
-            if self.weighting is not None:
-                raise ValueError("trim and fill takes no weighting")
-            if self.sidedness is not Sidedness.ONE_SIDED:
-                raise ValueError("trim and fill is one-sided only")
+        rule = FAMILIES[self.family]
+        family = rule.axes.family
+        axis_rule = rule.axes[self.axis]  # raises ValueError for an axis the family does not take
+        if self.weighting is None:
+            default = None if rule.weighting is None else axis_rule.weighting
+            object.__setattr__(self, "weighting", default)
+        elif rule.weighting is None or not isinstance(self.weighting, rule.weighting):
+            raise ValueError(f"{family} takes no weighting {self.weighting}")
+        if self.estimator is None:
+            object.__setattr__(self, "estimator", rule.estimator)
+        elif rule.estimator is None or not isinstance(self.estimator, TrimFillEstimator):
+            raise ValueError(f"{family} takes no estimator {self.estimator}")
+        if self.sidedness is not Sidedness.ONE_SIDED and not rule.two_sided:
+            raise ValueError(f"{family} is one-sided only")
 
     @property
     def label(self) -> str:
         parts = [self.measure.value, self.axis.value]
-        if self.family in (TestFamily.EGGER, TestFamily.MACASKILL):
-            parts.append(self.weighting.value)
-        if self.family is TestFamily.TRIMFILL:
-            parts.append(self.estimator.value)
+        parts += [option.value for option in (self.weighting, self.estimator) if option is not None]
         letter = self.family.value[0].upper()
         suffix = "" if self.sidedness is Sidedness.ONE_SIDED else ":two"
         return f"{letter}({','.join(parts)}){suffix}"
@@ -147,31 +121,12 @@ def run_variant(
 ) -> AsymmetryTestResult:
     """Evaluate one variant on one set of estimates."""
     if variant.family is TestFamily.EGGER:
-        return egger_test(
-            estimates,
-            axis=variant.axis,
-            weighting=variant.weighting,
-            sidedness=variant.sidedness,
-            alpha=alpha,
-        )
+        return egger_test(estimates, variant.axis, variant.weighting, variant.sidedness, alpha)
     if variant.family is TestFamily.MACASKILL:
-        return macaskill_test(
-            estimates,
-            predictor=_MACASKILL_PREDICTORS[variant.axis],
-            weighting=variant.weighting,
-            sidedness=variant.sidedness,
-            alpha=alpha,
-        )
+        return macaskill_test(estimates, variant.axis, variant.weighting, variant.sidedness, alpha)
     if variant.family is TestFamily.BEGG:
-        return begg_test(
-            estimates,
-            dispersion=_BEGG_DISPERSIONS[variant.axis],
-            sidedness=variant.sidedness,
-            alpha=alpha,
-        )
-    return trim_fill_test(
-        estimates, axis=variant.axis, estimator=variant.estimator, alpha=alpha
-    )
+        return begg_test(estimates, variant.axis, variant.sidedness, alpha)
+    return trim_fill_test(estimates, variant.axis, variant.estimator, alpha)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CorrectionPolicy, EstimateSet, MeasureId, MetaDataset
+from .model import CorrectionPolicy, EstimateSet, MeasureId, MetaDataset, check_studies
 
 # Each measure maps the (possibly corrected) cell columns x, w, y, z to
 # (value, se, checks): value and se for every study, and (undefined,
@@ -161,9 +161,11 @@ def measure_studies(
     A study whose measure is undefined is left out of the estimates and
     listed in ``excluded`` with the reason of the first check it fails,
     so callers can surface it instead of silently dropping data. The
-    size columns come from the observed tables.
+    size columns come from the observed tables. A negative cell or an
+    empty group raises ``NegativeCell`` or ``EmptyGroup``.
     """
     tables = dataset.tables
+    check_studies(tables)
     corrected = (tables == 0).any(axis=1) & (policy is CorrectionPolicy.HALF_IF_ANY_ZERO)
     cells = tables + 0.5 * corrected[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):

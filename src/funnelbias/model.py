@@ -224,11 +224,16 @@ def validate_dataset(dataset: MetaDataset) -> MetaDataset:
     """
     if dataset.k < MIN_STUDIES:
         raise TooFewStudies(f"need at least {MIN_STUDIES} studies, got {dataset.k}")
-    invalid = _first_invalid(dataset.tables)
+    check_studies(dataset.tables)
+    return dataset
+
+
+def check_studies(tables: np.ndarray) -> None:
+    """Raise ``NegativeCell`` or ``EmptyGroup``, "study i: ...", for the first invalid study."""
+    invalid = _first_invalid(tables)
     if invalid is not None:
         i, exc = invalid
         raise type(exc)(f"study {i}: {exc}")
-    return dataset
 
 
 def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:

@@ -7,9 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from funnelbias.asymmetry import (
-    BeggDispersion,
     EggerWeighting,
-    MacaskillPredictor,
     MacaskillWeighting,
     PrecisionAxis,
     TrimFillEstimator,
@@ -23,7 +21,12 @@ from funnelbias.asymmetry import (
     trim_fill_test,
     weighted_linear_fit,
 )
-from funnelbias.asymmetry import _center_and_rank, _kendall_detail, _signed_rank_tail
+from funnelbias.asymmetry import (
+    _center_and_rank,
+    _kendall_tau,
+    _signed_rank_tail,
+    _signed_rank_tail_counts,
+)
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
 from funnelbias.model import EstimateSet, MeasureId, Sidedness
 
@@ -159,7 +162,7 @@ def test_egger_too_few_studies():
 
 def test_macaskill_constant_response_never_rejects():
     ests = est([1.0, 1.0, 1.0], [0.5, 0.4, 0.3], n=[50, 200, 800])
-    r = macaskill_test(ests, MacaskillPredictor.N)
+    r = macaskill_test(ests, PrecisionAxis.N)
     assert r.statistic == 0.0
     assert r.p_value == 0.5
     assert not r.reject
@@ -167,9 +170,9 @@ def test_macaskill_constant_response_never_rejects():
 
 def test_macaskill_small_studies_inflated():
     ests = est([2.0, 1.5, 1.0], 1.0, n=[50, 200, 800])
-    r_n = macaskill_test(ests, MacaskillPredictor.N)
+    r_n = macaskill_test(ests, PrecisionAxis.N)
     assert r_n.statistic < 0.0
-    r_inv = macaskill_test(ests, MacaskillPredictor.INV_N, MacaskillWeighting.PETERS)
+    r_inv = macaskill_test(ests, PrecisionAxis.INV_N, MacaskillWeighting.PETERS)
     assert r_inv.statistic > 0.0
 
 
@@ -177,7 +180,7 @@ def test_macaskill_matches_oracle():
     rng = np.random.default_rng(25)
     ests = random_estimates(rng, k=12)
     values, ns, w = ests.value, ests.n.astype(float), 1.0 / ests.se**2
-    r = macaskill_test(ests, MacaskillPredictor.N, MacaskillWeighting.INV_VARIANCE_FIXED)
+    r = macaskill_test(ests, PrecisionAxis.N, MacaskillWeighting.INV_VARIANCE_FIXED)
     _, b1, _, se_b1 = normal_equations_fit(ns, values, w)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
     # alternative is b1 < 0, so p is the lower tail
@@ -188,7 +191,7 @@ def test_macaskill_deeks_predictor_and_weights():
     rng = np.random.default_rng(26)
     ests = random_estimates(rng, k=12)
     values, esses = ests.value, ests.ess
-    r = macaskill_test(ests, MacaskillPredictor.INV_SQRT_ESS, MacaskillWeighting.ESS)
+    r = macaskill_test(ests, PrecisionAxis.ESS, MacaskillWeighting.ESS)
     _, b1, _, se_b1 = normal_equations_fit(1.0 / np.sqrt(esses), values, esses)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
     assert r.p_value == pytest.approx(float(sps.t.sf(b1 / se_b1, len(ests) - 2)), rel=1e-10)
@@ -205,7 +208,7 @@ def test_macaskill_peters_mass_weights():
     ests = est(values, ses, n=ns, m1=m1s, m2=m2s)
     masses = np.array([m1 * m2 / n for _, _, n, m1, m2 in rows])
     ns = ns.astype(float)
-    r = macaskill_test(ests, MacaskillPredictor.INV_N, MacaskillWeighting.PETERS)
+    r = macaskill_test(ests, PrecisionAxis.INV_N, MacaskillWeighting.PETERS)
     _, b1, _, se_b1 = normal_equations_fit(1.0 / ns, values, masses)
     assert r.statistic == pytest.approx(b1 / se_b1, rel=1e-10)
 
@@ -238,8 +241,8 @@ def brute_force_tail(xs, ys):
 
 def kendall_tau(xs, ys):
     """Kendall's tau-b and the one-sided (tau > 0) p-value."""
-    detail = _kendall_detail(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return detail.tau, detail.p_greater
+    tau, p_greater, _ = _kendall_tau(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    return tau, p_greater
 
 
 def test_kendall_trivial_orderings():
@@ -364,7 +367,7 @@ def test_begg_perfectly_concordant():
     k = 10
     ses = np.linspace(0.2, 2.0, k)
     ests = est(100.0 * ses * ses, ses)
-    r = begg_test(ests, BeggDispersion.VARIANCE)
+    r = begg_test(ests, PrecisionAxis.SE)
     assert r.statistic == 1.0
     s_stat = k * (k - 1) / 2
     sd = math.sqrt(k * (k - 1) * (2 * k + 5) / 18.0)
@@ -374,7 +377,7 @@ def test_begg_perfectly_concordant():
 def test_begg_constant_standardized_effects():
     # all effects equal: every t* is zero, no information either way
     ests = est([1.0] * 4, [0.3, 0.5, 0.7, 0.9], n=[50, 100, 200, 400])
-    r = begg_test(ests, BeggDispersion.VARIANCE)
+    r = begg_test(ests, PrecisionAxis.SE)
     assert r.statistic == 0.0
     assert r.p_value == 0.5
     assert not r.reject
@@ -383,11 +386,11 @@ def test_begg_constant_standardized_effects():
 def test_begg_all_tied_dispersion():
     ests = est([0.2, 0.5, 0.9, 1.4], 0.5, n=100)
     with pytest.raises(AllTied):
-        begg_test(ests, BeggDispersion.VARIANCE)
+        begg_test(ests, PrecisionAxis.SE)
     # same N everywhere is fine for the variance dispersion but not 1/N
     ests = est([0.2, 0.5, 0.9, 1.4], [0.3, 0.4, 0.5, 0.6], n=100)
     with pytest.raises(AllTied):
-        begg_test(ests, BeggDispersion.INV_N)
+        begg_test(ests, PrecisionAxis.N)
 
 
 def test_begg_standardizes_by_centered_variance():
@@ -406,9 +409,9 @@ def test_begg_standardizes_by_centered_variance():
 def test_begg_dispersion_variants_and_two_sided():
     rng = np.random.default_rng(31)
     ests = random_estimates(rng, k=9)
-    for dispersion in BeggDispersion:
-        one = begg_test(ests, dispersion)
-        two = begg_test(ests, dispersion, sidedness=Sidedness.TWO_SIDED)
+    for axis in PrecisionAxis:
+        one = begg_test(ests, axis)
+        two = begg_test(ests, axis, sidedness=Sidedness.TWO_SIDED)
         assert 0.0 <= one.p_value <= 1.0
         assert two.p_value <= 1.0
 
@@ -514,6 +517,20 @@ def test_signed_rank_tail_matches_enumeration():
             if sum(r for r, up in zip(ranks, signs) if up) >= s_obs
         ) / 2.0**k
         assert _signed_rank_tail(k, float(s_obs)) == pytest.approx(exact)
+
+
+def test_signed_rank_counts_match_full_recurrence():
+    # the reference adds every shifted slice, including the unreachable
+    # zero tails the table skips; adding zeros changes no bits
+    def full_recurrence(k):
+        counts = np.zeros(k * (k + 1) // 2 + 1)
+        counts[0] = 1.0
+        for r in range(1, k + 1):
+            counts[r:] += counts[:-r].copy()
+        return counts
+
+    for k in (1, 2, 3, 10, 57, 200, 1000):
+        assert _signed_rank_tail_counts(k).tobytes() == full_recurrence(k).tobytes(), k
 
 
 def test_l_pvalue_tied_ranks_falls_back_to_normal():
@@ -654,7 +671,7 @@ def test_null_calibration_synthetic():
         ests = est(values, ses, n=ns)
         if egger_test(ests).reject:
             hits["egger"] += 1
-        if macaskill_test(ests, MacaskillPredictor.N).reject:
+        if macaskill_test(ests, PrecisionAxis.N).reject:
             hits["macaskill"] += 1
         if begg_test(ests).reject:
             hits["begg"] += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,16 @@ def test_analyze_weighting_outside_family_is_usage_error(dataset_path, capsys, t
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("test,axis", [
+    ("egger", "ess"), ("egger", "inv-n"), ("macaskill", "se"), ("trimfill", "ess"), ("trimfill", "inv-n"),
+])
+def test_analyze_axis_outside_family_is_usage_error(dataset_path, capsys, test, axis):
+    code, out, err = run(capsys, "analyze", "--input", dataset_path, "--test", test, "--axis", axis)
+    assert code == 2
+    assert out == ""
+    assert "axis must be one of" in err
+
+
 # Kappa's variance on (0,4,0,3) is exactly 0 but came out as rounding noise,
 # an SE near 3.5e-9 and a weight near 1e17 that broke the regression fits.
 NEAR_DEGENERATE_KAPPA = [
@@ -199,6 +210,29 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert len(out1.read_text().splitlines()) == 3  # header + 2 conditions
+
+
+# sha256 of the results CSV of `simulate --reps 3 --seed 1` on the default
+# grid, one variant per family; any change to sampling, measures, tests or
+# the CSV layout shows here.
+GOLDEN_CSV_SHA256 = {
+    "--test egger --axis n --weighting ivrandom":
+        "2863451b41aeb1cb6db3185a92aaf3965037933bd449d7a382f63f8d7730e3ae",
+    "--test macaskill --axis inv-n":
+        "c8b8e11600874d65e82f53c44111a9d90e75fdde2ace5c13ff2fa961742a7ec3",
+    "--test begg --axis ess":
+        "3eda41e03d6ac186126e70f4ea49084b96638962255a94ab98bbe0ec133ca381",
+    "--test trimfill --axis se --estimator r":
+        "8996d1533acf029c1eea2c5cdac3b854e3733773020979fa9ddc90f49b9a7e8c",
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_CSV_SHA256))
+def test_simulate_default_grid_golden_bytes(tmp_path, capsys, flags):
+    out = tmp_path / "results.csv"
+    code, _, _ = run(capsys, "simulate", "--reps", "3", "--seed", "1", *flags.split(), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[flags]
 
 
 def test_simulate_reps_zero_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from funnelbias.asymmetry import (
@@ -7,6 +9,10 @@ from funnelbias.asymmetry import (
     MacaskillWeighting,
     PrecisionAxis,
     TrimFillEstimator,
+    begg_test,
+    egger_test,
+    macaskill_test,
+    trim_fill_test,
 )
 from funnelbias.errors import EmptyInput
 from funnelbias.harness import (
@@ -15,11 +21,12 @@ from funnelbias.harness import (
     TestVariantId,
     run_condition,
     run_grid,
+    run_variant,
     summarize,
     wilson_interval,
     write_results_csv,
 )
-from funnelbias.model import CorrectionPolicy, MeasureId, Sidedness
+from funnelbias.model import CorrectionPolicy, EstimateSet, MeasureId, Sidedness
 from funnelbias.sampler import BiasMechanism, BiasSpec, BivariateParams, SimCondition
 
 LNDOR = MeasureId.LNDOR
@@ -40,17 +47,33 @@ def fe_condition(k=10, bias=None, **kw):
 # ---------------------------------------------------------------------------
 
 
+SE, N, ESS, INV_N = PrecisionAxis
+ACCEPTED_AXES = {
+    TestFamily.EGGER: (SE, N),
+    TestFamily.MACASKILL: (N, ESS, INV_N),
+    TestFamily.BEGG: (SE, N, ESS, INV_N),
+    TestFamily.TRIMFILL: (SE, N),
+}
+REJECTED_AXES = [
+    (family, axis) for family in TestFamily for axis in PrecisionAxis if axis not in ACCEPTED_AXES[family]
+]
+
+
+@pytest.mark.parametrize("family,axis", REJECTED_AXES)
+def test_variant_rejects_axis_outside_family(family, axis):
+    with pytest.raises(ValueError, match="axis must be one of"):
+        TestVariantId(family, LNDOR, axis)
+
+
 def test_variant_validation():
-    with pytest.raises(ValueError):
-        TestVariantId(TestFamily.EGGER, LNDOR, PrecisionAxis.ESS)
-    with pytest.raises(ValueError):
-        TestVariantId(TestFamily.MACASKILL, LNDOR, PrecisionAxis.SE)
     with pytest.raises(ValueError):
         TestVariantId(TestFamily.BEGG, LNDOR, PrecisionAxis.SE, weighting=EggerWeighting.UNWEIGHTED)
     with pytest.raises(ValueError):
         TestVariantId(TestFamily.TRIMFILL, LNDOR, PrecisionAxis.SE, sidedness=Sidedness.TWO_SIDED)
     with pytest.raises(ValueError):
         TestVariantId(TestFamily.EGGER, LNDOR, PrecisionAxis.SE, estimator=TrimFillEstimator.R)
+    with pytest.raises(ValueError):
+        TestVariantId(TestFamily.TRIMFILL, LNDOR, PrecisionAxis.SE, estimator="r")
 
 
 def test_variant_canonical_weighting_defaults():
@@ -62,6 +85,57 @@ def test_variant_canonical_weighting_defaults():
     assert macaskill.weighting is MacaskillWeighting.INV_VARIANCE_FIXED
     assert E_SE.weighting is EggerWeighting.UNWEIGHTED
     assert T_SE_R.label == "T(lndor,se,r)"
+
+
+def variant_sample():
+    """Twelve studies whose sizes, marginals and SEs all differ, so every weighting differs."""
+    rng = np.random.default_rng(44)
+    ns = rng.integers(60, 800, size=12)
+    m1 = rng.integers(10, ns - 10)
+    ses = rng.uniform(0.2, 0.8, size=12)
+    return EstimateSet(
+        LNDOR, rng.normal(1.0, ses), ses, n=ns, ess=ns * rng.uniform(0.5, 1.0, size=12), m1=m1, m2=ns - m1
+    )
+
+
+def direct_call(family, estimates, axis, option, sidedness):
+    """The library call a variant stands for; ``option`` None leaves the library's default."""
+    kwargs = {} if option is None else {"estimator" if family is TestFamily.TRIMFILL else "weighting": option}
+    if family is TestFamily.EGGER:
+        return egger_test(estimates, axis=axis, sidedness=sidedness, alpha=0.1, **kwargs)
+    if family is TestFamily.MACASKILL:
+        return macaskill_test(estimates, axis=axis, sidedness=sidedness, alpha=0.1, **kwargs)
+    if family is TestFamily.BEGG:
+        return begg_test(estimates, axis=axis, sidedness=sidedness, alpha=0.1)
+    return trim_fill_test(estimates, axis=axis, alpha=0.1, **kwargs)
+
+
+FAMILY_OPTIONS = {
+    TestFamily.EGGER: ([None, *EggerWeighting], list(Sidedness)),
+    TestFamily.MACASKILL: ([None, *MacaskillWeighting], list(Sidedness)),
+    TestFamily.BEGG: ([None], list(Sidedness)),
+    TestFamily.TRIMFILL: ([None, *TrimFillEstimator], [Sidedness.ONE_SIDED]),
+}
+
+
+def test_run_variant_is_the_direct_library_call():
+    estimates = variant_sample()
+    for family, (options, sides) in FAMILY_OPTIONS.items():
+        for axis, option, sidedness in itertools.product(ACCEPTED_AXES[family], options, sides):
+            key = "estimator" if family is TestFamily.TRIMFILL else "weighting"
+            variant = TestVariantId(family, LNDOR, axis, sidedness=sidedness, **{key: option})
+            assert run_variant(variant, estimates, 0.1) == direct_call(
+                family, estimates, axis, option, sidedness
+            ), variant.label
+
+
+def test_macaskill_default_weighting_is_the_variant_default():
+    estimates = variant_sample()
+    for axis in ACCEPTED_AXES[TestFamily.MACASKILL]:
+        weighting = TestVariantId(TestFamily.MACASKILL, LNDOR, axis).weighting
+        result = macaskill_test(estimates, axis)
+        assert result == macaskill_test(estimates, axis, weighting)
+        assert result.test_id.endswith(f",{weighting.value})")
 
 
 # ---------------------------------------------------------------------------

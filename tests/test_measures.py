@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from funnelbias.errors import NegativeCell
+from funnelbias.errors import EmptyGroup, NegativeCell
 from funnelbias.measures import (
     effective_sample_size,
     kappa,
@@ -347,9 +347,10 @@ def test_dataset_measurement_stacks_one_row_measurements(measure, policy):
 
 
 def test_every_reachable_exclusion_reason():
-    # Two checks cannot fire on integer counts: kappa's expected agreement
-    # is 1 only where its denominator is 0, and lnTheta's SE is positive
-    # whenever 0 < x < n1 and 0 < y < n2.
+    # Three checks cannot fire on valid tables: kappa's denominator is 0
+    # only with an empty group, which measure_studies rejects, its
+    # expected agreement is 1 only where that denominator is 0, and
+    # lnTheta's SE is positive whenever 0 < x < n1 and 0 < y < n2.
     ds = MetaDataset([(10, 5, 4, 11), (5, 0, 0, 5), (0, 4, 0, 3), (3, 2, 5, 0)])
     youden_zero_se = "Youden standard error is zero (both proportions on a boundary)"
     reasons = {
@@ -365,12 +366,18 @@ def test_every_reachable_exclusion_reason():
         MeasureId.YOUDEN: ((1, youden_zero_se), (2, youden_zero_se)),
         MeasureId.KAPPA: ((1, "kappa standard error is zero"), (2, "kappa standard error is zero")),
     }
-    # kappa's denominator is 0 only on a table with an empty group, which
-    # validation rejects but measure_studies does not check
-    no_diseased = MetaDataset([(0, 0, 0, 5)])
-    assert measure_studies(no_diseased, MeasureId.KAPPA, NEVER).excluded == (
-        (0, "kappa undefined: n1*m2 + n2*m1 = 0"),
-    )
+    assert one(kappa, 0.0, 0.0, 0.0, 5.0)[2] == "kappa undefined: n1*m2 + n2*m1 = 0"
+
+
+@pytest.mark.parametrize("policy", [HALF, NEVER])
+@pytest.mark.parametrize("measure", list(MeasureId))
+def test_invalid_table_raises_data_error_naming_the_study(measure, policy):
+    no_diseased = MetaDataset([(0, 0, 0, 5), (3, 4, 5, 6), (2, 2, 2, 2)])
+    with pytest.raises(EmptyGroup, match=r"^study 0: no diseased subjects \(n1 = 0\)$"):
+        measure_studies(no_diseased, measure, policy)
+    negative = MetaDataset([(3, 4, 5, 6), (2, 2, 2, 2), (1, -1, 4, 4)])
+    with pytest.raises(NegativeCell, match="^study 2: cell w is negative: -1$"):
+        measure_studies(negative, measure, policy)
 
 
 @pytest.mark.parametrize("cells", [
