@@ -37,7 +37,7 @@ from .errors import (
     SingularDesign,
     TooFewStudies,
 )
-from .model import AsymmetryTestResult, EstimateSet, Sidedness, round_half_up
+from .model import MIN_STUDIES, AsymmetryTestResult, EstimateSet, Sidedness, round_half_up
 
 MAX_TRIM_ITERATIONS = 50
 
@@ -128,9 +128,9 @@ class AxisTable(dict):
 # ---------------------------------------------------------------------------
 
 
-def _require_studies(estimates: EstimateSet, minimum: int = 3) -> None:
-    if len(estimates) < minimum:
-        raise TooFewStudies(f"need at least {minimum} estimates, got {len(estimates)}")
+def _require_studies(estimates: EstimateSet) -> None:
+    if len(estimates) < MIN_STUDIES:
+        raise TooFewStudies(f"need at least {MIN_STUDIES} estimates, got {len(estimates)}")
 
 
 def weighted_linear_fit(
@@ -149,8 +149,8 @@ def weighted_linear_fit(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     k = len(x)
-    if k < 3:
-        raise TooFewStudies(f"regression needs k >= 3, got {k}")
+    if k < MIN_STUDIES:
+        raise TooFewStudies(f"regression needs k >= {MIN_STUDIES}, got {k}")
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     sw = np.sum(w)
     x_bar = np.sum(w * x) / sw
@@ -495,26 +495,26 @@ def _center_and_rank(values: np.ndarray, theta: float):
 
 
 @lru_cache(maxsize=None)
-def _signed_rank_tail_counts(k: int) -> np.ndarray:
-    """counts[s] = number of subsets of {1..k} with rank sum exactly s."""
-    max_sum = k * (k + 1) // 2
-    counts = np.zeros(max_sum + 1, dtype=float)
-    counts[0] = 1.0
+def _signed_rank_probs(k: int) -> np.ndarray:
+    """P(S+ = s) by s, halved at each step: the bits of (subset count) / 2**k, and no overflow past k = 1023."""
+    probs = np.zeros(k * (k + 1) // 2 + 1)
+    probs[0] = 1.0
+    shifted = np.empty_like(probs)  # one buffer: a fresh copy per step faults in new pages
     for r in range(1, k + 1):
-        # before this step only sums up to r(r-1)/2 are reachable
-        counts[r:r * (r + 1) // 2 + 1] += counts[:r * (r - 1) // 2 + 1].copy()
-    return counts
+        m = r * (r - 1) // 2 + 1  # before this step only sums up to r(r-1)/2 are reachable
+        probs[:m] *= 0.5
+        shifted[:m] = probs[:m]
+        probs[r:r + m] += shifted[:m]
+    return probs
 
 
 def _signed_rank_tail(k: int, s_plus: float) -> float:
     """P(S+ >= s_plus) when every sign is an independent fair coin."""
-    counts = _signed_rank_tail_counts(k)
+    probs = _signed_rank_probs(k)
     threshold = math.ceil(s_plus - 1e-9)
     if threshold <= 0:
         return 1.0
-    if threshold > len(counts) - 1:
-        return 0.0
-    return float(counts[threshold:].sum() / 2.0**k)
+    return float(probs[threshold:].sum())  # 0.0 beyond the largest sum
 
 
 def _l_pvalue(k: int, ranks: np.ndarray, s_plus: float) -> float:

@@ -1,8 +1,8 @@
 """Command-line interface: analyze, funnel, simulate.
 
-Exit codes: 0 success, 2 input/usage error (bad CSV, bad grid file,
-bad flags), 3 statistical precondition failure (too few studies, a
-degenerate design, every study excluded).
+Exit codes: 0 success, 2 input/usage error (bad or unreadable input,
+unwritable output, bad flags), 3 statistical precondition failure (too
+few studies, a degenerate design, every study excluded).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .harness import (
 )
 from .measures import measure_studies
 from .model import (
+    MIN_STUDIES,
     CorrectionPolicy,
     MeasureId,
     Sidedness,
@@ -148,9 +149,9 @@ def _load_estimates(args):
 
 def _cmd_analyze(args) -> int:
     dataset, estimates, ids, warnings = _load_estimates(args)
-    if len(estimates) < 3:
+    if len(estimates) < MIN_STUDIES:
         raise TooFewStudies(
-            f"only {len(estimates)} usable studies after exclusions; need at least 3"
+            f"only {len(estimates)} usable studies after exclusions; need at least {MIN_STUDIES}"
         )
     variant = _build_variant(args)
     result = run_variant(variant, estimates, args.alpha)
@@ -214,20 +215,21 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     grid = default_grid() if args.grid == "default" else load_grid(args.grid)
     variant = _build_variant(args)
-    results = run_grid(
-        grid,
-        [variant],
-        reps=args.reps,
-        alpha=args.alpha,
-        master_seed=args.seed,
-        parallelism=args.parallelism,
-        policy=CorrectionPolicy(args.correction),
-    )
+    # claim the output before the run, so an unwritable --out fails at once
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
     os.close(fd)
     try:
+        results = run_grid(
+            grid,
+            [variant],
+            reps=args.reps,
+            alpha=args.alpha,
+            master_seed=args.seed,
+            parallelism=args.parallelism,
+            policy=CorrectionPolicy(args.correction),
+        )
         write_results_csv(tmp_name, results)
         os.replace(tmp_name, out)
     except BaseException:
@@ -265,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except StatisticalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, FunnelBiasError, FileNotFoundError) as exc:
+    except (_UsageError, FunnelBiasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,9 @@
 
 Two broad groups: data problems (bad tables, bad files) and statistical
 preconditions of the asymmetry tests. The CLI maps data/format errors
-to exit code 2 and statistical preconditions to exit code 3. A study
-whose measure is undefined raises nothing: ``measure_studies`` lists it
-as excluded, with the reason.
+to exit code 2 and statistical preconditions to exit code 3. An invalid
+table raises when its ``MetaDataset`` is made; a study whose measure is
+undefined raises nothing: ``measure_studies`` lists it as excluded.
 """
 
 
@@ -13,7 +13,11 @@ class FunnelBiasError(Exception):
 
 
 class DataError(FunnelBiasError):
-    """A study table or dataset violates its invariants."""
+    """A study table or dataset violates its invariants; ``study`` is the failing study's index, if any."""
+
+    def __init__(self, reason: str, study: int | None = None):
+        super().__init__(reason if study is None else f"study {study}: {reason}")
+        self.reason, self.study = reason, study
 
 
 class NegativeCell(DataError):

@@ -10,13 +10,15 @@ against a perfect gold standard:
 
 Everything downstream (accuracy measures, asymmetry tests, the
 simulation harness) consumes these value objects. All types are
-immutable and safe to share across threads or processes.
+immutable and safe to share across threads or processes. A
+``MetaDataset`` checks its tables once, when it is made.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,14 +163,14 @@ class MetaDataset:
     """The 2x2 tables of one meta-analysis, one (x, w, y, z) row per study.
 
     ``tables`` is a read-only (k, 4) int64 copy of whatever rows it is
-    given (an array, or a sequence of 4-tuples or ``StudyTable``s).
-    Construction rejects cells that are not integers (bool and float
-    arrays included) but checks no counts; call :func:`validate_dataset`
-    at trust boundaries.
+    given (an array, or a sequence of 4-tuples or ``StudyTable``s). It is
+    valid by construction. Cells that are not integers (bool and float
+    arrays included) raise ``NegativeCell``, and so does the first study
+    with a negative cell; the first with an empty group raises
+    ``EmptyGroup``. Both errors name the study: "study i: ...".
     """
 
     tables: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.tables)
@@ -176,6 +178,9 @@ class MetaDataset:
             raise NegativeCell(f"cells must be integer counts within int64, got dtype {cells.dtype}")
         cells = cells.astype(np.int64).reshape(len(cells), 4)
         cells.flags.writeable = False
+        error = _first_invalid(cells)
+        if error is not None:
+            raise error
         object.__setattr__(self, "tables", cells)
 
     @property
@@ -196,8 +201,8 @@ def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def _first_invalid(tables: np.ndarray) -> tuple[int, DataError] | None:
-    """The first study, in row order, with a negative cell or an empty group, and its error.
+def _first_invalid(tables: np.ndarray) -> DataError | None:
+    """The error of the first study, in row order, with a negative cell or an empty group.
 
     Within a study the cells are checked in x, w, y, z order, then n1,
     then n2.
@@ -209,77 +214,65 @@ def _first_invalid(tables: np.ndarray) -> tuple[int, DataError] | None:
     i = int(np.argmax(bad))
     if negative[i].any():
         j = int(np.argmax(negative[i]))
-        return i, NegativeCell(f"cell {'xwyz'[j]} is negative: {tables[i, j]}")
+        return NegativeCell(f"cell {'xwyz'[j]} is negative: {tables[i, j]}", study=i)
     if tables[i, 0] + tables[i, 1] == 0:
-        return i, EmptyGroup("no diseased subjects (n1 = 0)")
-    return i, EmptyGroup("no healthy subjects (n2 = 0)")
+        return EmptyGroup("no diseased subjects (n1 = 0)", study=i)
+    return EmptyGroup("no healthy subjects (n2 = 0)", study=i)
 
 
 def validate_dataset(dataset: MetaDataset) -> MetaDataset:
-    """Check every study's invariants and the minimum study count.
-
-    Returns the dataset unchanged on success; raises ``NegativeCell``,
-    ``EmptyGroup`` (with the study index in the message) or
-    ``TooFewStudies`` otherwise.
-    """
+    """Return the dataset if it has at least ``MIN_STUDIES`` studies; raise ``TooFewStudies`` if not."""
     if dataset.k < MIN_STUDIES:
         raise TooFewStudies(f"need at least {MIN_STUDIES} studies, got {dataset.k}")
-    check_studies(dataset.tables)
     return dataset
-
-
-def check_studies(tables: np.ndarray) -> None:
-    """Raise ``NegativeCell`` or ``EmptyGroup``, "study i: ...", for the first invalid study."""
-    invalid = _first_invalid(tables)
-    if invalid is not None:
-        i, exc = invalid
-        raise type(exc)(f"study {i}: {exc}")
 
 
 def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     """Read a dataset from ``study_id,tp,fn,fp,tn`` CSV.
 
     Returns the dataset plus the study ids in file order. Any structural
-    problem (bad header, non-integer cell, negative count, empty group)
-    raises :class:`DatasetFormatError` carrying the 1-based line number.
+    problem (text not UTF-8, bad header, non-integer cell, negative count,
+    empty group) raises :class:`DatasetFormatError`, with its line number if any.
     """
-    path = Path(path)
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not utf-8 text: {exc.reason}") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("empty file", line_no=1) from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DatasetFormatError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            line_no=1,
+        )
     rows: list[list[int]] = []
     ids: list[str] = []
     line_nos: list[int] = []
     parse_error = None
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue  # tolerate blank lines
+        if len(row) != 5:
+            parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
+            break
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file", line_no=1) from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DatasetFormatError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                line_no=1,
+            rows.append([int(cell.strip()) for cell in row[1:]])
+        except ValueError:
+            parse_error = DatasetFormatError(
+                f"non-integer cell count in {row[1:]!r}", line_no=line_no
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue  # tolerate blank lines
-            if len(row) != 5:
-                parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
-                break
-            try:
-                rows.append([int(cell.strip()) for cell in row[1:]])
-            except ValueError:
-                parse_error = DatasetFormatError(
-                    f"non-integer cell count in {row[1:]!r}", line_no=line_no
-                )
-                break
-            ids.append(row[0].strip())
-            line_nos.append(line_no)
-    dataset = MetaDataset(rows, label=path.stem)
+            break
+        ids.append(row[0].strip())
+        line_nos.append(line_no)
     # the rows read before a parse error come first in the file
-    invalid = _first_invalid(dataset.tables)
-    if invalid is not None:
-        i, exc = invalid
-        raise DatasetFormatError(str(exc), line_no=line_nos[i])
+    try:
+        dataset = MetaDataset(rows)
+    except DataError as exc:
+        if exc.study is None:
+            raise  # a cell beyond int64 is no one study's fault
+        raise DatasetFormatError(exc.reason, line_no=line_nos[exc.study]) from None
     if parse_error is not None:
         raise parse_error
     return dataset, tuple(ids)
@@ -296,7 +289,7 @@ def write_dataset_csv(
     if len(study_ids) != dataset.k:
         raise ValueError("study_ids length does not match dataset size")
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows([sid, *row] for sid, row in zip(study_ids, dataset.tables.tolist()))

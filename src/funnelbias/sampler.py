@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import GridFormatError, NonPSDCovariance
-from .model import MetaDataset, round_half_up
+from .model import MIN_STUDIES, MetaDataset, round_half_up
 
 __all__ = [
     "BiasMechanism",
@@ -155,8 +155,8 @@ class SimCondition:
     bias: BiasSpec = NO_BIAS
 
     def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError(f"k must be at least 3, got {self.k}")
+        if self.k < MIN_STUDIES:
+            raise ValueError(f"k must be at least {MIN_STUDIES}, got {self.k}")
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"prevalence must be in (0, 1), got {self.pi}")
         if not 1 <= self.n_min <= self.n_max:
@@ -359,8 +359,8 @@ def load_grid(path: str | Path) -> list[SimCondition]:
     """
     path = Path(path)
     try:
-        spec = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
     try:
         mus = [(float(m[0]), float(m[1])) for m in spec["mu"]]

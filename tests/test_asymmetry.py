@@ -25,7 +25,6 @@ from funnelbias.asymmetry import (
     _center_and_rank,
     _kendall_tau,
     _signed_rank_tail,
-    _signed_rank_tail_counts,
 )
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
 from funnelbias.model import EstimateSet, MeasureId, Sidedness
@@ -519,18 +518,36 @@ def test_signed_rank_tail_matches_enumeration():
         assert _signed_rank_tail(k, float(s_obs)) == pytest.approx(exact)
 
 
-def test_signed_rank_counts_match_full_recurrence():
-    # the reference adds every shifted slice, including the unreachable
-    # zero tails the table skips; adding zeros changes no bits
-    def full_recurrence(k):
-        counts = np.zeros(k * (k + 1) // 2 + 1)
-        counts[0] = 1.0
-        for r in range(1, k + 1):
-            counts[r:] += counts[:-r].copy()
-        return counts
+def full_recurrence(k):
+    """Subset counts of {1..k} by rank sum, adding every shifted slice, zero tails included."""
+    counts = np.zeros(k * (k + 1) // 2 + 1)
+    counts[0] = 1.0
+    for r in range(1, k + 1):
+        counts[r:] += counts[:-r].copy()
+    return counts
 
-    for k in (1, 2, 3, 10, 57, 200, 1000):
-        assert _signed_rank_tail_counts(k).tobytes() == full_recurrence(k).tobytes(), k
+
+@pytest.mark.parametrize("k, step", [(1, 1), (2, 1), (3, 1), (10, 1), (57, 1), (200, 1), (1000, 997), (1023, 997)])
+def test_signed_rank_tail_matches_full_recurrence_bitwise(k, step):
+    # the table halves its probabilities at each step; while 2**k is
+    # finite that is the subset counts scaled by a power of two, which
+    # rounds nothing
+    counts = full_recurrence(k)
+    for threshold in [*range(1, len(counts), step), len(counts) - 1]:
+        expected = counts[threshold:].sum() / 2.0**k
+        assert _signed_rank_tail(k, float(threshold)).hex() == expected.hex(), threshold
+
+
+@pytest.mark.parametrize("k", [1024, 1100])
+def test_l_estimator_beyond_float_range_of_subset_counts(k):
+    # 2**k overflows from k = 1024 on, and the subset counts from about k = 1030
+    top = k * (k + 1) // 2
+    tails = [_signed_rank_tail(k, float(s)) for s in (1, top // 4, top // 2, 3 * top // 4, top)]
+    assert all(0.0 <= p <= 1.0 for p in tails)
+    assert tails == sorted(tails, reverse=True)
+    values = np.random.default_rng(k).normal(size=k)
+    result = trim_fill_test(est(values, 0.5), PrecisionAxis.SE, TrimFillEstimator.L)
+    assert 0.0 <= result.p_value <= 1.0
 
 
 def test_l_pvalue_tied_ranks_falls_back_to_normal():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import funnelbias
+from funnelbias import model
 from funnelbias.cli import main
 
 DATASET = """study_id,tp,fn,fp,tn
@@ -90,6 +91,32 @@ def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/nonexistent/ds.csv")
     assert code == 2
+
+
+def test_analyze_checks_tables_once(dataset_path, capsys, monkeypatch):
+    # read_dataset_csv checks the tables; validate_dataset and measure_studies do not
+    calls = []
+    check = model._first_invalid
+    monkeypatch.setattr(model, "_first_invalid", lambda tables: calls.append(len(tables)) or check(tables))
+    code, _, _ = run(capsys, "analyze", "--input", dataset_path)
+    assert code == 0
+    assert calls == [10]
+
+
+def test_analyze_directory_input_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", "--input", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_analyze_non_utf8_csv_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("study_id,tp,fn,fp,tn\nM\xfcller,40,10,10,40\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not utf-8 text" in err
 
 
 def test_analyze_invalid_combination(dataset_path, capsys):
@@ -272,6 +299,33 @@ def test_simulate_grid_with_fractional_k_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert "expected an integer, got 10.9" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_directory_grid_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "simulate", "--grid", str(tmp_path), "--reps", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_non_utf8_grid_is_usage_error(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_bytes(json.dumps({**GRID, "note": "M\u00fcller"}, ensure_ascii=False).encode("latin-1"))
+    code, _, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "bad grid" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_out_under_a_file_is_input_error(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(GRID))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(blocker / "r.csv"))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert blocker.read_text() == ""
 
 
 def test_simulate_summary_on_stdout(tmp_path, capsys):

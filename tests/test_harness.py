@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from funnelbias import model
 from funnelbias.asymmetry import (
     EggerWeighting,
     MacaskillWeighting,
@@ -173,6 +174,16 @@ def test_run_condition_degenerate_scored_as_non_rejection():
     assert res.degenerate_reps > 0
     assert res.rejections + res.degenerate_reps <= res.reps
     assert 0.0 <= res.rejection_rate <= 1.0
+
+
+def test_run_condition_checks_each_replicate_tables_once(monkeypatch):
+    # the sampler's MetaDataset checks its tables; neither measure checks them again
+    calls = []
+    check = model._first_invalid
+    monkeypatch.setattr(model, "_first_invalid", lambda tables: calls.append(len(tables)) or check(tables))
+    youden_egger = TestVariantId(TestFamily.EGGER, MeasureId.YOUDEN, PrecisionAxis.SE)
+    run_condition(fe_condition(k=10), [T_SE_R, youden_egger], reps=7, master_seed=4)
+    assert calls == [10] * 7
 
 
 def test_run_condition_validates_args():

@@ -348,7 +348,7 @@ def test_dataset_measurement_stacks_one_row_measurements(measure, policy):
 
 def test_every_reachable_exclusion_reason():
     # Three checks cannot fire on valid tables: kappa's denominator is 0
-    # only with an empty group, which measure_studies rejects, its
+    # only with an empty group, which MetaDataset rejects, its
     # expected agreement is 1 only where that denominator is 0, and
     # lnTheta's SE is positive whenever 0 < x < n1 and 0 < y < n2.
     ds = MetaDataset([(10, 5, 4, 11), (5, 0, 0, 5), (0, 4, 0, 3), (3, 2, 5, 0)])
@@ -372,12 +372,11 @@ def test_every_reachable_exclusion_reason():
 @pytest.mark.parametrize("policy", [HALF, NEVER])
 @pytest.mark.parametrize("measure", list(MeasureId))
 def test_invalid_table_raises_data_error_naming_the_study(measure, policy):
-    no_diseased = MetaDataset([(0, 0, 0, 5), (3, 4, 5, 6), (2, 2, 2, 2)])
+    # the error comes from MetaDataset, before any measure sees the tables
     with pytest.raises(EmptyGroup, match=r"^study 0: no diseased subjects \(n1 = 0\)$"):
-        measure_studies(no_diseased, measure, policy)
-    negative = MetaDataset([(3, 4, 5, 6), (2, 2, 2, 2), (1, -1, 4, 4)])
+        measure_studies(MetaDataset([(0, 0, 0, 5), (3, 4, 5, 6), (2, 2, 2, 2)]), measure, policy)
     with pytest.raises(NegativeCell, match="^study 2: cell w is negative: -1$"):
-        measure_studies(negative, measure, policy)
+        measure_studies(MetaDataset([(3, 4, 5, 6), (2, 2, 2, 2), (1, -1, 4, 4)]), measure, policy)
 
 
 @pytest.mark.parametrize("cells", [

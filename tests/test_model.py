@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from funnelbias.errors import (
     DatasetFormatError,
@@ -49,9 +52,9 @@ def test_validate_dataset_identity_on_valid():
 
 
 def test_validate_dataset_empty_group():
-    ds = MetaDataset([StudyTable(10, 5, 4, 11), StudyTable(0, 0, 4, 11), StudyTable(1, 1, 1, 1)])
+    # a dataset is valid by construction, so validate_dataset never sees this one
     with pytest.raises(EmptyGroup, match="study 1"):
-        validate_dataset(ds)
+        MetaDataset([StudyTable(10, 5, 4, 11), StudyTable(0, 0, 4, 11), StudyTable(1, 1, 1, 1)])
 
 
 def test_validate_dataset_too_few():
@@ -61,18 +64,49 @@ def test_validate_dataset_too_few():
 
 
 def test_validate_dataset_negative_cell():
-    ds = MetaDataset([StudyTable(10, 5, 4, 11), StudyTable(9, -1, 3, 12), StudyTable(1, 1, 1, 1)])
     with pytest.raises(NegativeCell, match="study 1"):
-        validate_dataset(ds)
+        MetaDataset([StudyTable(10, 5, 4, 11), StudyTable(9, -1, 3, 12), StudyTable(1, 1, 1, 1)])
 
 
 def test_validate_dataset_reports_first_problem_in_study_order():
-    ds = MetaDataset([(10, 5, 4, 11), (3, 4, 0, 0), (0, -2, -1, 5), (0, 0, 4, 11)])
     with pytest.raises(EmptyGroup, match=r"^study 1: no healthy subjects \(n2 = 0\)$"):
-        validate_dataset(ds)
-    ds = MetaDataset([(10, 5, 4, 11), (0, -2, -1, 5), (3, 4, 0, 0)])
+        MetaDataset([(10, 5, 4, 11), (3, 4, 0, 0), (0, -2, -1, 5), (0, 0, 4, 11)])
     with pytest.raises(NegativeCell, match="^study 1: cell w is negative: -2$"):
-        validate_dataset(ds)
+        MetaDataset([(10, 5, 4, 11), (0, -2, -1, 5), (3, 4, 0, 0)])
+
+
+def first_invalid_by_row_scan(rows):
+    """(error type, study, message) for the first invalid study, one cell at a time; None if all are valid."""
+    for i, (x, w, y, z) in enumerate(rows):
+        for name, cell in zip("xwyz", (x, w, y, z)):
+            if cell < 0:
+                return NegativeCell, i, f"study {i}: cell {name} is negative: {cell}"
+        if x + w == 0:
+            return EmptyGroup, i, f"study {i}: no diseased subjects (n1 = 0)"
+        if y + z == 0:
+            return EmptyGroup, i, f"study {i}: no healthy subjects (n2 = 0)"
+    return None
+
+
+# small counts make zero cells and empty groups common; large ones reach N near 4e6
+CELLS = st.integers(-2, 3) | st.integers(0, 10**6) | st.integers(0, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(0, 8), st.just(4)), elements=CELLS))
+def test_dataset_is_valid_by_construction(tables):
+    expected = first_invalid_by_row_scan(tables.tolist())
+    if expected is not None:
+        error_type, study, message = expected
+        with pytest.raises(error_type) as err:
+            MetaDataset(tables)
+        assert (err.value.study, str(err.value)) == (study, message)
+        return
+    dataset = MetaDataset(tables)
+    for measure in MeasureId:
+        for policy in CorrectionPolicy:
+            measured = measure_studies(dataset, measure, policy)
+            assert len(measured.estimates) + len(measured.excluded) == dataset.k
 
 
 def measure_one(table, policy):
@@ -135,7 +169,7 @@ def test_result_reject_consistency_enforced():
 
 def test_csv_round_trip(tmp_path):
     studies = [StudyTable(40, 10, 10, 40), StudyTable(30, 5, 8, 57), StudyTable(45, 15, 12, 38)]
-    ds = MetaDataset(studies, label="demo")
+    ds = MetaDataset(studies)
     path = tmp_path / "demo.csv"
     write_dataset_csv(path, ds, ("a", "b", "c"))
     back, ids = read_dataset_csv(path)
