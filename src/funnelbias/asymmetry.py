@@ -37,7 +37,7 @@ from .errors import (
     SingularDesign,
     TooFewStudies,
 )
-from .model import MIN_STUDIES, AsymmetryTestResult, EstimateSet, Sidedness, round_half_up
+from .model import MIN_STUDIES, AsymmetryTestResult, EstimateSet, Sidedness
 
 MAX_TRIM_ITERATIONS = 50
 
@@ -87,7 +87,9 @@ class TrimFillState:
     ranks are average ranks of the absolute centered effects and
     ``s_plus`` sums those of the positive centered effects.
     ``r_estimate`` is gamma_plus - 1 before clamping (so it can be -1),
-    ``k0`` the clamped integer actually used for trimming.
+    ``k0`` the clamped integer actually used for trimming. From
+    :func:`trim_fill_rows` every field gains a leading axis, one entry
+    per row.
     """
 
     theta_hat: float
@@ -237,7 +239,8 @@ def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
     """DerSimonian-Laird pooled effect and between-study variance tau2."""
     if len(estimates) < 2:
         raise TooFewStudies(f"random-effects pooling needs k >= 2, got {len(estimates)}")
-    return _pool_dersimonian_laird(estimates.value, estimates.se**2)
+    theta, tau2 = _pool_dersimonian_laird(estimates.value, estimates.se**2)
+    return float(theta), float(tau2)
 
 
 def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> float:
@@ -245,19 +248,20 @@ def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> float:
     return float(np.sum(w * values) / np.sum(w))
 
 
-def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
-    k = len(values)
+def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled effect and tau2 of each row, reducing along the last axis."""
+    k = values.shape[-1]
     if k == 1:
-        return float(values[0]), 0.0
+        return values[..., 0], np.zeros(values.shape[:-1])
     w = 1.0 / variances
-    sum_w = np.sum(w)
-    t_bar = np.sum(w * values) / sum_w
-    q = float(np.sum(w * (values - t_bar) ** 2))
-    denom = sum_w - np.sum(w**2) / sum_w
-    tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
-    w_star = 1.0 / (variances + tau2)
-    theta = float(np.sum(w_star * values) / np.sum(w_star))
-    return theta, float(tau2)
+    sum_w = w.sum(axis=-1)
+    t_bar = (w * values).sum(axis=-1) / sum_w
+    q = (w * (values - t_bar[..., None]) ** 2).sum(axis=-1)
+    denom = sum_w - (w**2).sum(axis=-1) / sum_w
+    excess = (q - (k - 1)) / np.where(denom > 0, denom, np.inf)  # no excess without a positive denom
+    tau2 = np.where(excess > 0.0, excess, 0.0)
+    w_star = 1.0 / (variances + tau2[..., None])
+    return (w_star * values).sum(axis=-1) / w_star.sum(axis=-1), tau2
 
 
 # ---------------------------------------------------------------------------
@@ -466,32 +470,48 @@ def begg_test(
 # ---------------------------------------------------------------------------
 
 
-def _center_and_rank(values: np.ndarray, theta: float):
-    """Centered effects, average ranks of |centered|, gamma_plus, L pieces.
+def _gamma_plus(centered: np.ndarray) -> np.ndarray:
+    """Length of each row's run of positive centered effects holding the top |centered| ranks.
 
-    gamma_plus is the length of the run of strictly positive centered
-    effects holding the top |centered| ranks. A tie group mixing
-    positive and non-positive values interrupts the run before any of
-    its members are counted, which keeps the run statistic conservative.
+    The run is every value whose magnitude exceeds that of the largest
+    non-positive one: a tie group mixing positive and non-positive
+    values interrupts it before any of its members are counted, which
+    keeps the run statistic conservative. No sort is needed.
     """
-    k = len(values)
-    centered = values - theta
-    order = np.argsort(np.abs(centered), kind="stable")
-    ascending = np.abs(centered[order])
-    # a tie group starts wherever the sorted magnitude changes
-    starts_group = np.concatenate(([True], ascending[1:] != ascending[:-1]))
-    starts = np.flatnonzero(starts_group)
-    ends = np.append(starts[1:], k)
-    counts = ends - starts
-    tie_group = np.empty(k, dtype=np.intp)
-    tie_group[order] = np.cumsum(starts_group) - 1
-    ranks = (0.5 * (2 * ends - counts + 1))[tie_group]  # average rank within each tie group
-    # the run: every value in a tie group above the top one holding a non-positive value
-    blocked = tie_group[centered <= 0]
-    gamma_plus = k - int(ends[blocked.max()]) if len(blocked) else k
-    s_plus = float(np.sum(ranks[centered > 0]))
+    magnitude = np.abs(centered)
+    blocking = np.where(centered <= 0, magnitude, -1.0).max(axis=-1)
+    return np.count_nonzero(magnitude > blocking[:, None], axis=-1)
+
+
+def _center_and_rank(values: np.ndarray, theta: np.ndarray):
+    """Centered effects, average ranks of |centered|, gamma_plus, S+ and L of each row.
+
+    ``values`` is (rows, k), ``theta`` has one pooled effect per row.
+    """
+    rows, k = values.shape
+    centered = values - theta[:, None]
+    magnitude = np.abs(centered)
+    row = np.arange(rows)[:, None]
+    order = magnitude.argsort(axis=-1, kind="stable")
+    ascending = magnitude[row, order]
+    position = np.arange(k)
+    rank = position + 1.0
+    ties = ascending[:, 1:] == ascending[:, :-1]
+    if ties.any():
+        # every member of a tie group gets the mean of its first and last
+        # sorted positions, found by running maxima forward and backward
+        starts = np.zeros((rows, k), dtype=np.intp)
+        starts[:, 1:] = np.where(ties, 0, position[1:])
+        ends = np.full((rows, k), k - 1, dtype=np.intp)
+        ends[:, :-1] = np.where(ties, k - 1, position[:-1])
+        first = np.maximum.accumulate(starts, axis=-1)
+        last = np.minimum.accumulate(ends[:, ::-1], axis=-1)[:, ::-1]
+        rank = 0.5 * (first + last) + 1.0
+    ranks = np.empty((rows, k))
+    ranks[row, order] = rank
+    s_plus = np.where(centered > 0, ranks, 0.0).sum(axis=-1)  # sums of halves: exact in any order
     l_estimate = (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0)
-    return centered, ranks, gamma_plus, s_plus, l_estimate
+    return centered, ranks, _gamma_plus(centered), s_plus, l_estimate
 
 
 @lru_cache(maxsize=None)
@@ -532,42 +552,73 @@ def _l_pvalue(k: int, ranks: np.ndarray, s_plus: float) -> float:
     return float(ndtr(-((s_plus - 0.5 - mean) / sd)))
 
 
-# Each axis's pooled effect from (values, variances, sample sizes).
+# Each axis's pooled effect of each row, reducing (values, variances, sample sizes) along the last axis.
 TRIM_FILL_AXES = AxisTable("trim and fill", {
     PrecisionAxis.SE: lambda values, variances, ns: _pool_dersimonian_laird(values, variances)[0],
-    PrecisionAxis.N: lambda values, variances, ns: float(np.sum(ns * values) / np.sum(ns)),
+    PrecisionAxis.N: lambda values, variances, ns: (ns * values).sum(axis=-1) / ns.sum(axis=-1),
 })
 
 
-def trim_fill_iterate(
+def trim_fill_rows(
     values: np.ndarray,
     variances: np.ndarray,
     ns: np.ndarray,
     estimator: TrimFillEstimator,
     axis: PrecisionAxis = PrecisionAxis.SE,
 ) -> TrimFillState:
-    """Run the trim-and-fill iteration and return its final state.
+    """Run the trim-and-fill iteration on every row of (rows, k) arrays.
 
-    Each pass pools the currently kept studies, centers all k original
-    values on that pooled effect and re-estimates the number of
-    suppressed studies k0; the k0 largest effects are trimmed for the
-    next pass until k0 stabilizes (or the iteration cap is hit).
+    Each row is one dataset's usable studies; the rows iterate
+    independently and the result is a ``TrimFillState`` whose fields
+    gain a leading row axis. A pass pools each active row's kept studies
+    (its k - k0 smallest effects), centers all k values on that pooled
+    effect and re-estimates k0; a row stops when k0 repeats or after
+    ``MAX_TRIM_ITERATIONS`` passes. Rows with the same kept count m pool
+    together over the first m of their sorted values, so every sum is
+    the one a single row reduces, and each row's numbers are those it
+    would get alone. Only the L estimator ranks within a pass; under R
+    the final ranks, S+ and L are computed once, after the last pass.
     """
-    k = len(values)
+    rows, k = values.shape
     pool = TRIM_FILL_AXES[axis]
-    order = np.argsort(values, kind="stable")  # ascending; trim from the top
-    k0 = 0
-    converged = False
-    for iterations in range(1, MAX_TRIM_ITERATIONS + 1):
-        kept = order[: k - k0]
-        theta = pool(values[kept], variances[kept], ns[kept])
-        centered, ranks, gamma_plus, s_plus, l_estimate = _center_and_rank(values, theta)
-        estimate = float(gamma_plus - 1) if estimator is TrimFillEstimator.R else l_estimate
-        k0_new = min(max(round_half_up(estimate), 0), k - 1)
-        if k0_new == k0:
-            converged = True
+    row = np.arange(rows)[:, None]
+    order = values.argsort(axis=-1, kind="stable")  # ascending; trim from the top
+    ascending = (values[row, order], variances[row, order], ns[row, order])
+    theta = np.empty(rows)
+    k0 = np.zeros(rows, dtype=np.int64)
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
+    # each row's centered effects, ranks, gamma_plus, S+ and L from its last pass
+    final = (
+        np.empty((rows, k)), np.empty((rows, k)), np.empty(rows, np.intp), np.empty(rows), np.empty(rows)
+    )
+    for iteration in range(1, MAX_TRIM_ITERATIONS + 1):
+        kept = k - k0[active]
+        if len(active) == 1 or (kept == kept[0]).all():
+            groups = [(active, int(kept[0]))]
+        else:
+            groups = [(active[kept == m], m) for m in np.unique(kept).tolist()]
+        for chosen, m in groups:
+            theta[chosen] = pool(*(column[chosen, :m] for column in ascending))
+        if estimator is TrimFillEstimator.R:
+            estimate = _gamma_plus(values[active] - theta[active, None]) - 1.0
+        else:
+            ranked = _center_and_rank(values[active], theta[active])
+            for column, part in zip(final, ranked):
+                column[active] = part
+            estimate = ranked[4]
+        k0_new = np.floor(estimate + 0.5).clip(0, k - 1).astype(np.int64)  # round half up
+        iterations[active] = iteration
+        done = k0_new == k0[active]
+        converged[active[done]] = True
+        k0[active] = k0_new
+        active = active[~done]
+        if not len(active):
             break
-        k0 = k0_new
+    if estimator is TrimFillEstimator.R:
+        final = _center_and_rank(values, theta)
+    centered, ranks, gamma_plus, s_plus, l_estimate = final
     return TrimFillState(
         theta_hat=theta,
         centered=centered,
@@ -579,6 +630,52 @@ def trim_fill_iterate(
         k0=k0,
         iterations=iterations,
         converged=converged,
+    )
+
+
+def trim_fill_iterate(
+    values: np.ndarray,
+    variances: np.ndarray,
+    ns: np.ndarray,
+    estimator: TrimFillEstimator,
+    axis: PrecisionAxis = PrecisionAxis.SE,
+) -> TrimFillState:
+    """Run the trim-and-fill iteration on one dataset: a block of one row.
+
+    Each pass pools the currently kept studies, centers all k original
+    values on that pooled effect and re-estimates the number of
+    suppressed studies k0; the k0 largest effects are trimmed for the
+    next pass until k0 stabilizes (or the iteration cap is hit).
+    """
+    state = trim_fill_rows(values[None], variances[None], ns[None], estimator, axis)
+    return TrimFillState(
+        theta_hat=float(state.theta_hat[0]),
+        centered=state.centered[0],
+        ranks=state.ranks[0],
+        s_plus=float(state.s_plus[0]),
+        gamma_plus=int(state.gamma_plus[0]),
+        r_estimate=int(state.r_estimate[0]),
+        l_estimate=float(state.l_estimate[0]),
+        k0=int(state.k0[0]),
+        iterations=int(state.iterations[0]),
+        converged=bool(state.converged[0]),
+    )
+
+
+def _trim_fill_p(
+    estimator: TrimFillEstimator, gamma_plus: int, ranks: np.ndarray, s_plus: float
+) -> float:
+    """One-sided p of one dataset's final state, as ``trim_fill_test`` reports it."""
+    if estimator is TrimFillEstimator.R:
+        return 2.0 ** (-gamma_plus)
+    return _l_pvalue(len(ranks), ranks, s_plus)
+
+
+def trim_fill_rejections(state: TrimFillState, estimator: TrimFillEstimator, alpha: float) -> int:
+    """How many rows of a ``trim_fill_rows`` state ``trim_fill_test`` would reject at ``alpha``."""
+    return sum(
+        min(_trim_fill_p(estimator, gamma_plus, ranks, s_plus), 1.0) <= alpha
+        for gamma_plus, ranks, s_plus in zip(state.gamma_plus.tolist(), state.ranks, state.s_plus.tolist())
     )
 
 
@@ -598,12 +695,8 @@ def trim_fill_test(
     """
     _require_studies(estimates)
     state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
-    if estimator is TrimFillEstimator.R:
-        statistic = float(state.r_estimate)
-        p = 2.0 ** (-state.gamma_plus)
-    else:
-        statistic = state.l_estimate
-        p = _l_pvalue(len(estimates), state.ranks, state.s_plus)
+    statistic = float(state.r_estimate) if estimator is TrimFillEstimator.R else state.l_estimate
+    p = _trim_fill_p(estimator, state.gamma_plus, state.ranks, state.s_plus)
     test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
     return _finish(
         test_id,

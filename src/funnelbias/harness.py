@@ -9,6 +9,12 @@ non-rejection.
 
 Seeds are derived per (master seed, condition index, replicate index),
 so rejection counts are identical whatever the parallelism degree.
+
+A condition's replicates run in blocks of up to ``BLOCK_REPS``. Each
+replicate still draws from its own stream in the sampler's documented
+order; only the arithmetic after the draws runs on the block's (reps, k)
+arrays, and every reduction runs along a row of equal-length data, so
+each replicate's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from pathlib import Path
 from collections.abc import Sequence
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import ndtri
 
 from .asymmetry import (
@@ -37,18 +44,25 @@ from .asymmetry import (
     begg_test,
     egger_test,
     macaskill_test,
+    trim_fill_rejections,
+    trim_fill_rows,
     trim_fill_test,
 )
 from .errors import EmptyInput, StatisticalError
-from .measures import measure_studies as compute_usable  # the name perfbench/tracing.py wraps
+from .measures import MeasureBlock, measure_block
 from .model import (
+    MIN_STUDIES,
     AsymmetryTestResult,
     CorrectionPolicy,
     EstimateSet,
     MeasureId,
     Sidedness,
 )
-from .sampler import SimCondition, generate_meta_analysis, replicate_rng
+from .sampler import SimCondition, generate_block, replicate_rng
+
+# perfbench/tracing.py wraps these names in this module; the block engine does not call them
+from .measures import measure_studies as compute_usable  # noqa: F401
+from .sampler import generate_meta_analysis  # noqa: F401
 
 
 class TestFamily(enum.Enum):
@@ -146,6 +160,9 @@ class SimResult:
         return self.rejections / self.reps
 
 
+BLOCK_REPS = 1024  # replicates realized and measured together; bounds a block's memory
+
+
 def run_condition(
     condition: SimCondition,
     variants: Sequence[TestVariantId],
@@ -155,7 +172,16 @@ def run_condition(
     condition_index: int = 0,
     policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
 ) -> list[SimResult]:
-    """Rejection counts for every variant over ``reps`` paired replicates."""
+    """Rejection counts for every variant over ``reps`` paired replicates.
+
+    Replicates run in blocks of up to ``BLOCK_REPS``: each replicate
+    draws from its own stream, in the sampler's documented order, and
+    the block's tables are realized, checked and measured as one
+    (reps, k) array. Trim-and-fill variants run on the block's rows,
+    grouped by usable count; the other families run ``run_variant`` on
+    each replicate's estimates. Every replicate gets the numbers it
+    would get alone.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not variants:
@@ -163,20 +189,31 @@ def run_condition(
     measures = sorted({v.measure for v in variants}, key=lambda m: m.value)
     rejections = [0] * len(variants)
     degenerate = [0] * len(variants)
-    for rep in range(reps):
-        rng = replicate_rng(master_seed, condition_index, rep)
-        dataset = generate_meta_analysis(condition, rng)
-        estimates_by_measure = {
-            m: compute_usable(dataset, m, policy)[0] for m in measures
-        }
-        for j, variant in enumerate(variants):
-            try:
-                result = run_variant(variant, estimates_by_measure[variant.measure], alpha)
-            except StatisticalError:
-                degenerate[j] += 1
+    for start in range(0, reps, BLOCK_REPS):
+        rngs = [
+            replicate_rng(master_seed, condition_index, rep)
+            for rep in range(start, min(start + BLOCK_REPS, reps))
+        ]
+        tables = generate_block(condition, rngs)
+        for measure in measures:
+            block = measure_block(tables, measure, policy)
+            mine = [(j, v) for j, v in enumerate(variants) if v.measure is measure]
+            trim_fill = [(j, v) for j, v in mine if v.family is TestFamily.TRIMFILL]
+            others = [(j, v) for j, v in mine if v.family is not TestFamily.TRIMFILL]
+            if trim_fill:
+                _tally_trim_fill(block, trim_fill, alpha, rejections, degenerate)
+            if not others:
                 continue
-            if result.reject:
-                rejections[j] += 1
+            for row in range(len(rngs)):
+                estimates = block.estimates(row)
+                for j, variant in others:
+                    try:
+                        result = run_variant(variant, estimates, alpha)
+                    except StatisticalError:
+                        degenerate[j] += 1
+                        continue
+                    if result.reject:
+                        rejections[j] += 1
     return [
         SimResult(
             condition_id=condition_index,
@@ -189,6 +226,33 @@ def run_condition(
         )
         for j, variant in enumerate(variants)
     ]
+
+
+def _tally_trim_fill(
+    block: MeasureBlock,
+    indexed_variants: list[tuple[int, TestVariantId]],
+    alpha: float,
+    rejections: list[int],
+    degenerate: list[int],
+) -> None:
+    """Add each trim-and-fill variant's rejections and degenerate replicates over a block.
+
+    Rows with the same usable count run as one ``trim_fill_rows`` call;
+    a row with fewer than ``MIN_STUDIES`` usable studies is degenerate,
+    as ``trim_fill_test`` would raise ``TooFewStudies`` on it.
+    """
+    usable_counts = block.usable.sum(axis=-1)
+    for k in np.unique(usable_counts).tolist():
+        rows = usable_counts == k
+        if k < MIN_STUDIES:
+            for j, _ in indexed_variants:
+                degenerate[j] += int(rows.sum())
+            continue
+        usable = block.usable[rows]
+        values, se, ns = (column[rows][usable].reshape(-1, k) for column in (block.value, block.se, block.n))
+        for j, variant in indexed_variants:
+            state = trim_fill_rows(values, se**2, ns, variant.estimator, variant.axis)
+            rejections[j] += trim_fill_rejections(state, variant.estimator, alpha)
 
 
 def _run_condition_task(args) -> list[SimResult]:
@@ -223,7 +287,8 @@ def run_grid(
         for task in tasks:
             results.extend(_run_condition_task(task))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # a fork pool starts every worker at once, so never more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
             for chunk in pool.map(_run_condition_task, tasks):
                 results.extend(chunk)
     return results

@@ -149,43 +149,95 @@ class Measurement(NamedTuple):
     excluded: tuple[tuple[int, str], ...]  # (study index, reason) per unusable study
 
 
+class MeasureBlock(NamedTuple):
+    """One measure over a block of datasets: a (reps, k) array per column.
+
+    ``value`` and ``se`` mean nothing where ``usable`` is false. Each
+    ``excluded`` mask marks the studies whose first failed check has
+    that reason, in check order.
+    """
+
+    measure: MeasureId
+    value: np.ndarray
+    se: np.ndarray
+    n: np.ndarray
+    ess: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    usable: np.ndarray
+    corrected: np.ndarray
+    excluded: tuple[tuple[np.ndarray, str], ...]
+
+    def estimates(self, row: int) -> EstimateSet:
+        """The usable studies of one dataset of the block."""
+        usable = self.usable[row]
+        return EstimateSet(
+            measure=self.measure,
+            value=self.value[row][usable],
+            se=self.se[row][usable],
+            n=self.n[row][usable],
+            ess=self.ess[row][usable],
+            m1=self.m1[row][usable],
+            m2=self.m2[row][usable],
+            index=np.flatnonzero(usable),
+        )
+
+
+def measure_block(
+    tables: np.ndarray,
+    measure: MeasureId,
+    policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
+) -> MeasureBlock:
+    """Correct and measure every study of a (reps, k, 4) table block.
+
+    Under ``HALF_IF_ANY_ZERO`` all four cells of a study get +0.5 as soon
+    as any one of them is zero; under ``NEVER`` the cells pass through.
+    A study whose measure is undefined is marked unusable, under the
+    reason of the first check it fails. Every formula is elementwise, so
+    each dataset's numbers are those it would get alone. The size
+    columns come from the observed tables, which must already be
+    checked: no cell is negative and no group is empty.
+    """
+    corrected = (tables == 0).any(axis=-1) & (policy is CorrectionPolicy.HALF_IF_ANY_ZERO)
+    cells = tables + 0.5 * corrected[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, se, checks = MEASURES[measure](*(cells[..., j] for j in range(4)))
+    usable = np.ones(corrected.shape, dtype=bool)
+    excluded = []
+    for undefined, reason in checks:
+        failed = undefined & usable
+        excluded.append((failed, reason))
+        usable &= ~failed
+    x, w, y, z = (tables[..., j] for j in range(4))
+    n1, n2 = x + w, y + z
+    return MeasureBlock(
+        measure=measure,
+        value=value,
+        se=se,
+        n=n1 + n2,
+        ess=effective_sample_size(n1, n2),
+        m1=x + y,
+        m2=w + z,
+        usable=usable,
+        corrected=corrected,
+        excluded=tuple(excluded),
+    )
+
+
 def measure_studies(
     dataset: MetaDataset,
     measure: MeasureId,
     policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
 ) -> Measurement:
-    """Correct and measure every study, skipping degenerate ones.
+    """Correct and measure every study of one dataset: a block of one.
 
-    Under ``HALF_IF_ANY_ZERO`` all four cells of a study get +0.5 as soon
-    as any one of them is zero; under ``NEVER`` the cells pass through.
-    A study whose measure is undefined is left out of the estimates and
-    listed in ``excluded`` with the reason of the first check it fails,
-    so callers can surface it instead of silently dropping data. The
-    size columns come from the observed tables, which ``MetaDataset``
-    has already checked: no cell is negative and no group is empty.
+    Correction and exclusion follow :func:`measure_block`. Excluded
+    studies are listed with their reasons, so callers can surface them
+    instead of silently dropping data. ``MetaDataset`` has already
+    checked the tables.
     """
-    tables = dataset.tables
-    corrected = (tables == 0).any(axis=1) & (policy is CorrectionPolicy.HALF_IF_ANY_ZERO)
-    cells = tables + 0.5 * corrected[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, se, checks = MEASURES[measure](*cells.T)
-    usable = np.ones(len(tables), dtype=bool)
-    excluded = []
-    for undefined, reason in checks:
-        failed = undefined & usable
-        if failed.any():
-            excluded += [(i, reason) for i in np.flatnonzero(failed).tolist()]
-            usable &= ~failed
-    x, w, y, z = tables[usable].T
-    n1, n2 = x + w, y + z
-    estimates = EstimateSet(
-        measure=measure,
-        value=value[usable],
-        se=se[usable],
-        n=n1 + n2,
-        ess=effective_sample_size(n1, n2),
-        m1=x + y,
-        m2=w + z,
-        index=np.flatnonzero(usable),
+    block = measure_block(dataset.tables[None], measure, policy)
+    excluded = [(i, reason) for failed, reason in block.excluded for i in np.flatnonzero(failed[0]).tolist()]
+    return Measurement(
+        block.estimates(0), tuple(np.flatnonzero(block.corrected[0]).tolist()), tuple(sorted(excluded))
     )
-    return Measurement(estimates, tuple(np.flatnonzero(corrected).tolist()), tuple(sorted(excluded)))

@@ -13,7 +13,9 @@ index, replicate index), so results never depend on execution order or
 parallelism; within a replicate the draw order is fixed: sample sizes,
 then logit pairs (base before shifted for mixtures), then the mixture
 shuffle, then the binomial realizations, study by study, each study's
-true positives before its false positives.
+true positives before its false positives. ``generate_block`` realizes
+many replicates at once and keeps that order within each replicate's
+stream, so a replicate's tables do not depend on the block it is in.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import enum
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logit
 
+from . import model
 from .errors import GridFormatError, NonPSDCovariance
 from .model import MIN_STUDIES, MetaDataset, round_half_up
 
@@ -38,6 +42,7 @@ __all__ = [
     "GenerationTrace",
     "SimCondition",
     "default_grid",
+    "generate_block",
     "generate_meta_analysis",
     "generate_meta_analysis_traced",
     "load_grid",
@@ -193,11 +198,19 @@ def sample_logit_pairs(
     A zero covariance matrix short-circuits to exact copies of the mean
     (no degenerate factorization, no rng consumption).
     """
+    normals = np.empty((count, 2)) if params.is_fixed_effects else rng.standard_normal((count, 2))
+    return _logit_pairs(params, normals)
+
+
+def _logit_pairs(params: BivariateParams, normals: np.ndarray) -> np.ndarray:
+    """mu + z @ sqrt(Sigma) for each standard normal pair z on the last axis.
+
+    Under fixed effects every pair is mu itself.
+    """
     mu = np.array(params.mu)
     if params.is_fixed_effects:
-        return np.tile(mu, (count, 1))
-    z = rng.standard_normal((count, 2))
-    return mu + z @ params.sqrt_matrix()
+        return np.broadcast_to(mu, normals.shape)
+    return mu + normals @ params.sqrt_matrix()
 
 
 def sample_sizes(
@@ -208,69 +221,109 @@ def sample_sizes(
     Returns a (count, 2) int64 array of (n1, n2) rows: n1 = round(pi * N)
     with half-up rounding, n2 the remainder.
     """
-    totals = rng.integers(condition.n_min, condition.n_max + 1, size=count)
+    return _split_sizes(condition, rng.integers(condition.n_min, condition.n_max + 1, size=count))
+
+
+def _split_sizes(condition: SimCondition, totals: np.ndarray) -> np.ndarray:
+    """(n1, n2) on a new last axis for each total size."""
     n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)
-    return np.column_stack((n1, totals - n1))
+    return np.stack((n1, totals - n1), axis=-1)
 
 
 def _youden(tables: np.ndarray) -> np.ndarray:
-    """Observed Youden index x/n1 + z/n2 - 1 of each (x, w, y, z) row."""
-    x, w, y, z = tables.T
+    """Observed Youden index x/n1 + z/n2 - 1 of each (x, w, y, z) row along the last axis."""
+    x, w, y, z = np.moveaxis(tables, -1, 0)
     return x / (x + w) + z / (y + z) - 1.0
 
 
-def _realize_all(
-    condition: SimCondition, rng: np.random.Generator
+def _realize_block(
+    condition: SimCondition, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every realized table, whether it came from the shifted component, and the kept ones.
+    """Every realized table of one replicate per stream, the shifted flags and the kept mask.
 
-    Selection realizes k + l tables and keeps the k with the highest
-    observed Youden indices, in draw order; a mixture realizes its base
-    and shifted logit pairs into randomly permuted slots. One binomial
-    call draws every table's (x, y) pair; its C order is each study's x,
-    then its y.
-    Returns the (x, w, y, z) rows as an int64 array, the shifted flags
-    and the boolean mask of the kept tables.
+    Each replicate draws from its own stream in the documented order:
+    sizes, base logit pairs, shifted pairs and the slot permutation for
+    a mixture, then one binomial call for all its tables, whose C order
+    is each study's x, then its y. Only those calls run per replicate;
+    the rest is arithmetic on (reps, studies) arrays, elementwise or
+    along the last axis, so every replicate's numbers are those it
+    would get alone. Selection realizes k + l tables and keeps the k
+    with the highest observed Youden indices, in draw order; a mixture
+    realizes its base and shifted logit pairs into randomly permuted
+    slots.
+    Returns the (reps, k + l, 4) int64 (x, w, y, z) tables, and the
+    (reps, k + l) shifted flags and kept mask.
     """
     bias = condition.bias
     k = condition.k
+    mixture = bias.mechanism is BiasMechanism.MIXTURE
     n_drop = n_shifted = 0
     if bias.mechanism is BiasMechanism.SELECTION:
         n_drop = round_half_up(bias.selection_fraction * k)
-    elif bias.mechanism is BiasMechanism.MIXTURE:
+    elif mixture:
         n_shifted = round_half_up(bias.mixture_fraction * k)
     total = k + n_drop
-    sizes = sample_sizes(condition, total, rng)
-    pairs = sample_logit_pairs(condition.params, total - n_shifted, rng)
-    if bias.mechanism is BiasMechanism.MIXTURE:
-        shifted_pairs = sample_logit_pairs(condition.params.shifted(bias.eta), n_shifted, rng)
-        pairs = np.vstack([pairs, shifted_pairs])
-        sources = rng.permutation(k)
-    else:
-        sources = np.arange(total)
-    positives = rng.binomial(sizes, expit(pairs)[sources])  # (x, y) from (Sen, FPR)
-    tables = np.column_stack(
-        (positives[:, 0], sizes[:, 0] - positives[:, 0], positives[:, 1], sizes[:, 1] - positives[:, 1])
-    )
-    kept = np.ones(total, dtype=bool)
+    reps = len(rngs)
+    params = condition.params
+    totals = np.empty((reps, total), dtype=np.int64)
+    normals = np.empty((reps, total, 2))
+    sources = np.tile(np.arange(total), (reps, 1))
+    n_base = total - n_shifted
+    for r, rng in enumerate(rngs):
+        totals[r] = rng.integers(condition.n_min, condition.n_max + 1, size=total)
+        if not params.is_fixed_effects:  # fixed effects draw no normals
+            normals[r, :n_base] = rng.standard_normal((n_base, 2))
+            if mixture:
+                normals[r, n_base:] = rng.standard_normal((n_shifted, 2))
+        if mixture:
+            sources[r] = rng.permutation(k)
+    pairs = _logit_pairs(params, normals)
+    if mixture:
+        shifted = _logit_pairs(params.shifted(bias.eta), normals[:, n_base:])
+        pairs = np.concatenate((pairs[:, :n_base], shifted), axis=1)
+        pairs = np.take_along_axis(pairs, sources[:, :, None], axis=1)
+    sizes = _split_sizes(condition, totals)
+    probabilities = expit(pairs)  # (Sen, FPR)
+    positives = np.empty_like(sizes)
+    for r, rng in enumerate(rngs):
+        positives[r] = rng.binomial(sizes[r], probabilities[r])  # (x, y)
+    x, y = positives[..., 0], positives[..., 1]
+    tables = np.stack((x, sizes[..., 0] - x, y, sizes[..., 1] - y), axis=-1)
+    kept = np.ones((reps, total), dtype=bool)
     if n_drop:
         # drop the n_drop lowest observed Youden indices; ties drop the
         # smaller study, then the earlier draw (lexsort is stable)
-        kept[np.lexsort((sizes.sum(axis=1), _youden(tables)))[:n_drop]] = False
-    return tables, sources >= total - n_shifted, kept
+        order = np.lexsort((totals, _youden(tables)), axis=-1)
+        np.put_along_axis(kept, order[:, :n_drop], False, axis=-1)
+    return tables, sources >= n_base, kept
+
+
+def generate_block(condition: SimCondition, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One meta-analysis per stream, as a (reps, k, 4) int64 table array in draw order.
+
+    Replicate r is the dataset ``generate_meta_analysis(condition,
+    rngs[r])`` returns. The block's tables are checked once, together.
+    """
+    tables, _, kept = _realize_block(condition, rngs)
+    block = tables[kept].reshape(len(rngs), condition.k, 4)
+    error = model._first_invalid(block.reshape(-1, 4))
+    if error is not None:
+        raise error
+    return block
 
 
 def generate_meta_analysis(condition: SimCondition, rng: np.random.Generator) -> MetaDataset:
-    """Generate one meta-analysis under the condition's bias mechanism."""
-    tables, _, kept = _realize_all(condition, rng)
-    return MetaDataset(tables[kept])
+    """Generate one meta-analysis under the condition's bias mechanism: a block of one."""
+    tables, _, kept = _realize_block(condition, [rng])
+    return MetaDataset(tables[0][kept[0]])
 
 
 def generate_meta_analysis_traced(
     condition: SimCondition, rng: np.random.Generator
 ) -> tuple[MetaDataset, GenerationTrace]:
     """Generate one meta-analysis and report how each study arose."""
-    tables, shifted, kept = _realize_all(condition, rng)
+    tables, shifted, kept = _realize_block(condition, [rng])
+    tables, shifted, kept = tables[0], shifted[0], kept[0]
     youden = _youden(tables)
     trace = GenerationTrace(
         origins=tuple("shifted" if s else "base" for s in shifted[kept].tolist()),

@@ -22,7 +22,7 @@ from funnelbias.asymmetry import (
     weighted_linear_fit,
 )
 from funnelbias.asymmetry import (
-    _center_and_rank,
+    _center_and_rank as _center_and_rank_rows,
     _kendall_tau,
     _signed_rank_tail,
 )
@@ -420,6 +420,11 @@ def test_begg_dispersion_variants_and_two_sided():
 # ---------------------------------------------------------------------------
 
 
+def _center_and_rank(values, theta):
+    """One row's centered effects, ranks, gamma_plus, S+ and L."""
+    return [part[0] for part in _center_and_rank_rows(values[None], np.array([theta]))]
+
+
 def test_center_and_rank_hand_case():
     # positive centered effects hold ranks {4, 5}: L = (4*9 - 30) / 9
     centered, ranks, gamma, s_plus, l_est = _center_and_rank(
@@ -463,8 +468,11 @@ def test_gamma_plus_matches_group_loop():
     for _ in range(2000):
         values = rng.integers(-3, 4, size=int(rng.integers(1, 12))) * 0.5
         theta = float(rng.choice([0.0, 0.5, -1.0]))
-        centered, _, gamma, _, _ = _center_and_rank(values, theta)
+        centered, ranks, gamma, s_plus, _ = _center_and_rank(values, theta)
         assert gamma == reference(centered)
+        # the tied average ranks too, and S+ over the positive ones
+        assert np.array_equal(ranks, sps.rankdata(np.abs(centered)))
+        assert s_plus == np.sum(ranks[centered > 0])
 
 
 def test_trim_fill_state_is_array_based():

@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from funnelbias import model
+from funnelbias import asymmetry, cli, harness, model
 from funnelbias.asymmetry import (
     EggerWeighting,
     MacaskillWeighting,
@@ -15,8 +19,9 @@ from funnelbias.asymmetry import (
     macaskill_test,
     trim_fill_test,
 )
-from funnelbias.errors import EmptyInput
+from funnelbias.errors import EmptyInput, StatisticalError
 from funnelbias.harness import (
+    FAMILIES,
     RESULTS_CSV_HEADER,
     TestFamily,
     TestVariantId,
@@ -27,8 +32,16 @@ from funnelbias.harness import (
     wilson_interval,
     write_results_csv,
 )
+from funnelbias.measures import measure_studies
 from funnelbias.model import CorrectionPolicy, EstimateSet, MeasureId, Sidedness
-from funnelbias.sampler import BiasMechanism, BiasSpec, BivariateParams, SimCondition
+from funnelbias.sampler import (
+    BiasMechanism,
+    BiasSpec,
+    BivariateParams,
+    SimCondition,
+    generate_meta_analysis,
+    replicate_rng,
+)
 
 LNDOR = MeasureId.LNDOR
 T_SE_R = TestVariantId(TestFamily.TRIMFILL, LNDOR, PrecisionAxis.SE, estimator=TrimFillEstimator.R)
@@ -177,13 +190,86 @@ def test_run_condition_degenerate_scored_as_non_rejection():
 
 
 def test_run_condition_checks_each_replicate_tables_once(monkeypatch):
-    # the sampler's MetaDataset checks its tables; neither measure checks them again
+    # the sampler checks each block's tables together; neither measure checks them again
     calls = []
     check = model._first_invalid
     monkeypatch.setattr(model, "_first_invalid", lambda tables: calls.append(len(tables)) or check(tables))
     youden_egger = TestVariantId(TestFamily.EGGER, MeasureId.YOUDEN, PrecisionAxis.SE)
     run_condition(fe_condition(k=10), [T_SE_R, youden_egger], reps=7, master_seed=4)
-    assert calls == [10] * 7
+    assert sum(calls) == 7 * 10
+    calls.clear()
+    monkeypatch.setattr(harness, "BLOCK_REPS", 3)
+    run_condition(fe_condition(k=10), [T_SE_R, youden_egger], reps=7, master_seed=4)
+    assert calls == [30, 30, 10]
+
+
+def one_sided_variants():
+    """Every one-sided variant: each family's axes by its weightings or estimators, for each measure."""
+    variants = []
+    for measure, (family, rule) in itertools.product(MeasureId, FAMILIES.items()):
+        options = [{}]
+        if rule.weighting is not None:
+            options = [{"weighting": w} for w in rule.weighting]
+        elif rule.estimator is not None:
+            options = [{"estimator": e} for e in TrimFillEstimator]
+        variants += [TestVariantId(family, measure, axis, **o) for axis in rule.axes for o in options]
+    return variants
+
+
+ALL_ONE_SIDED = one_sided_variants()
+
+
+def replicate_by_replicate(condition, variants, reps, alpha, seed, index, policy):
+    """(rejections, degenerate) per variant, one replicate at a time through the single-dataset calls."""
+    rejections = [0] * len(variants)
+    degenerate = [0] * len(variants)
+    for rep in range(reps):
+        dataset = generate_meta_analysis(condition, replicate_rng(seed, index, rep))
+        estimates = {m: measure_studies(dataset, m, policy).estimates for m in MeasureId}
+        for j, variant in enumerate(variants):
+            try:
+                rejections[j] += run_variant(variant, estimates[variant.measure], alpha).reject
+            except StatisticalError:
+                degenerate[j] += 1
+    return rejections, degenerate
+
+
+@st.composite
+def grid_cells(draw):
+    mechanism = draw(st.sampled_from(BiasMechanism))
+    bias = BiasSpec()
+    if mechanism is BiasMechanism.SELECTION:
+        bias = BiasSpec(mechanism, selection_fraction=draw(st.sampled_from((0.1, 0.2, 0.4))))
+    elif mechanism is BiasMechanism.MIXTURE:
+        bias = BiasSpec(mechanism, eta=(0.75, -0.75), mixture_fraction=draw(st.sampled_from((1 / 3, 1.0))))
+    mu = (draw(st.sampled_from((0.0, 1.0, 3.0))), draw(st.sampled_from((0.0, -1.0, -3.0))))
+    params = draw(st.sampled_from((
+        BivariateParams(mu),
+        BivariateParams(mu, sigma_a2=0.5, sigma_ab=0.3, sigma_b2=0.5),
+        BivariateParams(mu, sigma_a2=1.0, sigma_ab=0.5, sigma_b2=1.0),
+    )))
+    n_min = draw(st.integers(3, 60))  # small studies give zero cells
+    n_max = n_min + draw(st.integers(0, 300))
+    k = draw(st.integers(3, 40))
+    return SimCondition(params, k, draw(st.sampled_from((0.5, 0.2))), n_min, n_max, bias)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    condition=grid_cells(),
+    policy=st.sampled_from(CorrectionPolicy),
+    reps=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_run_condition_blocks_match_replicate_by_replicate(condition, policy, reps, seed):
+    assert len(set(ALL_ONE_SIDED)) == 92
+    expected = replicate_by_replicate(condition, ALL_ONE_SIDED, reps, 0.1, seed, 3, policy)
+    for block_reps in (harness.BLOCK_REPS, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "BLOCK_REPS", block_reps)
+            results = run_condition(condition, ALL_ONE_SIDED, reps, 0.1, seed, 3, policy)
+        assert [r.rejections for r in results] == expected[0], block_reps
+        assert [r.degenerate_reps for r in results] == expected[1], block_reps
 
 
 def test_run_condition_validates_args():
@@ -207,6 +293,49 @@ def test_run_grid_parallelism_invariant():
     parallel = run_grid(grid, [T_SE_R], reps=40, master_seed=3, parallelism=4)
     assert [r.rejections for r in serial] == [r.rejections for r in parallel]
     assert [r.degenerate_reps for r in serial] == [r.degenerate_reps for r in parallel]
+
+
+def test_run_grid_starts_no_more_workers_than_conditions(monkeypatch):
+    # a fork pool starts all max_workers processes at once, so the cap matters
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    grid = [fe_condition(k=10), fe_condition(k=12)]
+    results = run_grid(grid, [T_SE_R], reps=3, master_seed=1, parallelism=5000)
+    assert started == [2]
+    run_grid(grid, [T_SE_R], reps=3, master_seed=1, parallelism=2)
+    assert started == [2, 2]
+    assert results == run_grid(grid, [T_SE_R], reps=3, master_seed=1, parallelism=1)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py swaps wrappers into these modules by name and
+    # restores them on exit; a renamed target would break a traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (harness, asymmetry, cli)
+    before = [dict(vars(module)) for module in modules]
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        assert harness.trim_fill_test is not before[0]["trim_fill_test"]
+        run_condition(fe_condition(k=10), [T_SE_R, E_SE], reps=2, master_seed=1)
+    assert [dict(vars(module)) for module in modules] == before
+    assert tracer.durations("asymmetry.egger")
 
 
 def test_begg_variants_gain_power_under_selection():
