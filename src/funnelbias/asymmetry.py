@@ -1,7 +1,8 @@
 """Statistical tests for funnel-plot asymmetry.
 
-Four test families operate on one measure's per-study effect estimates
-(an :class:`~funnelbias.model.EstimateSet`):
+Four test families operate on one measure's per-study effect estimates,
+each through one kernel over the rows of an ``EstimateRows`` block; a
+family's single-dataset test is its kernel on a block of one:
 
 * Egger-style regression of the standardized effect t/SE on a precision
   coordinate; publication bias pushes the intercept above zero.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ from .errors import (
     SingularDesign,
     TooFewStudies,
 )
-from .model import MIN_STUDIES, AsymmetryTestResult, EstimateSet, Sidedness
+from .model import MIN_STUDIES, AsymmetryTestResult, EstimateRows, EstimateSet, Sidedness
 
 MAX_TRIM_ITERATIONS = 50
 
@@ -70,13 +71,14 @@ class TrimFillEstimator(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class RegressionFit:
-    """A two-parameter weighted least-squares fit y = b0 + b1*x."""
+    """A weighted least-squares fit y = b0 + b1*x per row; the numbers of a ``singular`` row mean nothing."""
 
-    b0: float
-    b1: float
-    se_b0: float
-    se_b1: float
+    b0: np.ndarray
+    b1: np.ndarray
+    se_b0: np.ndarray
+    se_b1: np.ndarray
     df: int
+    singular: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +89,8 @@ class TrimFillState:
     ranks are average ranks of the absolute centered effects and
     ``s_plus`` sums those of the positive centered effects.
     ``r_estimate`` is gamma_plus - 1 before clamping (so it can be -1),
-    ``k0`` the clamped integer actually used for trimming. From
+    ``k0`` the clamped integer actually used for trimming. ``statistic``
+    is the estimator's (R or L) and ``p_value`` its one-sided p. From
     :func:`trim_fill_rows` every field gains a leading axis, one entry
     per row.
     """
@@ -102,13 +105,40 @@ class TrimFillState:
     k0: int
     iterations: int
     converged: bool
+    statistic: float
+    p_value: float
+
+
+class Failure(enum.IntEnum):
+    """Why a test cannot run on a row of a block; ``NONE`` where it ran."""
+
+    NONE = 0
+    SINGULAR_DESIGN = 1
+    CENTERED_VARIANCE = 2
+    ALL_TIED = 3
+
+
+# The exception a single-dataset test raises for each failure reason.
+FAILURE_ERRORS = {
+    Failure.SINGULAR_DESIGN: (SingularDesign, "predictor has no weighted spread across studies"),
+    Failure.CENTERED_VARIANCE: (AllTied, "centered-effect variance is not positive for every study"),
+    Failure.ALL_TIED: (AllTied, "dispersion values are all identical"),
+}
+
+
+class RowResults(NamedTuple):
+    """A test on each row of a block: statistic and p, which mean nothing where ``failure`` is set."""
+
+    statistic: np.ndarray
+    p_value: np.ndarray  # in [0, 1]; nan only where the arithmetic failed
+    failure: np.ndarray  # a Failure per row
 
 
 class AxisRule(NamedTuple):
     """What a regression or rank test does on one funnel axis."""
 
     tag: str  # the axis's part of the test_id
-    column: Callable[[EstimateSet], np.ndarray]  # the predictor or dispersion
+    column: Callable[[EstimateRows], np.ndarray]  # the predictor or dispersion
     weighting: enum.Enum | None = None  # the weighting used when none is given
     alternative: str = "greater"  # one-sided alternative for the tested coefficient
 
@@ -138,80 +168,80 @@ def _require_studies(estimates: EstimateSet) -> None:
 def weighted_linear_fit(
     x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
 ) -> RegressionFit:
-    """Weighted least squares for y = b0 + b1*x with known relative weights.
+    """Weighted least squares for y = b0 + b1*x with known relative weights, along the last axis.
 
     The closed-form two-parameter fit about the weighted means: b1 =
     Sxy / Sxx and b0 = y_bar - b1 * x_bar, with Sxx the weighted spread
     of the predictor. Coefficient standard errors use the usual scaled
     covariance sigma2 * (X'WX)^-1 with sigma2 = weighted RSS / (k - 2).
-    A predictor whose weighted spread vanishes against its weighted
-    second moment (constant, or swamped by one study's weight) raises
-    :class:`SingularDesign`.
+    A row whose predictor has no weighted spread against its weighted
+    second moment (constant, or swamped by one study's weight) is
+    ``singular``. Every sum runs along one row, so each row's fit is
+    the one it gets alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    k = len(x)
+    k = x.shape[-1]
     if k < MIN_STUDIES:
         raise TooFewStudies(f"regression needs k >= {MIN_STUDIES}, got {k}")
-    w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
-    sw = np.sum(w)
-    x_bar = np.sum(w * x) / sw
-    y_bar = np.sum(w * y) / sw
-    dx = x - x_bar
-    sxx = np.sum(w * dx * dx)
-    # Below this share of sum(w x^2), X'WX keeps fewer than four digits.
-    if not sxx > 1e-12 * np.sum(w * x * x):
-        raise SingularDesign("predictor has no weighted spread across studies")
-    b1 = np.sum(w * dx * (y - y_bar)) / sxx
-    b0 = y_bar - b1 * x_bar
-    resid = y - b0 - b1 * x
-    rss = float(np.sum(w * resid * resid))
-    # An exact fit leaves only rounding noise in the residuals; treat it
-    # as zero so coefficient SEs do not become noise ratios.
-    scale = max(1.0, float(np.max(np.sqrt(w) * np.abs(y))))
-    if rss < (1e-10 * scale) ** 2 * k:
-        rss = 0.0
-    sigma2 = rss / (k - 2)
-    return RegressionFit(
-        b0=float(b0),
-        b1=float(b1),
-        se_b0=math.sqrt(sigma2 * (1.0 / sw + x_bar * x_bar / sxx)),
-        se_b1=math.sqrt(sigma2 / sxx),
-        df=k - 2,
-    )
+    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular rows divide by a zero spread
+        sw = w.sum(axis=-1)
+        x_bar = (w * x).sum(axis=-1) / sw
+        y_bar = (w * y).sum(axis=-1) / sw
+        dx = x - x_bar[..., None]
+        sxx = (w * dx * dx).sum(axis=-1)
+        # Below this share of sum(w x^2), X'WX keeps fewer than four digits.
+        singular = ~(sxx > 1e-12 * (w * x * x).sum(axis=-1))
+        b1 = (w * dx * (y - y_bar[..., None])).sum(axis=-1) / sxx
+        b0 = y_bar - b1 * x_bar
+        resid = y - b0[..., None] - b1[..., None] * x
+        rss = (w * resid * resid).sum(axis=-1)
+        # An exact fit leaves only rounding noise in the residuals; treat it
+        # as zero so coefficient SEs do not become noise ratios.
+        scale = np.fmax(1.0, (np.sqrt(w) * np.abs(y)).max(axis=-1))
+        rss = np.where(rss < (1e-10 * scale) ** 2 * k, 0.0, rss)
+        sigma2 = rss / (k - 2)
+        return RegressionFit(
+            b0=b0,
+            b1=b1,
+            se_b0=np.sqrt(sigma2 * (1.0 / sw + x_bar * x_bar / sxx)),
+            se_b1=np.sqrt(sigma2 / sxx),
+            df=k - 2,
+            singular=singular,
+        )
 
 
-def _coefficient_statistic(coef: float, se_coef: float, scale: float) -> float:
-    """t statistic for a coefficient, defined under perfect fits too.
+def _coefficient_statistic(coef: np.ndarray, se_coef: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """t statistic of each row's coefficient, defined under perfect fits too.
 
     With zero residual variance the SE collapses to 0; a coefficient that
     is itself (numerically) zero then carries no evidence in either
     direction, so the statistic is 0, otherwise it is +/- infinity.
     """
-    if se_coef > 0.0:
-        return coef / se_coef
-    if abs(coef) <= 1e-12 * max(1.0, scale):
-        return 0.0
-    return math.copysign(math.inf, coef)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = coef / se_coef
+    flat = np.where(np.abs(coef) <= 1e-12 * np.fmax(1.0, scale), 0.0, np.copysign(np.inf, coef))
+    return np.where(se_coef > 0.0, ratio, flat)
 
 
-def _t_pvalue(statistic: float, df: int, sidedness: Sidedness, direction: str) -> float:
+def _t_pvalue(statistic: np.ndarray, df: int, sidedness: Sidedness, direction: str) -> np.ndarray:
     if sidedness is Sidedness.TWO_SIDED:
-        return float(2.0 * stdtr(df, -abs(statistic)))
-    if direction == "greater":
-        return float(stdtr(df, -statistic))
-    return float(stdtr(df, statistic))
+        p = 2.0 * stdtr(df, -np.abs(statistic))
+    else:
+        p = stdtr(df, -statistic if direction == "greater" else statistic)
+    return np.minimum(p, 1.0)
 
 
-def _finish(
-    test_id: str,
-    statistic: float,
-    p_value: float,
-    sidedness: Sidedness,
-    alpha: float,
-    **extra,
-) -> AsymmetryTestResult:
-    p_value = min(max(p_value, 0.0), 1.0)
+def _finish(test_id: str, results, sidedness: Sidedness, alpha: float, **extra) -> AsymmetryTestResult:
+    """One dataset's result from its (statistic, p, failure), scalars or a block of one row.
+
+    A failed row raises the exception its failure reason names.
+    """
+    statistic, p_value, failure = (np.ravel(column)[0].item() for column in results)
+    if failure != Failure.NONE:
+        error, message = FAILURE_ERRORS[Failure(failure)]
+        raise error(message)
     return AsymmetryTestResult(
         test_id=test_id,
         statistic=statistic,
@@ -232,7 +262,7 @@ def pool_fixed_effects(estimates: EstimateSet) -> float:
     """Inverse-variance weighted mean of the estimates."""
     if not len(estimates):
         raise TooFewStudies("cannot pool an empty set of estimates")
-    return _pool_fixed(estimates.value, estimates.se**2)
+    return float(_pool_fixed(estimates.value, estimates.se**2))
 
 
 def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
@@ -243,9 +273,10 @@ def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
     return float(theta), float(tau2)
 
 
-def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> float:
+def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Inverse-variance weighted mean of each row, reducing along the last axis."""
     w = 1.0 / variances
-    return float(np.sum(w * values) / np.sum(w))
+    return (w * values).sum(axis=-1) / w.sum(axis=-1)
 
 
 def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +312,30 @@ MACASKILL_AXES = AxisTable("Macaskill", {
 })
 
 
+def egger_rows(
+    rows: EstimateRows,
+    axis: PrecisionAxis = PrecisionAxis.SE,
+    weighting: EggerWeighting | None = None,
+    sidedness: Sidedness = Sidedness.ONE_SIDED,
+) -> RowResults:
+    """Egger's intercept test on every row of a block of at least ``MIN_STUDIES`` studies."""
+    rule = EGGER_AXES[axis]
+    weighting = rule.weighting if weighting is None else weighting
+    values, ses = rows.value, rows.se
+    response = values / ses
+    if weighting is EggerWeighting.UNWEIGHTED:
+        weights = None
+    elif weighting is EggerWeighting.INV_VARIANCE_FIXED:
+        weights = 1.0 / ses**2
+    else:
+        _, tau2 = _pool_dersimonian_laird(values, ses**2)
+        weights = 1.0 / (ses**2 + tau2[:, None])
+    fit = weighted_linear_fit(rule.column(rows), response, weights)
+    statistic = _coefficient_statistic(fit.b0, fit.se_b0, np.abs(response).max(axis=-1))
+    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
+    return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
+
+
 def egger_test(
     estimates: EstimateSet,
     axis: PrecisionAxis = PrecisionAxis.SE,
@@ -296,20 +351,30 @@ def egger_test(
     _require_studies(estimates)
     rule = EGGER_AXES[axis]
     weighting = rule.weighting if weighting is None else weighting
-    values, ses = estimates.value, estimates.se
-    response = values / ses
-    if weighting is EggerWeighting.UNWEIGHTED:
-        weights = None
-    elif weighting is EggerWeighting.INV_VARIANCE_FIXED:
-        weights = 1.0 / ses**2
+    results = egger_rows(estimates.rows(), axis, weighting, sidedness)
+    return _finish(f"E({estimates.measure.value},{rule.tag},{weighting.value})", results, sidedness, alpha)
+
+
+def macaskill_rows(
+    rows: EstimateRows,
+    axis: PrecisionAxis = PrecisionAxis.N,
+    weighting: MacaskillWeighting | None = None,
+    sidedness: Sidedness = Sidedness.ONE_SIDED,
+) -> RowResults:
+    """Macaskill's slope test on every row of a block of at least ``MIN_STUDIES`` studies."""
+    rule = MACASKILL_AXES[axis]
+    weighting = rule.weighting if weighting is None else weighting
+    values = rows.value
+    if weighting is MacaskillWeighting.INV_VARIANCE_FIXED:
+        weights = 1.0 / rows.se**2
+    elif weighting is MacaskillWeighting.ESS:
+        weights = rows.ess
     else:
-        _, tau2 = _pool_dersimonian_laird(values, ses**2)
-        weights = 1.0 / (ses**2 + tau2)
-    fit = weighted_linear_fit(rule.column(estimates), response, weights)
-    statistic = _coefficient_statistic(fit.b0, fit.se_b0, float(np.max(np.abs(response))))
+        weights = rows.m1 * rows.m2 / rows.n
+    fit = weighted_linear_fit(rule.column(rows), values, weights)
+    statistic = _coefficient_statistic(fit.b1, fit.se_b1, np.abs(values).max(axis=-1))
     p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
-    test_id = f"E({estimates.measure.value},{rule.tag},{weighting.value})"
-    return _finish(test_id, statistic, p, sidedness, alpha)
+    return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
 
 
 def macaskill_test(
@@ -329,18 +394,8 @@ def macaskill_test(
     _require_studies(estimates)
     rule = MACASKILL_AXES[axis]
     weighting = rule.weighting if weighting is None else weighting
-    values = estimates.value
-    if weighting is MacaskillWeighting.INV_VARIANCE_FIXED:
-        weights = 1.0 / estimates.se**2
-    elif weighting is MacaskillWeighting.ESS:
-        weights = estimates.ess
-    else:
-        weights = estimates.m1 * estimates.m2 / estimates.n
-    fit = weighted_linear_fit(rule.column(estimates), values, weights)
-    statistic = _coefficient_statistic(fit.b1, fit.se_b1, float(np.max(np.abs(values))))
-    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
-    test_id = f"M({estimates.measure.value},{rule.tag},{weighting.value})"
-    return _finish(test_id, statistic, p, sidedness, alpha)
+    results = macaskill_rows(estimates.rows(), axis, weighting, sidedness)
+    return _finish(f"M({estimates.measure.value},{rule.tag},{weighting.value})", results, sidedness, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -351,77 +406,84 @@ EXACT_KENDALL_MAX_K = 7
 
 
 @lru_cache(maxsize=None)
-def _kendall_s_tail_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Null distribution of S = C - D for untied samples of size k.
+def _kendall_s_tail_table(k: int) -> np.ndarray:
+    """P(S >= n0 - 2j) by j, for S = C - D of untied samples of size k and n0 = k(k-1)/2.
 
-    Returns (support, P(S >= support)) computed from the Mahonian
-    (permutation inversion) counts: S = k(k-1)/2 - 2 * inversions.
+    Computed from the Mahonian (permutation inversion) counts: S = n0 -
+    2 * inversions.
     """
     counts = np.array([1], dtype=float)  # inversion counts, start with 0 inversions
     for i in range(2, k + 1):
         kernel = np.ones(i)
         counts = np.convolve(counts, kernel)
-    n0 = k * (k - 1) // 2
-    support = n0 - 2 * np.arange(len(counts))  # S for 0, 1, ... inversions
     probs = counts / counts.sum()
-    tail = np.cumsum(probs)  # P(S >= support[j]) since support is decreasing
-    return support, tail
+    return np.minimum(np.cumsum(probs), 1.0)  # S falls as inversions rise
 
 
-def _exact_kendall_tail(k: int, s: int) -> float:
-    """P(S_perm >= s) under the untied null for sample size k."""
-    support, tail = _kendall_s_tail_table(k)
-    idx = np.nonzero(support >= s)[0]
-    if len(idx) == 0:
-        return 0.0
-    return float(tail[idx[-1]])
+def _run_starts(ties: np.ndarray) -> np.ndarray:
+    """Sorted position where each entry's run of equal values starts, in rows sorted along the last axis.
+
+    ``ties`` marks each sorted entry (but the first) that equals the one before it.
+    """
+    rows, k = ties.shape[0], ties.shape[1] + 1
+    position = np.arange(k)
+    starts = np.zeros((rows, k), dtype=np.intp)
+    starts[:, 1:] = np.where(ties, 0, position[1:])
+    return np.maximum.accumulate(starts, axis=-1)
 
 
-def _tie_stats(values: np.ndarray) -> tuple[float, float, float]:
-    _, counts = np.unique(values, return_counts=True)
-    t = counts.astype(float)
-    return (
-        float(np.sum(t * (t - 1) / 2)),
-        float(np.sum(t * (t - 1) * (2 * t + 5))),
-        float(np.sum(t * (t - 1) * (t - 2))),
-    )
+def _tie_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums over each row's tie groups of sizes t: t(t-1)/2, t(t-1)(2t+5) and t(t-1)(t-2).
+
+    An entry at position p of its sorted run adds f(p + 1) - f(p) to each
+    sum f, so the sums are exact integers whatever the order.
+    """
+    ascending = np.sort(values, axis=-1)
+    p = np.arange(values.shape[-1]) - _run_starts(ascending[:, 1:] == ascending[:, :-1])
+    return tuple(terms.sum(axis=-1).astype(float) for terms in (p, 6 * p * (p + 2), 3 * p * (p - 1)))
 
 
-def _kendall_tau(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Kendall's tau-b, P(S >= s) for the alternative tau > 0, and the two-sided p."""
-    k = len(xs)
-    iu = np.triu_indices(k, 1)
-    dx = np.sign(xs[:, None] - xs[None, :])[iu]
-    dy = np.sign(ys[:, None] - ys[None, :])[iu]
-    s = float(np.sum(dx * dy))
+def _kendall_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kendall's tau-b of each row, P(S >= s) for the alternative tau > 0, and the two-sided p.
+
+    S sums sign products one pair offset at a time, so memory stays
+    O(rows * k); the sums of +-1 and 0 are exact. Rows without ties take
+    the exact null for k up to ``EXACT_KENDALL_MAX_K``, the rest a normal
+    approximation with Kendall's (1970) tie-corrected variance.
+    """
+    rows, k = xs.shape
     n0 = k * (k - 1) / 2
-    tx_pairs, tx_var, tx_triple = _tie_stats(xs)
-    ty_pairs, ty_var, ty_triple = _tie_stats(ys)
-    denom = math.sqrt((n0 - tx_pairs) * (n0 - ty_pairs))
-    if denom == 0.0:
-        # one vector is constant: every pair ties, no evidence either way
-        return 0.0, 0.5, 1.0
-    tau = s / denom
-
-    no_ties = tx_pairs == 0.0 and ty_pairs == 0.0
-    if no_ties and k <= EXACT_KENDALL_MAX_K:
-        p_greater = _exact_kendall_tail(k, int(round(s)))
-        p_less = _exact_kendall_tail(k, int(round(-s)))  # symmetric null
-    else:
+    tx_pairs, tx_var, tx_triple = _tie_sums(xs)
+    ty_pairs, ty_var, ty_triple = _tie_sums(ys)
+    # inf or nan entries (rows a caller has failed) give a nan S; constant rows are set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.zeros(rows)
+        for d in range(1, k):
+            s = s + (np.sign(xs[:, d:] - xs[:, :-d]) * np.sign(ys[:, d:] - ys[:, :-d])).sum(axis=-1)
+        untied_pairs = (n0 - tx_pairs) * (n0 - ty_pairs)
+        tau = s / np.sqrt(untied_pairs)
         var_s = (
             (k * (k - 1) * (2 * k + 5) - tx_var - ty_var) / 18.0
             + tx_pairs * ty_pairs / n0
             + tx_triple * ty_triple / (9.0 * k * (k - 1) * (k - 2))
         )
-        sd = math.sqrt(var_s) if var_s > 0 else 0.0
-        if sd == 0.0:
-            # All pair comparisons tied away; no information either way.
-            return tau, 0.5, 1.0
+        sd = np.sqrt(np.where(var_s > 0, var_s, 0.0))
         # continuity correction: S moves on a lattice of spacing 2 when untied,
         # so each tail threshold shifts by half a step toward the center
-        p_greater = float(ndtr(-((s - 1.0) / sd)))
-        p_less = float(ndtr((s + 1.0) / sd))
-    return tau, p_greater, min(1.0, 2.0 * min(p_greater, p_less))
+        p_greater = ndtr(-((s - 1.0) / sd))
+        p_less = ndtr((s + 1.0) / sd)
+    exact = (tx_pairs == 0.0) & (ty_pairs == 0.0) & (k <= EXACT_KENDALL_MAX_K) & ~np.isnan(s)
+    if exact.any():
+        tail = _kendall_s_tail_table(k)
+        untied = s[exact].astype(np.int64)
+        p_greater[exact] = tail[(int(n0) - untied) // 2]
+        p_less[exact] = tail[(int(n0) + untied) // 2]  # symmetric null
+    # one vector is constant (every pair ties), or all pair comparisons
+    # are tied away: no information either way
+    constant = untied_pairs == 0.0
+    flat = constant | (~exact & (sd == 0.0))
+    p_two = np.minimum(1.0, 2.0 * np.minimum(p_greater, p_less))
+    return np.where(constant, 0.0, tau), np.where(flat, 0.5, p_greater), np.where(flat, 1.0, p_two)
 
 
 BEGG_AXES = AxisTable("Begg", {
@@ -430,6 +492,31 @@ BEGG_AXES = AxisTable("Begg", {
     PrecisionAxis.ESS: AxisRule("inv_ess", lambda e: 1.0 / e.ess),
     PrecisionAxis.INV_N: AxisRule("inv_n", lambda e: 1.0 / e.n),  # the same test as axis N
 })
+
+
+def begg_rows(
+    rows: EstimateRows,
+    axis: PrecisionAxis = PrecisionAxis.SE,
+    sidedness: Sidedness = Sidedness.ONE_SIDED,
+) -> RowResults:
+    """Begg's rank correlation test on every row of a block of at least ``MIN_STUDIES`` studies.
+
+    A row fails with ``CENTERED_VARIANCE`` when some centered effect's
+    variance is not positive, else with ``ALL_TIED`` when its dispersion
+    is constant.
+    """
+    values, ses = rows.value, rows.se
+    variances = ses**2
+    t_bar = _pool_fixed(values, variances)
+    disp = BEGG_AXES[axis].column(rows)
+    # rounding can leave a centered variance below 0: nan, then a nan p, as the test alone gets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se_star = np.sqrt(variances - 1.0 / (1.0 / variances).sum(axis=-1, keepdims=True))
+        failed = [(se_star <= 0.0).any(axis=-1), np.ptp(disp, axis=-1) == 0.0]
+        failure = np.select(failed, [Failure.CENTERED_VARIANCE, Failure.ALL_TIED], Failure.NONE)
+        t_star = (values - t_bar[:, None]) / se_star
+    tau, p_greater, p_two = _kendall_rows(t_star, disp)
+    return RowResults(tau, p_two if sidedness is Sidedness.TWO_SIDED else p_greater, failure)
 
 
 def begg_test(
@@ -448,21 +535,8 @@ def begg_test(
     is tau > 0 throughout.
     """
     _require_studies(estimates)
-    values, ses = estimates.value, estimates.se
-    variances = ses**2
-    t_bar = _pool_fixed(values, variances)
-    se_star = np.sqrt(variances - 1.0 / np.sum(1.0 / variances))
-    if np.any(se_star <= 0.0):
-        raise AllTied("centered-effect variance is not positive for every study")
-    t_star = (values - t_bar) / se_star
-    rule = BEGG_AXES[axis]
-    disp = rule.column(estimates)
-    if np.ptp(disp) == 0.0:
-        raise AllTied("dispersion values are all identical")
-    tau, p_greater, p_two = _kendall_tau(t_star, disp)
-    p = p_two if sidedness is Sidedness.TWO_SIDED else p_greater
-    test_id = f"B({estimates.measure.value},{rule.tag})"
-    return _finish(test_id, tau, p, sidedness, alpha)
+    results = begg_rows(estimates.rows(), axis, sidedness)
+    return _finish(f"B({estimates.measure.value},{BEGG_AXES[axis].tag})", results, sidedness, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +573,9 @@ def _center_and_rank(values: np.ndarray, theta: np.ndarray):
     ties = ascending[:, 1:] == ascending[:, :-1]
     if ties.any():
         # every member of a tie group gets the mean of its first and last
-        # sorted positions, found by running maxima forward and backward
-        starts = np.zeros((rows, k), dtype=np.intp)
-        starts[:, 1:] = np.where(ties, 0, position[1:])
-        ends = np.full((rows, k), k - 1, dtype=np.intp)
-        ends[:, :-1] = np.where(ties, k - 1, position[:-1])
-        first = np.maximum.accumulate(starts, axis=-1)
-        last = np.minimum.accumulate(ends[:, ::-1], axis=-1)[:, ::-1]
+        # sorted positions; the last is the first counted from the other end
+        first = _run_starts(ties)
+        last = k - 1 - _run_starts(ties[:, ::-1])[:, ::-1]
         rank = 0.5 * (first + last) + 1.0
     ranks = np.empty((rows, k))
     ranks[row, order] = rank
@@ -537,19 +607,20 @@ def _signed_rank_tail(k: int, s_plus: float) -> float:
     return float(probs[threshold:].sum())  # 0.0 beyond the largest sum
 
 
-def _l_pvalue(k: int, ranks: np.ndarray, s_plus: float) -> float:
-    """One-sided p for the L estimator under the symmetric-signs null.
+def _l_pvalue(ranks: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
+    """One-sided p of each row's L estimator under the symmetric-signs null.
 
-    Exact via the signed-rank-sum distribution when the ranks are the
-    untied integers 1..k; otherwise a normal approximation with
+    Exact via the signed-rank-sum distribution for a row whose ranks are
+    the untied integers 1..k; otherwise a normal approximation with
     continuity correction on the rank-sum scale.
     """
-    untied = np.array_equal(np.sort(ranks), np.arange(1, k + 1, dtype=float))
-    if untied:
-        return _signed_rank_tail(k, s_plus)
+    k = ranks.shape[-1]
     mean = k * (k + 1) / 4.0
     sd = math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
-    return float(ndtr(-((s_plus - 0.5 - mean) / sd)))
+    p = ndtr(-((s_plus - 0.5 - mean) / sd))
+    untied = (np.sort(ranks, axis=-1) == np.arange(1, k + 1)).all(axis=-1)
+    p[untied] = [_signed_rank_tail(k, s) for s in s_plus[untied].tolist()]
+    return p
 
 
 # Each axis's pooled effect of each row, reducing (values, variances, sample sizes) along the last axis.
@@ -578,6 +649,9 @@ def trim_fill_rows(
     the one a single row reduces, and each row's numbers are those it
     would get alone. Only the L estimator ranks within a pass; under R
     the final ranks, S+ and L are computed once, after the last pass.
+    The run estimator R = gamma_plus - 1 has exact one-sided p =
+    2**(-gamma_plus) under the fair-signs null; L is tested via the
+    signed-rank-sum null distribution.
     """
     rows, k = values.shape
     pool = TRIM_FILL_AXES[axis]
@@ -619,6 +693,10 @@ def trim_fill_rows(
     if estimator is TrimFillEstimator.R:
         final = _center_and_rank(values, theta)
     centered, ranks, gamma_plus, s_plus, l_estimate = final
+    if estimator is TrimFillEstimator.R:
+        statistic, p_value = gamma_plus - 1.0, np.ldexp(1.0, -gamma_plus)
+    else:
+        statistic, p_value = l_estimate, np.minimum(_l_pvalue(ranks, s_plus), 1.0)
     return TrimFillState(
         theta_hat=theta,
         centered=centered,
@@ -630,6 +708,8 @@ def trim_fill_rows(
         k0=k0,
         iterations=iterations,
         converged=converged,
+        statistic=statistic,
+        p_value=p_value,
     )
 
 
@@ -648,35 +728,8 @@ def trim_fill_iterate(
     next pass until k0 stabilizes (or the iteration cap is hit).
     """
     state = trim_fill_rows(values[None], variances[None], ns[None], estimator, axis)
-    return TrimFillState(
-        theta_hat=float(state.theta_hat[0]),
-        centered=state.centered[0],
-        ranks=state.ranks[0],
-        s_plus=float(state.s_plus[0]),
-        gamma_plus=int(state.gamma_plus[0]),
-        r_estimate=int(state.r_estimate[0]),
-        l_estimate=float(state.l_estimate[0]),
-        k0=int(state.k0[0]),
-        iterations=int(state.iterations[0]),
-        converged=bool(state.converged[0]),
-    )
-
-
-def _trim_fill_p(
-    estimator: TrimFillEstimator, gamma_plus: int, ranks: np.ndarray, s_plus: float
-) -> float:
-    """One-sided p of one dataset's final state, as ``trim_fill_test`` reports it."""
-    if estimator is TrimFillEstimator.R:
-        return 2.0 ** (-gamma_plus)
-    return _l_pvalue(len(ranks), ranks, s_plus)
-
-
-def trim_fill_rejections(state: TrimFillState, estimator: TrimFillEstimator, alpha: float) -> int:
-    """How many rows of a ``trim_fill_rows`` state ``trim_fill_test`` would reject at ``alpha``."""
-    return sum(
-        min(_trim_fill_p(estimator, gamma_plus, ranks, s_plus), 1.0) <= alpha
-        for gamma_plus, ranks, s_plus in zip(state.gamma_plus.tolist(), state.ranks, state.s_plus.tolist())
-    )
+    first = {field.name: getattr(state, field.name)[0] for field in fields(TrimFillState)}
+    return TrimFillState(**{name: v if v.ndim else v.item() for name, v in first.items()})
 
 
 def trim_fill_test(
@@ -687,21 +740,17 @@ def trim_fill_test(
 ) -> AsymmetryTestResult:
     """Trim-and-fill test for suppressed left-side studies (one-sided only).
 
-    The run estimator R = gamma_plus - 1 has exact one-sided
-    p = 2**(-gamma_plus) under the fair-signs null; the rank-sum
-    estimator L is tested via the signed-rank-sum null distribution.
-    The axis picks the pooling weights: inverse-variance (DerSimonian-
-    Laird) for SE, plain sample-size weights for N.
+    The statistic is the estimator's (R or L) and p its one-sided p from
+    :func:`trim_fill_rows`. The axis picks the pooling weights:
+    inverse-variance (DerSimonian-Laird) for SE, plain sample-size
+    weights for N.
     """
     _require_studies(estimates)
     state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
-    statistic = float(state.r_estimate) if estimator is TrimFillEstimator.R else state.l_estimate
-    p = _trim_fill_p(estimator, state.gamma_plus, state.ranks, state.s_plus)
     test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
     return _finish(
         test_id,
-        statistic,
-        p,
+        (state.statistic, state.p_value, Failure.NONE),
         Sidedness.ONE_SIDED,
         alpha,
         k0=state.k0,

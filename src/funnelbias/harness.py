@@ -38,22 +38,27 @@ from .asymmetry import (
     TRIM_FILL_AXES,
     AxisTable,
     EggerWeighting,
+    Failure,
     MacaskillWeighting,
     PrecisionAxis,
+    RowResults,
     TrimFillEstimator,
+    begg_rows,
     begg_test,
+    egger_rows,
     egger_test,
+    macaskill_rows,
     macaskill_test,
-    trim_fill_rejections,
     trim_fill_rows,
     trim_fill_test,
 )
-from .errors import EmptyInput, StatisticalError
-from .measures import MeasureBlock, measure_block
+from .errors import EmptyInput
+from .measures import measure_block
 from .model import (
     MIN_STUDIES,
     AsymmetryTestResult,
     CorrectionPolicy,
+    EstimateRows,
     EstimateSet,
     MeasureId,
     Sidedness,
@@ -143,6 +148,21 @@ def run_variant(
     return trim_fill_test(estimates, variant.axis, variant.estimator, alpha)
 
 
+def run_rows(variant: TestVariantId, rows: EstimateRows) -> RowResults:
+    """Evaluate one variant's kernel, which ``run_variant`` runs on one row, on a block's every row.
+
+    The rows need at least ``MIN_STUDIES`` studies.
+    """
+    if variant.family is TestFamily.EGGER:
+        return egger_rows(rows, variant.axis, variant.weighting, variant.sidedness)
+    if variant.family is TestFamily.MACASKILL:
+        return macaskill_rows(rows, variant.axis, variant.weighting, variant.sidedness)
+    if variant.family is TestFamily.BEGG:
+        return begg_rows(rows, variant.axis, variant.sidedness)
+    state = trim_fill_rows(rows.value, rows.se**2, rows.n, variant.estimator, variant.axis)
+    return RowResults(state.statistic, state.p_value, np.zeros(len(state.p_value), dtype=int))
+
+
 @dataclass(frozen=True, slots=True)
 class SimResult:
     """Rejection tally for one (condition, variant) cell."""
@@ -177,10 +197,12 @@ def run_condition(
     Replicates run in blocks of up to ``BLOCK_REPS``: each replicate
     draws from its own stream, in the sampler's documented order, and
     the block's tables are realized, checked and measured as one
-    (reps, k) array. Trim-and-fill variants run on the block's rows,
-    grouped by usable count; the other families run ``run_variant`` on
-    each replicate's estimates. Every replicate gets the numbers it
-    would get alone.
+    (reps, k) array. Each measure's block splits once into groups of
+    equal usable count, and every variant runs its family's kernel on
+    each group. A replicate with fewer than ``MIN_STUDIES`` usable
+    studies, or whose row the kernel fails, is degenerate; a nan p
+    raises ``ValueError``, as in the single-dataset test. Every
+    replicate gets the numbers it would get alone.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -196,24 +218,19 @@ def run_condition(
         ]
         tables = generate_block(condition, rngs)
         for measure in measures:
-            block = measure_block(tables, measure, policy)
             mine = [(j, v) for j, v in enumerate(variants) if v.measure is measure]
-            trim_fill = [(j, v) for j, v in mine if v.family is TestFamily.TRIMFILL]
-            others = [(j, v) for j, v in mine if v.family is not TestFamily.TRIMFILL]
-            if trim_fill:
-                _tally_trim_fill(block, trim_fill, alpha, rejections, degenerate)
-            if not others:
-                continue
-            for row in range(len(rngs)):
-                estimates = block.estimates(row)
-                for j, variant in others:
-                    try:
-                        result = run_variant(variant, estimates, alpha)
-                    except StatisticalError:
-                        degenerate[j] += 1
+            for rows in measure_block(tables, measure, policy).groups():
+                count, k = rows.value.shape
+                for j, variant in mine:
+                    if k < MIN_STUDIES:
+                        degenerate[j] += count
                         continue
-                    if result.reject:
-                        rejections[j] += 1
+                    results = run_rows(variant, rows)
+                    p_values = results.p_value[results.failure == Failure.NONE]
+                    if np.isnan(p_values).any():
+                        raise ValueError("p_value out of [0, 1]: nan")
+                    degenerate[j] += count - len(p_values)
+                    rejections[j] += int(np.count_nonzero(p_values <= alpha))
     return [
         SimResult(
             condition_id=condition_index,
@@ -226,33 +243,6 @@ def run_condition(
         )
         for j, variant in enumerate(variants)
     ]
-
-
-def _tally_trim_fill(
-    block: MeasureBlock,
-    indexed_variants: list[tuple[int, TestVariantId]],
-    alpha: float,
-    rejections: list[int],
-    degenerate: list[int],
-) -> None:
-    """Add each trim-and-fill variant's rejections and degenerate replicates over a block.
-
-    Rows with the same usable count run as one ``trim_fill_rows`` call;
-    a row with fewer than ``MIN_STUDIES`` usable studies is degenerate,
-    as ``trim_fill_test`` would raise ``TooFewStudies`` on it.
-    """
-    usable_counts = block.usable.sum(axis=-1)
-    for k in np.unique(usable_counts).tolist():
-        rows = usable_counts == k
-        if k < MIN_STUDIES:
-            for j, _ in indexed_variants:
-                degenerate[j] += int(rows.sum())
-            continue
-        usable = block.usable[rows]
-        values, se, ns = (column[rows][usable].reshape(-1, k) for column in (block.value, block.se, block.n))
-        for j, variant in indexed_variants:
-            state = trim_fill_rows(values, se**2, ns, variant.estimator, variant.axis)
-            rejections[j] += trim_fill_rejections(state, variant.estimator, alpha)
 
 
 def _run_condition_task(args) -> list[SimResult]:

@@ -20,12 +20,12 @@ checked against parametric-bootstrap oracles in the test suite.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import CorrectionPolicy, EstimateSet, MeasureId, MetaDataset
+from .model import CorrectionPolicy, EstimateRows, EstimateSet, MeasureId, MetaDataset
 
 # Each measure maps the (possibly corrected) cell columns x, w, y, z to
 # (value, se, checks): value and se for every study, and (undefined,
@@ -150,37 +150,27 @@ class Measurement(NamedTuple):
 
 
 class MeasureBlock(NamedTuple):
-    """One measure over a block of datasets: a (reps, k) array per column.
+    """One measure over a block of datasets: (reps, k) arrays.
 
-    ``value`` and ``se`` mean nothing where ``usable`` is false. Each
-    ``excluded`` mask marks the studies whose first failed check has
-    that reason, in check order.
+    ``estimates`` covers every study; its ``value`` and ``se`` mean
+    nothing where ``usable`` is false. Each ``excluded`` mask marks the
+    studies whose first failed check has that reason, in check order.
     """
 
     measure: MeasureId
-    value: np.ndarray
-    se: np.ndarray
-    n: np.ndarray
-    ess: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
+    estimates: EstimateRows
     usable: np.ndarray
     corrected: np.ndarray
     excluded: tuple[tuple[np.ndarray, str], ...]
 
-    def estimates(self, row: int) -> EstimateSet:
-        """The usable studies of one dataset of the block."""
-        usable = self.usable[row]
-        return EstimateSet(
-            measure=self.measure,
-            value=self.value[row][usable],
-            se=self.se[row][usable],
-            n=self.n[row][usable],
-            ess=self.ess[row][usable],
-            m1=self.m1[row][usable],
-            m2=self.m2[row][usable],
-            index=np.flatnonzero(usable),
-        )
+    def groups(self) -> Iterator[EstimateRows]:
+        """The usable estimates of the block's datasets, one block per usable count, counts ascending."""
+        counts = self.usable.sum(axis=-1)
+        for k in np.unique(counts).tolist():
+            chosen = counts == k
+            usable = self.usable & chosen[:, None]
+            rows = np.count_nonzero(chosen)
+            yield EstimateRows(*(column[usable].reshape(rows, k) for column in self.estimates))
 
 
 def measure_block(
@@ -210,18 +200,8 @@ def measure_block(
         usable &= ~failed
     x, w, y, z = (tables[..., j] for j in range(4))
     n1, n2 = x + w, y + z
-    return MeasureBlock(
-        measure=measure,
-        value=value,
-        se=se,
-        n=n1 + n2,
-        ess=effective_sample_size(n1, n2),
-        m1=x + y,
-        m2=w + z,
-        usable=usable,
-        corrected=corrected,
-        excluded=tuple(excluded),
-    )
+    estimates = EstimateRows(value, se, n1 + n2, effective_sample_size(n1, n2), x + y, w + z)
+    return MeasureBlock(measure, estimates, usable, corrected, tuple(excluded))
 
 
 def measure_studies(
@@ -237,7 +217,8 @@ def measure_studies(
     checked the tables.
     """
     block = measure_block(dataset.tables[None], measure, policy)
+    usable = block.usable[0]
+    columns = (column[0][usable] for column in block.estimates)
+    estimates = EstimateSet(measure, *columns, index=np.flatnonzero(usable))
     excluded = [(i, reason) for failed, reason in block.excluded for i in np.flatnonzero(failed[0]).tolist()]
-    return Measurement(
-        block.estimates(0), tuple(np.flatnonzero(block.corrected[0]).tolist()), tuple(sorted(excluded))
-    )
+    return Measurement(estimates, tuple(np.flatnonzero(block.corrected[0]).tolist()), tuple(sorted(excluded)))

@@ -125,6 +125,21 @@ class EstimateSet:
     def __len__(self) -> int:
         return len(self.value)
 
+    def rows(self) -> EstimateRows:
+        """The estimates as a block of one row."""
+        return EstimateRows(*(getattr(self, name)[None] for name in EstimateRows._fields))
+
+
+class EstimateRows(NamedTuple):
+    """Estimates of datasets with k usable studies each: a (rows, k) array per ``EstimateSet`` column."""
+
+    value: np.ndarray
+    se: np.ndarray
+    n: np.ndarray
+    ess: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+
 
 _ESTIMATE_COLUMNS = (
     ("value", float),

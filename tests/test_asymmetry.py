@@ -11,23 +11,28 @@ from funnelbias.asymmetry import (
     MacaskillWeighting,
     PrecisionAxis,
     TrimFillEstimator,
+    begg_rows,
     begg_test,
+    egger_rows,
     egger_test,
     funnel_points,
+    macaskill_rows,
     macaskill_test,
     pool_fixed_effects,
     pool_random_effects,
     trim_fill_iterate,
+    trim_fill_rows,
     trim_fill_test,
     weighted_linear_fit,
 )
 from funnelbias.asymmetry import (
     _center_and_rank as _center_and_rank_rows,
-    _kendall_tau,
+    _kendall_rows,
+    _l_pvalue,
     _signed_rank_tail,
 )
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
-from funnelbias.model import EstimateSet, MeasureId, Sidedness
+from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
 
 
 def est(values, ses, n=100, ess=None, m1=None, m2=None, measure=MeasureId.LNDOR):
@@ -89,8 +94,10 @@ def test_weighted_fit_matches_normal_equations_oracle():
 
 
 def test_weighted_fit_singular_design():
-    with pytest.raises(SingularDesign):
-        weighted_linear_fit(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    x = np.array([[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+    assert weighted_linear_fit(x, np.array([1.0, 2.0, 3.0])).singular.tolist() == [True, False]
+    with pytest.raises(TooFewStudies):
+        weighted_linear_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +247,8 @@ def brute_force_tail(xs, ys):
 
 def kendall_tau(xs, ys):
     """Kendall's tau-b and the one-sided (tau > 0) p-value."""
-    tau, p_greater, _ = _kendall_tau(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return tau, p_greater
+    tau, p_greater, _ = _kendall_rows(np.array([xs], dtype=float), np.array([ys], dtype=float))
+    return tau[0], p_greater[0]
 
 
 def test_kendall_trivial_orderings():
@@ -559,18 +566,17 @@ def test_l_estimator_beyond_float_range_of_subset_counts(k):
 
 
 def test_l_pvalue_tied_ranks_falls_back_to_normal():
-    from funnelbias.asymmetry import _l_pvalue
-
     k = 6
     tied = np.array([1.5, 1.5, 3.0, 4.0, 5.0, 6.0])
     s_plus = 10.5
     expected = float(
         sps.norm.sf((s_plus - 0.5 - k * (k + 1) / 4.0) / math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0))
     )
-    assert _l_pvalue(k, tied, s_plus) == pytest.approx(expected)
     # untied integer ranks take the exact path instead
     untied = np.arange(1.0, 7.0)
-    assert _l_pvalue(k, untied, 21.0) == pytest.approx(1.0 / 2.0**6)
+    p = _l_pvalue(np.array([tied, untied]), np.array([s_plus, 21.0]))
+    assert p[0] == pytest.approx(expected)
+    assert p[1] == pytest.approx(1.0 / 2.0**6)
 
 
 def test_trim_fill_l_estimator_paths():
@@ -688,23 +694,22 @@ def test_null_calibration_synthetic():
     """
     rng = np.random.default_rng(37)
     k, reps = 30, 10_000
-    hits = {"egger": 0, "macaskill": 0, "begg": 0, "tf_r": 0, "tf_l": 0}
-    for _ in range(reps):
+    draws = []
+    for _ in range(reps):  # each replicate's draws in the order a loop over single datasets makes them
         ses = rng.uniform(0.1, 1.0, size=k)
-        values = rng.normal(0.0, ses)
-        ns = rng.integers(50, 1001, size=k)
-        ests = est(values, ses, n=ns)
-        if egger_test(ests).reject:
-            hits["egger"] += 1
-        if macaskill_test(ests, PrecisionAxis.N).reject:
-            hits["macaskill"] += 1
-        if begg_test(ests).reject:
-            hits["begg"] += 1
-        if trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R).reject:
-            hits["tf_r"] += 1
-        if trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.L).reject:
-            hits["tf_l"] += 1
-    rates = {name: count / reps for name, count in hits.items()}
+        draws.append((ses, rng.normal(0.0, ses), rng.integers(50, 1001, size=k)))
+    ses, values, ns = (np.array(column) for column in zip(*draws))
+    rows = EstimateRows(values, ses, ns, ns.astype(float), ns // 2, ns - ns // 2)
+    results = {
+        "egger": egger_rows(rows),
+        "macaskill": macaskill_rows(rows, PrecisionAxis.N),
+        "begg": begg_rows(rows),
+    }
+    assert not any(r.failure.any() for r in results.values())
+    p_values = {name: r.p_value for name, r in results.items()}
+    for name, estimator in (("tf_r", TrimFillEstimator.R), ("tf_l", TrimFillEstimator.L)):
+        p_values[name] = trim_fill_rows(values, ses**2, ns, estimator).p_value
+    rates = {name: np.count_nonzero(p <= 0.1) / reps for name, p in p_values.items()}
     assert 0.06 <= rates["egger"] <= 0.14
     assert 0.06 <= rates["macaskill"] <= 0.14
     assert 0.07 <= rates["begg"] <= 0.13

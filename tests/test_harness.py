@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -39,6 +40,7 @@ from funnelbias.sampler import (
     BiasSpec,
     BivariateParams,
     SimCondition,
+    default_grid,
     generate_meta_analysis,
     replicate_rng,
 )
@@ -272,6 +274,35 @@ def test_run_condition_blocks_match_replicate_by_replicate(condition, policy, re
         assert [r.degenerate_reps for r in results] == expected[1], block_reps
 
 
+# sha256 of the results CSV of all 92 one-sided variants on every 10th
+# cell of the default grid, 5 replicates at seed 1, per correction policy:
+# any change to one variant's rejections or degenerate count shows here.
+ALL_VARIANTS_CSV_SHA256 = {
+    CorrectionPolicy.HALF_IF_ANY_ZERO: "cd19ca767cb8860fd86ef08f347a0e28f59596ee37510a7a2a960c56778b9087",
+    CorrectionPolicy.NEVER: "365f9ba00306c4cb5f7d96b64a3e1cf7eee1666a4342f45dfdd8cf45a0110d32",
+}
+
+
+@pytest.mark.parametrize("policy", list(ALL_VARIANTS_CSV_SHA256))
+def test_all_variants_golden_bytes(tmp_path, policy):
+    results = run_grid(default_grid()[::10], ALL_ONE_SIDED, reps=5, master_seed=1, policy=policy)
+    path = tmp_path / "results.csv"
+    write_results_csv(path, results)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_VARIANTS_CSV_SHA256[policy]
+
+
+def test_run_condition_raises_on_a_nan_p(monkeypatch):
+    # a nan p is a fault, not a degenerate replicate, as it is for one dataset
+    kernel = harness.run_rows
+
+    def nan_p(variant, rows):
+        return kernel(variant, rows)._replace(p_value=np.full(len(rows.value), np.nan))
+
+    monkeypatch.setattr(harness, "run_rows", nan_p)
+    with pytest.raises(ValueError, match="p_value out of"):
+        run_condition(fe_condition(k=10), [E_SE], reps=3, master_seed=1)
+
+
 def test_run_condition_validates_args():
     with pytest.raises(ValueError):
         run_condition(fe_condition(), [T_SE_R], reps=0)
@@ -334,6 +365,8 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     with tracer.patched():
         assert harness.trim_fill_test is not before[0]["trim_fill_test"]
         run_condition(fe_condition(k=10), [T_SE_R, E_SE], reps=2, master_seed=1)
+        # the analyst's path calls the single-dataset tests through run_variant
+        run_variant(E_SE, variant_sample(), 0.1)
     assert [dict(vars(module)) for module in modules] == before
     assert tracer.durations("asymmetry.egger")
 
