@@ -13,7 +13,9 @@ family's single-dataset test is its kernel on a block of one:
 * Duval-Tweedie trim and fill, which estimates the number of suppressed
   studies (k0) from the run/rank structure of effects centered on an
   iteratively re-estimated pooled effect, and tests k0 > 0 under a
-  symmetric-signs null.
+  symmetric-signs null. Its kernel returns a ``TrimFillState`` of each
+  row's last pass: pooled effect, k0, pass count, convergence,
+  statistic and p.
 
 All effect measures are oriented so that larger values mean higher
 accuracy, hence suppressed studies are assumed to sit on the left of
@@ -85,23 +87,14 @@ class RegressionFit:
 class TrimFillState:
     """Final state of the trim-and-fill iteration.
 
-    ``centered`` and ``ranks`` are arrays over all k original studies;
-    ranks are average ranks of the absolute centered effects and
-    ``s_plus`` sums those of the positive centered effects.
-    ``r_estimate`` is gamma_plus - 1 before clamping (so it can be -1),
-    ``k0`` the clamped integer actually used for trimming. ``statistic``
-    is the estimator's (R or L) and ``p_value`` its one-sided p. From
-    :func:`trim_fill_rows` every field gains a leading axis, one entry
-    per row.
+    ``theta_hat`` is the last pass's pooled effect and ``k0`` the clamped
+    number of suppressed studies that pass estimated. ``statistic`` is
+    the estimator's from the last pass (R = gamma_plus - 1, so it can be
+    -1, or L) and ``p_value`` its one-sided p. From
+    :func:`trim_fill_rows` every field is an array with one entry per row.
     """
 
     theta_hat: float
-    centered: np.ndarray
-    ranks: np.ndarray
-    s_plus: float
-    gamma_plus: int
-    r_estimate: int
-    l_estimate: float
     k0: int
     iterations: int
     converged: bool
@@ -509,10 +502,10 @@ def begg_rows(
     variances = ses**2
     t_bar = _pool_fixed(values, variances)
     disp = BEGG_AXES[axis].column(rows)
-    # rounding can leave a centered variance below 0: nan, then a nan p, as the test alone gets
+    # rounding can leave a centered variance at or below 0, whose square root is 0 or nan
     with np.errstate(divide="ignore", invalid="ignore"):
         se_star = np.sqrt(variances - 1.0 / (1.0 / variances).sum(axis=-1, keepdims=True))
-        failed = [(se_star <= 0.0).any(axis=-1), np.ptp(disp, axis=-1) == 0.0]
+        failed = [~(se_star > 0.0).all(axis=-1), np.ptp(disp, axis=-1) == 0.0]
         failure = np.select(failed, [Failure.CENTERED_VARIANCE, Failure.ALL_TIED], Failure.NONE)
         t_star = (values - t_bar[:, None]) / se_star
     tau, p_greater, p_two = _kendall_rows(t_star, disp)
@@ -557,20 +550,17 @@ def _gamma_plus(centered: np.ndarray) -> np.ndarray:
     return np.count_nonzero(magnitude > blocking[:, None], axis=-1)
 
 
-def _center_and_rank(values: np.ndarray, theta: np.ndarray):
-    """Centered effects, average ranks of |centered|, gamma_plus, S+ and L of each row.
+def _average_ranks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks along each row of (rows, k) values, and whether the row has a tie.
 
-    ``values`` is (rows, k), ``theta`` has one pooled effect per row.
+    A row's ranks are exactly 1..k if and only if it has no tie.
     """
-    rows, k = values.shape
-    centered = values - theta[:, None]
-    magnitude = np.abs(centered)
+    rows, k = magnitude.shape
     row = np.arange(rows)[:, None]
     order = magnitude.argsort(axis=-1, kind="stable")
     ascending = magnitude[row, order]
-    position = np.arange(k)
-    rank = position + 1.0
     ties = ascending[:, 1:] == ascending[:, :-1]
+    rank = np.arange(1.0, k + 1.0)
     if ties.any():
         # every member of a tie group gets the mean of its first and last
         # sorted positions; the last is the first counted from the other end
@@ -579,9 +569,16 @@ def _center_and_rank(values: np.ndarray, theta: np.ndarray):
         rank = 0.5 * (first + last) + 1.0
     ranks = np.empty((rows, k))
     ranks[row, order] = rank
+    return ranks, ties.any(axis=-1)
+
+
+def _l_pass(values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S+, the L estimator and whether |centered| ties, for each row of (rows, k) values centered on its theta."""
+    k = values.shape[-1]
+    centered = values - theta[:, None]
+    ranks, tied = _average_ranks(np.abs(centered))
     s_plus = np.where(centered > 0, ranks, 0.0).sum(axis=-1)  # sums of halves: exact in any order
-    l_estimate = (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0)
-    return centered, ranks, _gamma_plus(centered), s_plus, l_estimate
+    return s_plus, (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0), tied
 
 
 @lru_cache(maxsize=None)
@@ -607,19 +604,17 @@ def _signed_rank_tail(k: int, s_plus: float) -> float:
     return float(probs[threshold:].sum())  # 0.0 beyond the largest sum
 
 
-def _l_pvalue(ranks: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
+def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """One-sided p of each row's L estimator under the symmetric-signs null.
 
-    Exact via the signed-rank-sum distribution for a row whose ranks are
-    the untied integers 1..k; otherwise a normal approximation with
-    continuity correction on the rank-sum scale.
+    Exact via the signed-rank-sum distribution for a row without ``tied``
+    |centered| values, whose ranks are the integers 1..k; otherwise a
+    normal approximation with continuity correction on the rank-sum scale.
     """
-    k = ranks.shape[-1]
     mean = k * (k + 1) / 4.0
     sd = math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
     p = ndtr(-((s_plus - 0.5 - mean) / sd))
-    untied = (np.sort(ranks, axis=-1) == np.arange(1, k + 1)).all(axis=-1)
-    p[untied] = [_signed_rank_tail(k, s) for s in s_plus[untied].tolist()]
+    p[~tied] = [_signed_rank_tail(k, s) for s in s_plus[~tied].tolist()]
     return p
 
 
@@ -631,42 +626,37 @@ TRIM_FILL_AXES = AxisTable("trim and fill", {
 
 
 def trim_fill_rows(
-    values: np.ndarray,
-    variances: np.ndarray,
-    ns: np.ndarray,
+    rows: EstimateRows,
     estimator: TrimFillEstimator,
     axis: PrecisionAxis = PrecisionAxis.SE,
 ) -> TrimFillState:
-    """Run the trim-and-fill iteration on every row of (rows, k) arrays.
+    """Run the trim-and-fill iteration on every row of a block of at least ``MIN_STUDIES`` studies.
 
-    Each row is one dataset's usable studies; the rows iterate
-    independently and the result is a ``TrimFillState`` whose fields
-    gain a leading row axis. A pass pools each active row's kept studies
-    (its k - k0 smallest effects), centers all k values on that pooled
-    effect and re-estimates k0; a row stops when k0 repeats or after
-    ``MAX_TRIM_ITERATIONS`` passes. Rows with the same kept count m pool
-    together over the first m of their sorted values, so every sum is
-    the one a single row reduces, and each row's numbers are those it
-    would get alone. Only the L estimator ranks within a pass; under R
-    the final ranks, S+ and L are computed once, after the last pass.
+    The rows iterate independently and the result is a ``TrimFillState``
+    of arrays with one entry per row. A pass pools each active row's
+    kept studies (its k - k0 smallest effects), centers all k values on
+    that pooled effect and re-estimates k0; a row stops when k0 repeats
+    or after ``MAX_TRIM_ITERATIONS`` passes, and keeps the statistic of
+    its last pass. Rows with the same kept count m pool together over
+    the first m of their sorted values, so every sum is the one a single
+    row reduces, and each row's numbers are those it would get alone.
     The run estimator R = gamma_plus - 1 has exact one-sided p =
     2**(-gamma_plus) under the fair-signs null; L is tested via the
     signed-rank-sum null distribution.
     """
-    rows, k = values.shape
+    values = rows.value
+    count, k = values.shape
     pool = TRIM_FILL_AXES[axis]
-    row = np.arange(rows)[:, None]
+    row = np.arange(count)[:, None]
     order = values.argsort(axis=-1, kind="stable")  # ascending; trim from the top
-    ascending = (values[row, order], variances[row, order], ns[row, order])
-    theta = np.empty(rows)
-    k0 = np.zeros(rows, dtype=np.int64)
-    iterations = np.zeros(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
-    active = np.arange(rows)
-    # each row's centered effects, ranks, gamma_plus, S+ and L from its last pass
-    final = (
-        np.empty((rows, k)), np.empty((rows, k)), np.empty(rows, np.intp), np.empty(rows), np.empty(rows)
-    )
+    ascending = (values[row, order], rows.se[row, order] ** 2, rows.n[row, order])
+    theta = np.empty(count)
+    k0 = np.zeros(count, dtype=np.int64)
+    iterations = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    # each row's statistic from its last pass and, under L, that pass's S+ and ties
+    statistic, s_plus, tied = np.empty(count), np.empty(count), np.empty(count, dtype=bool)
+    active = np.arange(count)
     for iteration in range(1, MAX_TRIM_ITERATIONS + 1):
         kept = k - k0[active]
         if len(active) == 1 or (kept == kept[0]).all():
@@ -678,10 +668,8 @@ def trim_fill_rows(
         if estimator is TrimFillEstimator.R:
             estimate = _gamma_plus(values[active] - theta[active, None]) - 1.0
         else:
-            ranked = _center_and_rank(values[active], theta[active])
-            for column, part in zip(final, ranked):
-                column[active] = part
-            estimate = ranked[4]
+            s_plus[active], estimate, tied[active] = _l_pass(values[active], theta[active])
+        statistic[active] = estimate
         k0_new = np.floor(estimate + 0.5).clip(0, k - 1).astype(np.int64)  # round half up
         iterations[active] = iteration
         done = k0_new == k0[active]
@@ -691,45 +679,26 @@ def trim_fill_rows(
         if not len(active):
             break
     if estimator is TrimFillEstimator.R:
-        final = _center_and_rank(values, theta)
-    centered, ranks, gamma_plus, s_plus, l_estimate = final
-    if estimator is TrimFillEstimator.R:
-        statistic, p_value = gamma_plus - 1.0, np.ldexp(1.0, -gamma_plus)
+        p_value = np.ldexp(1.0, -1 - statistic.astype(np.int64))
     else:
-        statistic, p_value = l_estimate, np.minimum(_l_pvalue(ranks, s_plus), 1.0)
-    return TrimFillState(
-        theta_hat=theta,
-        centered=centered,
-        ranks=ranks,
-        s_plus=s_plus,
-        gamma_plus=gamma_plus,
-        r_estimate=gamma_plus - 1,
-        l_estimate=l_estimate,
-        k0=k0,
-        iterations=iterations,
-        converged=converged,
-        statistic=statistic,
-        p_value=p_value,
-    )
+        p_value = np.minimum(_l_pvalue(k, s_plus, tied), 1.0)
+    return TrimFillState(theta, k0, iterations, converged, statistic, p_value)
 
 
 def trim_fill_iterate(
-    values: np.ndarray,
-    variances: np.ndarray,
-    ns: np.ndarray,
+    estimates: EstimateSet,
     estimator: TrimFillEstimator,
     axis: PrecisionAxis = PrecisionAxis.SE,
 ) -> TrimFillState:
-    """Run the trim-and-fill iteration on one dataset: a block of one row.
+    """Run the trim-and-fill iteration on one dataset, a block of one row; every field is a Python scalar.
 
     Each pass pools the currently kept studies, centers all k original
     values on that pooled effect and re-estimates the number of
     suppressed studies k0; the k0 largest effects are trimmed for the
     next pass until k0 stabilizes (or the iteration cap is hit).
     """
-    state = trim_fill_rows(values[None], variances[None], ns[None], estimator, axis)
-    first = {field.name: getattr(state, field.name)[0] for field in fields(TrimFillState)}
-    return TrimFillState(**{name: v if v.ndim else v.item() for name, v in first.items()})
+    state = trim_fill_rows(estimates.rows(), estimator, axis)
+    return TrimFillState(*(getattr(state, field.name)[0].item() for field in fields(TrimFillState)))
 
 
 def trim_fill_test(
@@ -746,7 +715,7 @@ def trim_fill_test(
     weights for N.
     """
     _require_studies(estimates)
-    state = trim_fill_iterate(estimates.value, estimates.se**2, estimates.n, estimator, axis)
+    state = trim_fill_iterate(estimates, estimator, axis)
     test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
     return _finish(
         test_id,

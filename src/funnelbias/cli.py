@@ -83,6 +83,17 @@ class _UsageError(Exception):
     """Invalid flag combination; mapped to exit code 2."""
 
 
+def _alpha(text: str) -> float:
+    """A significance level strictly between 0 and 1; anything else, nan and inf too, is a usage error."""
+    try:
+        alpha = float(text)
+        if 0.0 < alpha < 1.0:
+            return alpha
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1), got {text!r}")
+
+
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", choices=_MEASURES, default="lndor")
     parser.add_argument("--test", choices=sorted(f.value for f in TestFamily), default="trimfill")
@@ -91,7 +102,7 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weighting", choices=["none", *_values(*weightings)], default=None)
     parser.add_argument("--estimator", choices=_values(TrimFillEstimator), default=None)
     parser.add_argument("--sided", choices=_values(Sidedness), default="one")
-    parser.add_argument("--alpha", type=float, default=0.1)
+    parser.add_argument("--alpha", type=_alpha, default=0.1)
     parser.add_argument("--correction", choices=_values(CorrectionPolicy), default="half")
 
 

@@ -159,7 +159,7 @@ def run_rows(variant: TestVariantId, rows: EstimateRows) -> RowResults:
         return macaskill_rows(rows, variant.axis, variant.weighting, variant.sidedness)
     if variant.family is TestFamily.BEGG:
         return begg_rows(rows, variant.axis, variant.sidedness)
-    state = trim_fill_rows(rows.value, rows.se**2, rows.n, variant.estimator, variant.axis)
+    state = trim_fill_rows(rows, variant.estimator, variant.axis)
     return RowResults(state.statistic, state.p_value, np.zeros(len(state.p_value), dtype=int))
 
 

@@ -26,8 +26,11 @@ from funnelbias.asymmetry import (
     weighted_linear_fit,
 )
 from funnelbias.asymmetry import (
-    _center_and_rank as _center_and_rank_rows,
+    TrimFillState,
+    _average_ranks,
+    _gamma_plus,
     _kendall_rows,
+    _l_pass,
     _l_pvalue,
     _signed_rank_tail,
 )
@@ -428,8 +431,11 @@ def test_begg_dispersion_variants_and_two_sided():
 
 
 def _center_and_rank(values, theta):
-    """One row's centered effects, ranks, gamma_plus, S+ and L."""
-    return [part[0] for part in _center_and_rank_rows(values[None], np.array([theta]))]
+    """One row's centered effects, average ranks of |centered|, gamma_plus, S+ and L, from the pass helpers."""
+    centered = values - theta
+    ranks, _ = _average_ranks(np.abs(centered)[None])
+    s_plus, l_est, _ = _l_pass(values[None], np.array([theta]))
+    return centered, ranks[0], _gamma_plus(centered[None])[0], s_plus[0], l_est[0]
 
 
 def test_center_and_rank_hand_case():
@@ -480,15 +486,24 @@ def test_gamma_plus_matches_group_loop():
         # the tied average ranks too, and S+ over the positive ones
         assert np.array_equal(ranks, sps.rankdata(np.abs(centered)))
         assert s_plus == np.sum(ranks[centered > 0])
+        # a row is tied exactly when its ranks are not the integers 1..k
+        _, _, tied = _l_pass(values[None], np.array([theta]))
+        assert tied[0] == (not np.array_equal(np.sort(ranks), np.arange(1, len(values) + 1)))
 
 
-def test_trim_fill_state_is_array_based():
+def test_trim_fill_state_holds_the_last_pass_as_python_scalars():
     values = np.array([-1.0, -2.0, -3.0, 4.0, 5.0])
-    state = trim_fill_iterate(values, np.full(5, 0.25), np.full(5, 100.0), TrimFillEstimator.L)
-    centered, ranks, _, s_plus, _ = _center_and_rank(values, state.theta_hat)
-    assert np.array_equal(state.centered, centered)
-    assert np.array_equal(state.ranks, ranks)
-    assert state.s_plus == s_plus
+    state = trim_fill_iterate(est(values, 0.5), TrimFillEstimator.L)
+    assert [field.name for field in dataclasses.fields(TrimFillState)] == [
+        "theta_hat", "k0", "iterations", "converged", "statistic", "p_value"
+    ]
+    assert [type(value) for value in dataclasses.astuple(state)] == [float, int, int, bool, float, float]
+    # the statistic is L at the final pooled effect, which rounds to k0
+    _, _, _, s_plus, l_est = _center_and_rank(values, state.theta_hat)
+    assert state.converged
+    assert state.statistic == l_est
+    assert state.k0 == min(max(math.floor(l_est + 0.5), 0), len(values) - 1)
+    assert state.p_value == _signed_rank_tail(len(values), s_plus)
 
 
 def test_trim_fill_symmetric_no_bias():
@@ -504,9 +519,11 @@ def test_trim_fill_all_below_pooled_clamps_to_zero():
     # equal weights pool to -0.5, so the top-ranked centered effect (-4.5)
     # is negative: run length 0, R = -1, clamped k0 = 0
     values = np.array([-5.0, -1.0, 0.5, 1.0, 2.0])
-    state = trim_fill_iterate(values, np.full(5, 0.25), np.full(5, 100.0), TrimFillEstimator.R)
-    assert state.gamma_plus == 0
-    assert state.r_estimate == -1
+    state = trim_fill_iterate(est(values, 0.5), TrimFillEstimator.R)
+    assert state.theta_hat == -0.5
+    assert _gamma_plus((values - state.theta_hat)[None]).tolist() == [0]
+    assert state.statistic == -1.0
+    assert state.p_value == 1.0
     assert state.k0 == 0
 
 
@@ -516,8 +533,10 @@ def test_trim_fill_run_p_value():
     values = np.concatenate([rng.normal(0, 0.05, size=9), [5.0]])
     ests = est(values, 0.5)
     r = trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R)
-    state = trim_fill_iterate(values, np.full(10, 0.25), np.full(10, 100.0), TrimFillEstimator.R)
-    assert r.p_value == 2.0 ** (-state.gamma_plus)
+    state = trim_fill_iterate(ests, TrimFillEstimator.R)
+    gamma = int(_gamma_plus((values - state.theta_hat)[None])[0])
+    assert state.statistic == gamma - 1
+    assert r.p_value == state.p_value == 2.0 ** (-gamma)
     assert r.k0 in (0, 1)
 
 
@@ -567,14 +586,16 @@ def test_l_estimator_beyond_float_range_of_subset_counts(k):
 
 def test_l_pvalue_tied_ranks_falls_back_to_normal():
     k = 6
-    tied = np.array([1.5, 1.5, 3.0, 4.0, 5.0, 6.0])
+    ranks, tied = _average_ranks(np.array([[1.0, 1.0, 2.0, 3.0, 4.0, 5.0], [3.0, 1.0, 2.0, 6.0, 5.0, 4.0]]))
+    assert ranks[0].tolist() == [1.5, 1.5, 3.0, 4.0, 5.0, 6.0]
+    assert ranks[1].tolist() == [3.0, 1.0, 2.0, 6.0, 5.0, 4.0]
+    assert tied.tolist() == [True, False]
     s_plus = 10.5
     expected = float(
         sps.norm.sf((s_plus - 0.5 - k * (k + 1) / 4.0) / math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0))
     )
     # untied integer ranks take the exact path instead
-    untied = np.arange(1.0, 7.0)
-    p = _l_pvalue(np.array([tied, untied]), np.array([s_plus, 21.0]))
+    p = _l_pvalue(k, np.array([s_plus, 21.0]), tied)
     assert p[0] == pytest.approx(expected)
     assert p[1] == pytest.approx(1.0 / 2.0**6)
 
@@ -591,7 +612,7 @@ def test_trim_fill_l_estimator_paths():
 def test_trim_fill_axis_n_pools_by_sample_size():
     values = np.array([1.0, 2.0, 6.0])
     ns = np.array([100.0, 200.0, 700.0])
-    state = trim_fill_iterate(values, np.full(3, 0.25), ns, TrimFillEstimator.R, PrecisionAxis.N)
+    state = trim_fill_iterate(est(values, 0.5, n=ns), TrimFillEstimator.R, PrecisionAxis.N)
     # N weights pool to (100 + 400 + 4200) / 1000; the most extreme
     # centered value is then negative, so k0 = 0 and convergence is
     # immediate with the untrimmed pooled effect
@@ -606,10 +627,11 @@ def test_trim_fill_converges_quickly_on_random_data():
         k = int(rng.integers(5, 31))
         values = rng.normal(0.0, 1.0, size=k)
         variances = rng.uniform(0.05, 1.0, size=k)
-        ns = rng.integers(50, 1001, size=k).astype(float)
+        ns = rng.integers(50, 1001, size=k)
+        ests = est(values, np.sqrt(variances), n=ns)
         for estimator in TrimFillEstimator:
             for axis in (PrecisionAxis.SE, PrecisionAxis.N):
-                state = trim_fill_iterate(values, variances, ns, estimator, axis)
+                state = trim_fill_iterate(ests, estimator, axis)
                 assert state.converged
                 assert state.iterations <= 25
 
@@ -708,7 +730,7 @@ def test_null_calibration_synthetic():
     assert not any(r.failure.any() for r in results.values())
     p_values = {name: r.p_value for name, r in results.items()}
     for name, estimator in (("tf_r", TrimFillEstimator.R), ("tf_l", TrimFillEstimator.L)):
-        p_values[name] = trim_fill_rows(values, ses**2, ns, estimator).p_value
+        p_values[name] = trim_fill_rows(rows, estimator).p_value
     rates = {name: np.count_nonzero(p <= 0.1) / reps for name, p in p_values.items()}
     assert 0.06 <= rates["egger"] <= 0.14
     assert 0.06 <= rates["macaskill"] <= 0.14

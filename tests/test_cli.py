@@ -268,6 +268,21 @@ def test_simulate_reps_zero_usage_error(tmp_path, capsys):
     assert "reps" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5", "1.5"])
+def test_alpha_outside_the_open_unit_interval_is_usage_error(dataset_path, tmp_path, capsys, command, alpha):
+    # nan and inf once ran: analyze wrote them as invalid JSON, simulate rejected nothing
+    out = tmp_path / "x.csv"
+    flags = ["--input", dataset_path] if command == "analyze" else ["--reps", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *flags, f"--alpha={alpha}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha must be a number in (0, 1)" in captured.err
+    assert not out.exists()
+
+
 def test_simulate_bad_grid_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -367,8 +368,15 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         run_condition(fe_condition(k=10), [T_SE_R, E_SE], reps=2, master_seed=1)
         # the analyst's path calls the single-dataset tests through run_variant
         run_variant(E_SE, variant_sample(), 0.1)
+        run_variant(T_SE_R, variant_sample(), 0.1)
     assert [dict(vars(module)) for module in modules] == before
     assert tracer.durations("asymmetry.egger")
+    assert tracer.durations("asymmetry.trimfill")
+    # the pass counter adds the state's fields into counters written as JSON
+    passes = tracer.counts["asymmetry.trimfill_passes"]
+    assert type(passes) is float and passes > 0
+    assert all(type(count) in (int, float) for count in tracer.counts.values())
+    json.dumps(tracer.counts)
 
 
 def test_begg_variants_gain_power_under_selection():

@@ -17,10 +17,14 @@ from funnelbias.asymmetry import (
     EXACT_KENDALL_MAX_K,
     FAILURE_ERRORS,
     Failure,
+    PrecisionAxis,
     TrimFillEstimator,
+    TrimFillState,
     begg_rows,
     begg_test,
+    trim_fill_rows,
 )
+from funnelbias.errors import AllTied
 from funnelbias.harness import FAMILIES, TestVariantId, run_rows, run_variant
 from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
 
@@ -105,6 +109,18 @@ def test_each_row_of_a_small_block_is_that_row_alone(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=blocks())
+def test_each_row_keeps_its_own_trim_fill_state(rows):
+    # pooling, k0, the pass count and convergence, not just the statistic and p run_rows reads
+    for estimator, axis in itertools.product(TrimFillEstimator, (PrecisionAxis.SE, PrecisionAxis.N)):
+        block = trim_fill_rows(rows, estimator, axis)
+        for i in range(len(rows.value)):
+            alone = trim_fill_rows(one_row(rows, i), estimator, axis)
+            for name in TrimFillState.__slots__:
+                assert bits(getattr(alone, name)) == bits(getattr(block, name)[i:i + 1]), (name, estimator, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=blocks())
 def test_failure_reason_is_what_the_single_dataset_test_raises(rows):
     for variant in VARIANTS:
         block = run_rows(variant, rows)
@@ -140,16 +156,14 @@ def test_begg_failure_reasons_in_check_order():
     ]
 
 
-def test_negative_centered_variance_gives_a_nan_p_that_raises():
-    # rounding leaves the first study's centered variance below 0: a nan
-    # standardized effect, which is a fault, not a failure reason
+def test_negative_centered_variance_is_a_centered_variance_failure():
+    # rounding leaves the first study's centered variance below 0, so its
+    # square root is nan: the row fails as a centered variance of 0 does
     ses = np.array([1.8389906439653345e-09, 1.0, 0.7, 0.5])
     ns = [100] * 4
     estimates = EstimateSet(MeasureId.LNDOR, [0.1, 0.4, -0.2, 0.3], ses, ns, ess=ns, m1=[50] * 4, m2=[50] * 4)
-    results = begg_rows(estimates.rows())
-    assert results.failure.tolist() == [Failure.NONE]
-    assert np.isnan(results.p_value).all()
-    with pytest.raises(ValueError, match="p_value out of"):
+    assert begg_rows(estimates.rows()).failure.tolist() == [Failure.CENTERED_VARIANCE]
+    with pytest.raises(AllTied, match=FAILURE_ERRORS[Failure.CENTERED_VARIANCE][1]):
         begg_test(estimates)
 
 
