@@ -1,17 +1,30 @@
 """Command-line interface: analyze, funnel, simulate.
 
 Exit codes: 0 success, 2 input/usage error (bad or unreadable input,
-unwritable output, bad flags), 3 statistical precondition failure (too
-few studies, a degenerate design, every study excluded).
+unwritable output, bad flags, a negative ``--seed``), 3 statistical
+precondition failure (too few studies, a degenerate design, every study
+excluded).
+
+The argument parser is built once per process and keeps no state between
+calls, so in-process callers of :func:`main` pay for it once. Reports are
+written in ``json.dumps(..., indent=2)`` layout; the per-study arrays go
+through :func:`_json_records` and :func:`_json_array`, which write that
+layout in one pass with json's C string encoder instead of json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
+import io
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .asymmetry import (
@@ -94,6 +107,17 @@ def _alpha(text: str) -> float:
     raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1), got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer master seed; anything else is a usage error."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", choices=_MEASURES, default="lndor")
     parser.add_argument("--test", choices=sorted(f.value for f in TestFamily), default="trimfill")
@@ -106,7 +130,9 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--correction", choices=_values(CorrectionPolicy), default="half")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="funnelbias",
         description="Publication-bias (funnel-plot asymmetry) tests for diagnostic meta-analysis.",
@@ -127,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the Monte Carlo rejection-rate study")
     simulate.add_argument("--grid", default="default", help="'default' or a grid JSON path")
     simulate.add_argument("--reps", type=int, default=1000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
     simulate.add_argument("--out", default="results.csv")
     simulate.add_argument("--parallelism", type=int, default=1)
     _add_variant_flags(simulate)
@@ -158,6 +184,49 @@ def _load_estimates(args):
     return dataset, estimates, ids, warnings
 
 
+def _json_scalars(values: list) -> list[str]:
+    """Each value's JSON text, as ``json.dumps(value)`` writes it.
+
+    A column of one exact type is encoded at once; anything else (nan and
+    infinities, bools, None, mixed or subclassed types) by ``json.dumps``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return [json.dumps(value) for value in values]
+
+
+def _json_array(items: list[str]) -> str:
+    """``json.dumps(list, indent=2)`` from each item's JSON text, laid out at depth 1."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
+def _json_records(keys: tuple[str, ...], columns: tuple[list, ...]) -> str:
+    """``json.dumps([dict(zip(keys, row)) for row in zip(*columns)], indent=2)``.
+
+    The records are flat (every value a JSON scalar) and have at least one
+    key. Each column is encoded at once and each record fills one
+    template, so the text is written in one pass.
+    """
+    members = ",\n    ".join(f"{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    template = "{\n    " + members + "\n  }"
+    return _json_array([template % row for row in zip(*map(_json_scalars, columns))])
+
+
+def _json_object(members: list[tuple[str, str]]) -> str:
+    """``json.dumps(dict, indent=2)`` from each member's key and JSON text at depth 0.
+
+    JSON text holds no raw newline outside its layout, so the values nest
+    by indenting every line after the first.
+    """
+    body = ",\n".join(f"{encode_basestring_ascii(key)}: {text}" for key, text in members)
+    return "{\n  " + body.replace("\n", "\n  ") + "\n}"
+
+
 def _cmd_analyze(args) -> int:
     dataset, estimates, ids, warnings = _load_estimates(args)
     if len(estimates) < MIN_STUDIES:
@@ -166,38 +235,36 @@ def _cmd_analyze(args) -> int:
         )
     variant = _build_variant(args)
     result = run_variant(variant, estimates, args.alpha)
-    columns = zip(
-        ids,
-        estimates.value.tolist(),
-        estimates.se.tolist(),
-        estimates.n.tolist(),
-        estimates.ess.tolist(),
-    )
-    report = {
+    test = {
+        "test_id": result.test_id,
+        "statistic": result.statistic,
+        "p_value": result.p_value,
+        "sided": result.sidedness.value,
+        "alpha": result.alpha,
+        "reject": result.reject,
+    }
+    if result.k0 is not None:
+        test["k0"] = result.k0
+        test["pooled_effect"] = result.pooled_effect
+        test["converged"] = result.converged
+    header = {
         "schema_version": SCHEMA_VERSION,
         "input": str(args.input),
         "k": dataset.k,
         "measure": args.measure,
         "correction": args.correction,
-        "studies": [
-            {"study_id": sid, "value": value, "se": se, "n": n, "ess": ess}
-            for sid, value, se, n, ess in columns
-        ],
-        "warnings": warnings,
-        "test": {
-            "test_id": result.test_id,
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "sided": result.sidedness.value,
-            "alpha": result.alpha,
-            "reject": result.reject,
-        },
     }
-    if result.k0 is not None:
-        report["test"]["k0"] = result.k0
-        report["test"]["pooled_effect"] = result.pooled_effect
-        report["test"]["converged"] = result.converged
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    studies = _json_records(
+        ("study_id", "value", "se", "n", "ess"),
+        (ids, estimates.value.tolist(), estimates.se.tolist(), estimates.n.tolist(), estimates.ess.tolist()),
+    )
+    report = _json_object([
+        *((key, json.dumps(value)) for key, value in header.items()),
+        ("studies", studies),
+        ("warnings", _json_array(_json_scalars(warnings))),
+        ("test", json.dumps(test, indent=2)),
+    ])
+    sys.stdout.write(report + "\n")
     return 0
 
 
@@ -208,14 +275,16 @@ def _cmd_funnel(args) -> int:
     if not ids:
         raise TooFewStudies("no usable studies")
     effects, axis_values = funnel_points(estimates, _AXES[args.axis])
-    points = list(zip(ids, effects.tolist(), axis_values.tolist()))
+    columns = (ids, effects.tolist(), axis_values.tolist())
     if args.format == "json":
-        rows = [{"study_id": sid, "effect": x, "axis_value": y} for sid, x, y in points]
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        sys.stdout.write(_json_records(("study_id", "effect", "axis_value"), columns) + "\n")
     else:
-        print("study_id,effect,axis_value")
-        for sid, x, y in points:
-            print(f"{sid},{x!r},{y!r}")
+        # str(float) is repr(float); ids are quoted only where CSV needs it
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("study_id", "effect", "axis_value"))
+        writer.writerows(zip(*columns))
+        sys.stdout.write(text.getvalue())
     return 0
 
 

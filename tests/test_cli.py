@@ -1,14 +1,19 @@
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import funnelbias
-from funnelbias import model
+from funnelbias import cli, model
 from funnelbias.cli import main
 
 DATASET = """study_id,tp,fn,fp,tn
@@ -204,6 +209,21 @@ def test_funnel_axis_ess(tmp_path, capsys):
     assert float(first[2]) == 64.0  # 4*20*80/100
 
 
+def test_funnel_csv_quotes_ids_like_the_input(tmp_path, capsys):
+    # ids were once written raw: "Smith, 2001" made a 4-field row, "O""Brien" a bare O"Brien
+    path = tmp_path / "quoted.csv"
+    path.write_text(QUOTED, encoding="utf-8")
+    code, out, _ = run(capsys, "funnel", "--input", str(path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == ["study_id", "effect", "axis_value"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["Smith, 2001", 'O"Brien', "Müller \U0001d4d0", "back\\slash\tand tab"]
+    assert out.splitlines()[1].startswith('"Smith, 2001",')
+    assert out.splitlines()[2].startswith('"O""Brien",')
+    assert out.splitlines()[3].startswith("Müller \U0001d4d0,")
+
+
 def test_funnel_json(dataset_path, capsys):
     code, out, _ = run(capsys, "funnel", "--input", dataset_path, "--format", "json", "--axis", "n")
     assert code == 0
@@ -280,6 +300,19 @@ def test_alpha_outside_the_open_unit_interval_is_usage_error(dataset_path, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha must be a number in (0, 1)" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_is_usage_error(tmp_path, capsys, seed):
+    # a negative seed once escaped from numpy's SeedSequence as a ValueError
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--reps", "2", "--out", str(out), f"--seed={seed}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must be a non-negative integer, got {seed!r}" in captured.err
     assert not out.exists()
 
 
@@ -363,3 +396,215 @@ def test_cli_import_does_not_load_scipy_stats():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_parser_is_built_once_and_keeps_no_state(dataset_path, capsys, monkeypatch):
+    calls = [
+        ["analyze", "--input", dataset_path, "--test", "egger", "--sided", "two"],
+        ["analyze", "--input", dataset_path],
+        ["funnel", "--input", dataset_path, "--format", "json"],
+        ["analyze", "--input", dataset_path, "--estimator", "l", "--alpha", "0.05"],
+    ]
+    bad_alpha = ["analyze", "--input", dataset_path, "--alpha", "nan"]
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exit_info:
+            main(bad_alpha)
+        assert exit_info.value.code == 2
+        return capsys.readouterr()
+
+    cli._build_parser.cache_clear()
+    first_error = usage_error()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    cli._build_parser.cache_clear()
+    assert usage_error() == first_error
+    # the usage text takes its width when printed, not when the parser is built
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = usage_error()
+    assert narrow != first_error
+    cli._build_parser.cache_clear()
+    assert usage_error() == narrow
+
+
+# Inputs of the golden analyze and funnel bytes. DATASET has a zero cell
+# (s5); ASYMMETRIC makes trim and fill impute studies under both
+# estimators; QUOTED holds ids that need CSV quoting or JSON escaping.
+ASYMMETRIC = """study_id,tp,fn,fp,tn
+a1,90,10,10,90
+a2,80,20,15,85
+a3,45,5,5,45
+a4,20,2,2,20
+a5,15,1,1,15
+a6,12,1,2,14
+a7,10,0,1,9
+a8,60,15,12,63
+"""
+QUOTED = (
+    'study_id,tp,fn,fp,tn\n"Smith, 2001",40,10,10,40\n"O""Brien",30,5,8,57\n'
+    "Müller \U0001d4d0,45,15,12,38\nback\\slash\tand tab,20,4,6,30\n"
+)
+GOLDEN_INPUTS = {
+    "ds.csv": DATASET,
+    "asym.csv": ASYMMETRIC,
+    "quoted.csv": QUOTED,
+    "kappa.csv": "study_id,tp,fn,fp,tn\n"
+    + "".join(f"s{i + 1},{x},{w},{y},{z}\n" for i, (x, w, y, z) in enumerate(NEAR_DEGENERATE_KAPPA)),
+    "two.csv": "study_id,tp,fn,fp,tn\na,40,10,10,40\nb,30,5,8,57\n",
+    "bad.csv": "study_id,tp,fn,fp,tn\na,40,10,10,40\nb,x,5,8,57\n",
+}
+
+# sha256 of "exit code\0stdout\0stderr" of each call, run in a directory
+# holding GOLDEN_INPUTS; any change to the analyze or funnel output shows here.
+GOLDEN_CALL_SHA256 = {
+    "analyze --input ds.csv --test egger --axis se --weighting unweighted":
+        "12b7d21e749b0d60b77ac67f1f2bf53ffaa906f20d67d33e27fcfb2ec968b1e1",
+    "analyze --input ds.csv --test egger --axis n --weighting ivrandom --sided two":
+        "9225b00e378d7dbbc1cca369f965dff11edfb2d7377447d00c14b2e621487af0",
+    "analyze --input ds.csv --test macaskill --axis inv-n --weighting peters":
+        "5b199f12d52566207c0132f4f299925c3ee877033f1c5eac318769200cdff901",
+    "analyze --input ds.csv --test macaskill --axis ess --weighting ess --sided two":
+        "ab2ede0e2a9b545608f66764070350c9e917918e5ff41c773a7c6147d7b72cd2",
+    "analyze --input ds.csv --test begg --axis se":
+        "4102cdfcc05c3cf5eb6c7d98babbd3ebe5537143e921e450ccb7459fda67b719",
+    "analyze --input ds.csv --test begg --axis ess --sided two":
+        "9756ea323ee003ac6a64031c809090042dc3df05f50cd39443977bfba3f7ad87",
+    "analyze --input ds.csv --test trimfill --axis se --estimator r":
+        "b5261d705df992b25f588da3273ddb73ab5535ce12aff7aeb69e5e7a214ab602",
+    "analyze --input ds.csv --test trimfill --axis n --estimator l":
+        "da5f696edc5220d7f846a146354bc586f49f514de45d4589a28dddee1a01b158",
+    "analyze --input ds.csv --measure lntheta --test egger --weighting ivfixed":
+        "7f263adb61a9fc8bc95677d214dc9df8097e6c617bef39e3ff8303b0dce2db02",
+    "analyze --input ds.csv --measure youden --test begg --axis n":
+        "287e9a2c50f37605a8316906382e87a7966b8052e338090ce4661df6ff012b84",
+    "analyze --input ds.csv --measure kappa --test macaskill --axis n --weighting ivfixed":
+        "3630a845424e8c24e8bca07d0e5d65c9642b5338993920e90336b430c6291e70",
+    "analyze --input ds.csv --correction never":
+        "35a1373b9f301e2ea6892aa44c9b01ee22481c4da3f15165ce1be218867109c5",
+    "analyze --input asym.csv --estimator r":
+        "fdf0aeeda3192fe07e1e5bd17c33a22b6684e8b6c0439118f1ddda5724f1a72f",
+    "analyze --input asym.csv --estimator l --axis n":
+        "9f433fe10541673093b190a86b6b903c1230d0b17eff19cdf965a5ef20690aa2",
+    "analyze --input asym.csv --test egger --correction never --alpha 0.05":
+        "202bda6ca7d92efe61afc8aaa5ce0ed752124a2e56aadac41180944beb8b4a3b",
+    "analyze --input kappa.csv --measure kappa --correction never --test begg":
+        "711155b829b37f94e18af16e0e893b891a1b1f20a3690e4ba491f8a4ccf9e579",
+    "analyze --input quoted.csv --test begg --sided two":
+        "c9726426ad57f3b61c20b4e6c45f6bc44c20a5c777e3e3732e4055e7b8180d4e",
+    "analyze --input two.csv":
+        "99e4ed73791f2f0e2a92df8f50e8c2f89f5ffb9145a87091901763175d54b5d3",
+    "analyze --input bad.csv":
+        "ab5701bc549939ab56d273fbe3b20fbbd0429f3bd77c6d972e12bcd131d2d5b0",
+    "funnel --input ds.csv":
+        "439d101f84e55cbc345ced135310f80ebc60b980891df68ea663b42b3f199808",
+    "funnel --input ds.csv --format json --axis n":
+        "949b13eb7209724a7e8d9bf0a41726635863d1615f37a0cb9d9ae38d1ae0a3a7",
+    "funnel --input kappa.csv --measure kappa --axis ess --correction never":
+        "b3fa42c444dd3cc49ff24d2098b858e42d406a516cbb2aaeb9ed8a47f3041b31",
+    "funnel --input asym.csv --axis inv-n --correction never --format json":
+        "1a73644a996a5391880792ae7b34a2b7974416013110346244222d70333c8f84",
+    "funnel --input quoted.csv --format json":
+        "e8122df45d978b0a123142b93f3b005a0fa74001c70a23c7432d204170641b48",
+}
+
+
+def golden_digest(capsys, argv: str) -> str:
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    return hashlib.sha256(f"{code}\0{captured.out}\0{captured.err}".encode()).hexdigest()
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CALL_SHA256))
+def test_analyze_and_funnel_golden_bytes(golden_dir, capsys, argv):
+    assert golden_digest(capsys, argv) == GOLDEN_CALL_SHA256[argv]
+
+
+# json.dumps escapes these in strings; ids may hold any of them
+AWKWARD_CHARS = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", "é", "\u2028", "\U0001d4d0", "%", "a"])
+AWKWARD_TEXT = st.text(AWKWARD_CHARS | st.characters(), max_size=8)
+UTF8_TEXT = st.text(AWKWARD_CHARS | st.characters(codec="utf-8"), max_size=8)  # a file holds no lone surrogate
+AWKWARD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1]) | st.floats()
+JSON_SCALAR = AWKWARD_TEXT | st.integers() | AWKWARD_FLOATS | st.booleans() | st.none()
+
+
+@st.composite
+def record_columns(draw):
+    """Keys and columns: each column of one type (the fast paths) or mixed."""
+    keys = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 6))
+    kinds = st.sampled_from([AWKWARD_TEXT, st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                             AWKWARD_FLOATS, JSON_SCALAR])
+    columns = tuple(draw(st.lists(draw(kinds), min_size=rows, max_size=rows)) for _ in keys)
+    return tuple(keys), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_columns())
+def test_json_records_is_json_dumps_indent_2(keys_columns):
+    keys, columns = keys_columns
+    records = [dict(zip(keys, row)) for row in zip(*columns)]
+    assert cli._json_records(keys, columns) == json.dumps(records, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    AWKWARD_TEXT, JSON_SCALAR | st.lists(JSON_SCALAR) | st.dictionaries(AWKWARD_TEXT, JSON_SCALAR), min_size=1
+))
+def test_json_object_nests_members_as_json_dumps_does(obj):
+    members = [(key, json.dumps(value, indent=2)) for key, value in obj.items()]
+    assert cli._json_object(members) == json.dumps(obj, indent=2)
+
+
+@st.composite
+def study_tables(draw):
+    """A dataset CSV with awkward ids and zero cells, and its ids as read back."""
+    k = draw(st.integers(3, 8))
+    ids = draw(st.lists(UTF8_TEXT.map(str.strip), min_size=k, max_size=k))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 20)] * 4), min_size=k, max_size=k))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(["study_id", "tp", "fn", "fp", "tn"])
+    writer.writerows((sid, tp + 1, fn, fp, tn + 1) for sid, (tp, fn, fp, tn) in zip(ids, cells))
+    return text.getvalue(), ids
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    tables=study_tables(),
+    measure=st.sampled_from(["lndor", "lntheta", "youden", "kappa"]),
+    correction=st.sampled_from(["half", "never"]),
+    test=st.sampled_from(["egger", "macaskill", "begg", "trimfill"]),
+)
+def test_reports_are_json_dumps_indent_2(tmp_path, capsys, tables, measure, correction, test):
+    text, ids = tables
+    path = tmp_path / "ds.csv"
+    path.write_text(text, encoding="utf-8")
+    axis = "n" if test == "macaskill" else "se"
+    common = ["--input", str(path), "--measure", measure, "--correction", correction, "--axis", axis]
+    code, out, _ = run(capsys, "analyze", *common, "--test", test)
+    if code == 0:
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        if len(report["studies"]) == len(ids):
+            assert [study["study_id"] for study in report["studies"]] == ids
+    code, out, _ = run(capsys, "funnel", *common, "--format", "json")
+    if code == 0:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(JSON_SCALAR))
+def test_json_array_of_scalars_is_json_dumps_indent_2(values):
+    assert cli._json_array(cli._json_scalars(values)) == json.dumps(values, indent=2)
