@@ -16,9 +16,7 @@ pure-Python indenting encoder.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -54,6 +52,7 @@ from .model import (
     CorrectionPolicy,
     MeasureId,
     Sidedness,
+    csv_text,
     read_dataset_csv,
     validate_dataset,
 )
@@ -280,11 +279,7 @@ def _cmd_funnel(args) -> int:
         sys.stdout.write(_json_records(("study_id", "effect", "axis_value"), columns) + "\n")
     else:
         # str(float) is repr(float); ids are quoted only where CSV needs it
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(("study_id", "effect", "axis_value"))
-        writer.writerows(zip(*columns))
-        sys.stdout.write(text.getvalue())
+        sys.stdout.write(csv_text(("study_id", "effect", "axis_value"), *columns))
     return 0
 
 

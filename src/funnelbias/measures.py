@@ -41,8 +41,10 @@ Checks = list[tuple[np.ndarray, str]]
 
 def _log(values: np.ndarray) -> np.ndarray:
     """math.log of each value, in the input's shape; nan where it is undefined."""
-    logs = [math.log(v) if v > 0.0 else math.nan for v in values.ravel().tolist()]
-    return np.array(logs).reshape(values.shape)
+    logs = np.full(values.shape, math.nan)
+    defined = values > 0.0
+    logs[defined] = list(map(math.log, values[defined].tolist()))
+    return logs
 
 
 def _pow(values: np.ndarray, exponent: int) -> np.ndarray:

@@ -19,7 +19,10 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -245,9 +248,13 @@ def validate_dataset(dataset: MetaDataset) -> MetaDataset:
 def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     """Read a dataset from ``study_id,tp,fn,fp,tn`` CSV.
 
-    Returns the dataset plus the study ids in file order. Any structural
-    problem (text not UTF-8, bad header, non-integer cell, negative count,
-    empty group) raises :class:`DatasetFormatError`, with its line number if any.
+    Returns the dataset plus the study ids in file order. Blank lines
+    are skipped; ids and counts may have surrounding whitespace, and a
+    count is any integer ``int`` parses. Any structural problem (text
+    not UTF-8, bad header, wrong field count, non-integer cell, negative
+    count, empty group) raises :class:`DatasetFormatError`, with its
+    line number if any. Line numbers count CSV records, so a quoted
+    newline does not advance them.
     """
     try:
         reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
@@ -262,35 +269,74 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
             line_no=1,
         )
-    rows: list[list[int]] = []
-    ids: list[str] = []
-    line_nos: list[int] = []
+    records = list(reader)
+    # a blank line has no cell that is more than whitespace
+    kept = [any(map(str.strip, row)) for row in records]
+    rows = list(itertools.compress(records, kept))
+    line_nos = list(itertools.compress(itertools.count(2), kept))
+    tables = _count_table(rows)
     parse_error = None
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue  # tolerate blank lines
-        if len(row) != 5:
-            parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
-            break
-        try:
-            rows.append([int(cell.strip()) for cell in row[1:]])
-        except ValueError:
-            parse_error = DatasetFormatError(
-                f"non-integer cell count in {row[1:]!r}", line_no=line_no
-            )
-            break
-        ids.append(row[0].strip())
-        line_nos.append(line_no)
+    if tables is None:
+        # find the first line that is not an id and four integer counts
+        tables = []
+        for line_no, row in zip(line_nos, rows):
+            if len(row) != 5:
+                parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
+                break
+            try:
+                tables.append([int(cell.strip()) for cell in row[1:]])
+            except ValueError:
+                parse_error = DatasetFormatError(
+                    f"non-integer cell count in {row[1:]!r}", line_no=line_no
+                )
+                break
     # the rows read before a parse error come first in the file
     try:
-        dataset = MetaDataset(rows)
+        dataset = MetaDataset(tables)
     except DataError as exc:
         if exc.study is None:
             raise  # a cell beyond int64 is no one study's fault
         raise DatasetFormatError(exc.reason, line_no=line_nos[exc.study]) from None
     if parse_error is not None:
         raise parse_error
-    return dataset, tuple(ids)
+    return dataset, tuple(row[0].strip() for row in rows)
+
+
+def _count_table(rows: list[list[str]]) -> np.ndarray | None:
+    """The (k, 4) int64 counts of rows of five fields, converted in one ``map(int, ...)``.
+
+    None if a row has another field count, or if a count is not
+    something ``int`` parses unstripped or does not fit in int64; the
+    caller then scans the rows one at a time.
+    """
+    if not set(map(len, rows)) <= {5}:
+        return None
+    # one flat list, not zip(*rows): that holds an iterator per row, which
+    # would set off the cyclic garbage collector on every large file
+    cells = list(itertools.chain.from_iterable(rows))
+    del cells[::5]  # the ids
+    try:
+        counts = np.array(list(map(int, cells)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return counts.reshape(len(rows), 4)
+
+
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def csv_text(header: Sequence[str], ids: Sequence[str], *columns: Sequence) -> str:
+    """CSV of a header line and one ``id,value,...`` line per id, each ending in "\\n".
+
+    Each value is written as ``str`` writes it. An id is quoted, with its
+    quotes doubled, when it holds a comma, a quote, "\\n" or "\\r", as
+    Python 3.12's csv writer quotes it; the writer of earlier versions
+    leaves a bare "\\r" unquoted, and csv.reader reads that as a line break.
+    """
+    if _CSV_QUOTED.search("".join(ids)):
+        ids = ['"' + sid.replace('"', '""') + '"' if _CSV_QUOTED.search(sid) else sid for sid in ids]
+    lines = map(",".join, zip(ids, *(map(str, column) for column in columns)))
+    return "\n".join((",".join(header), *lines)) + "\n"
 
 
 def write_dataset_csv(
@@ -303,8 +349,5 @@ def write_dataset_csv(
         study_ids = tuple(f"s{i + 1}" for i in range(dataset.k))
     if len(study_ids) != dataset.k:
         raise ValueError("study_ids length does not match dataset size")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([sid, *row] for sid, row in zip(study_ids, dataset.tables.tolist()))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(csv_text(CSV_HEADER, study_ids, *dataset.tables.T.tolist()))

@@ -224,6 +224,19 @@ def test_funnel_csv_quotes_ids_like_the_input(tmp_path, capsys):
     assert out.splitlines()[3].startswith("Müller \U0001d4d0,")
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(st.text(st.sampled_from('ab ,"\r\n'), max_size=5) | st.text(max_size=5), min_size=3, max_size=6))
+def test_funnel_csv_reads_back_every_id(tmp_path, capsys, ids):
+    # an id holding a bare "\r" was once written unquoted and read back as two rows
+    path = tmp_path / "ids.csv"
+    model.write_dataset_csv(path, model.MetaDataset([(40, 10, 10, 40)] * len(ids)), tuple(ids))
+    code, out, _ = run(capsys, "funnel", "--input", str(path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == [sid.strip() for sid in ids]
+
+
 def test_funnel_json(dataset_path, capsys):
     code, out, _ = run(capsys, "funnel", "--input", dataset_path, "--format", "json", "--axis", "n")
     assert code == 0

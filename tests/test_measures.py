@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from funnelbias.errors import EmptyGroup, NegativeCell
 from funnelbias.measures import (
+    _log,
     effective_sample_size,
     kappa,
     ln_dor,
@@ -478,3 +482,37 @@ def test_array_measures_match_scalar_formulas_bitwise(measure, policy):
     assert measured.excluded == tuple(excluded)
     assert [v.hex() for v in measured.estimates.value.tolist()] == [v.hex() for v in values]
     assert [s.hex() for s in measured.estimates.se.tolist()] == [s.hex() for s in ses]
+
+
+def log_by_element(values):
+    """_log as a list comprehension with a test per element: the reference for _log."""
+    logs = [math.log(v) if v > 0.0 else math.nan for v in values.ravel().tolist()]
+    return np.array(logs).reshape(values.shape)
+
+
+EDGE_FLOATS = [0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.0, 0.5, 1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_log_is_bit_equal_to_the_per_element_form(values):
+    logs = _log(values)
+    assert logs.shape == values.shape and logs.dtype == np.float64
+    assert logs.tobytes() == log_by_element(values).tobytes()
+
+
+def test_log_is_bit_equal_on_edge_values_and_block_shapes():
+    rng = np.random.default_rng(3)
+    for values in (
+        np.array(EDGE_FLOATS),
+        np.array(EDGE_FLOATS).reshape(3, 4),
+        rng.choice(EDGE_FLOATS + list(rng.uniform(0, 50, 40)), size=(1000, 30)),
+        np.float64(0.25) * np.ones(()),
+    ):
+        assert _log(values).tobytes() == log_by_element(values).tobytes()

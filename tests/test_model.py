@@ -1,10 +1,15 @@
+import csv
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from funnelbias.errors import (
+    DataError,
     DatasetFormatError,
     EmptyGroup,
     NegativeCell,
@@ -12,6 +17,7 @@ from funnelbias.errors import (
 )
 from funnelbias.measures import ln_dor, measure_studies
 from funnelbias.model import (
+    CSV_HEADER,
     AsymmetryTestResult,
     CorrectionPolicy,
     EstimateSet,
@@ -215,3 +221,144 @@ def test_csv_first_error_in_file_order_wins(tmp_path):
     with pytest.raises(DatasetFormatError, match="cell y is negative: -3") as err:
         read_dataset_csv(path)
     assert err.value.line_no == 4
+
+
+def read_dataset_csv_by_row(path):
+    """The reader as it was before counts were converted by column: the reference for read_dataset_csv."""
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not utf-8 text: {exc.reason}") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("empty file", line_no=1) from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DatasetFormatError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            line_no=1,
+        )
+    rows, ids, line_nos = [], [], []
+    parse_error = None
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 5:
+            parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
+            break
+        try:
+            rows.append([int(cell.strip()) for cell in row[1:]])
+        except ValueError:
+            parse_error = DatasetFormatError(f"non-integer cell count in {row[1:]!r}", line_no=line_no)
+            break
+        ids.append(row[0].strip())
+        line_nos.append(line_no)
+    try:
+        dataset = MetaDataset(rows)
+    except DataError as exc:
+        if exc.study is None:
+            raise
+        raise DatasetFormatError(exc.reason, line_no=line_nos[exc.study]) from None
+    if parse_error is not None:
+        raise parse_error
+    return dataset, tuple(ids)
+
+
+def read_outcome(read, path):
+    """(tables, ids) on success; else the exception's class, message and line number."""
+    try:
+        dataset, ids = read(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return dataset.tables.tolist(), ids
+
+
+def assert_reads_as_row_reader(path, text):
+    path.write_bytes(text.encode())
+    assert read_outcome(read_dataset_csv, path) == read_outcome(read_dataset_csv_by_row, path)
+
+
+HEADER = ",".join(CSV_HEADER) + "\n"
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",
+        "s1,1,2,3,4\n\n   \n,,,,\n , ,\t,, \n\"\",\"\",,,\ns2,5,6,7,8\ns3,1,1,1,1\n\n",
+        "s1,1,2,3,4\r\ns2,5,6,7,8\r\n\r\ns3,1,1,1,1\r\n",
+        "1,2,3,4,5\n 6 ,7,8,9,10\n11,12,13,14,15\n",
+        "s1,1,2,3,4\r\ns2,5,6,7,8",
+        '"Smith, 2001",1,2,3,4\n"O""Brien",5,6,7,8\n"two\nlines",1,1,1,1\n"car\rriage",0,0,1,1\n',
+        "s1,1,2,3\ns2,1,2,3,4\n",
+        "s1,1,2,3,4\ns2,1,2,3,4,5\n",
+        "s1,1,2,3,4\ns2\n",
+        *(f"s1,1,2,3,4\ns2,1,{cell},3,4\ns3,0,0,1,1\n" for cell in ("1.5", "x", "", "+5", " 7 ", "1_000", "٣", "\x1c7\x1f")),
+        *(f"s1,1,2,3,4\ns2,1,{cell},3,4\n" for cell in (INT64_MAX, INT64_MAX + 1, -INT64_MAX - 2, 2**64, 10**30)),
+        f"s1,-1,2,3,4\ns2,1,{INT64_MAX + 1},3,4\n",
+        "s1,1,2,3,4\ns2,1,-2,3,4\ns3,x,1,1,1\n",
+        "s1,1,2,3,4\ns2,0,0,3,4\ns3,1,2\n",
+        "s1,1,2,3,4\ns2,1,2,0,0\n\ns3,1.5,1,1,1\n",
+        "s1,1,2,3,4\ns2,x,1,1,1\ns3,1,-2,3,4\n",
+        "s1,1,2,3,4\ns2,1,2\ns3,0,0,3,4\n",
+    ],
+)
+def test_reader_matches_row_reader_on_named_inputs(tmp_path, body):
+    assert_reads_as_row_reader(tmp_path / "in.csv", HEADER + body)
+
+
+CSV_CELLS = st.integers(-2, 60).map(str) | st.sampled_from(
+    ["", " ", "1.5", "x", "+5", " 7 ", "1_000", "٣", "\x1c3", "-0", str(INT64_MAX), str(INT64_MAX + 1), str(-INT64_MAX - 2)]
+)
+# ids that are integers too, so that mixing up the id and count columns shows
+CSV_IDS = st.text(st.sampled_from('ab ,"\r\n\t'), max_size=6) | st.text(max_size=4) | st.integers(0, 60).map(str)
+CSV_ROWS = st.one_of(
+    st.tuples(CSV_IDS, CSV_CELLS, CSV_CELLS, CSV_CELLS, CSV_CELLS).map(list),
+    st.lists(CSV_CELLS | CSV_IDS, max_size=7),
+    st.sampled_from([[], [" "], [""] * 5, [" ", "\t", "", "", " "]]),
+)
+
+
+def csv_line(fields, ending):
+    """One CSV record; a field is quoted, quotes doubled, when it holds a delimiter, quote or line break."""
+    quoted = ['"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in fields]
+    return ",".join(quoted) + ending
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(CSV_ROWS, max_size=10),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    header=st.sampled_from([HEADER, " study_id , tp,fn,fp,tn \r\n", "id,tp,fn,fp,tn\n"]),
+)
+def test_reader_matches_row_reader(tmp_path, rows, ending, header):
+    assert_reads_as_row_reader(tmp_path / "in.csv", header + "".join(csv_line(row, ending) for row in rows))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ids=st.lists(st.text(st.sampled_from('ab ,"\r\n'), max_size=5) | st.text(max_size=5), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_csv_round_trip_keeps_awkward_ids(tmp_path, ids, data):
+    tables = data.draw(arrays(np.int64, (len(ids), 4), elements=st.integers(1, 10**6)))
+    path = tmp_path / "ids.csv"
+    write_dataset_csv(path, MetaDataset(tables), tuple(ids))
+    back, back_ids = read_dataset_csv(path)
+    assert back.tables.tolist() == tables.tolist()
+    assert back_ids == tuple(sid.strip() for sid in ids)
+    # csv.writer writes the same bytes, except that it leaves a bare "\r" unquoted before Python 3.12
+    if not any("\r" in sid for sid in ids):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows((sid, *row) for sid, row in zip(ids, tables.tolist()))
+        assert path.read_bytes().decode() == text.getvalue()
+
+
+def test_csv_round_trip_quotes_a_bare_carriage_return(tmp_path):
+    path = tmp_path / "cr.csv"
+    write_dataset_csv(path, MetaDataset([(1, 2, 3, 4)] * 3), ("a\rb", "c", 'd"\re'))
+    assert path.read_bytes().decode() == HEADER + '"a\rb",1,2,3,4\nc,1,2,3,4\n"d""\re",1,2,3,4\n'
+    assert read_dataset_csv(path)[1] == ("a\rb", "c", 'd"\re')
