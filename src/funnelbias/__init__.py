@@ -11,7 +11,6 @@ from .asymmetry import (
     EggerWeighting,
     MacaskillWeighting,
     PrecisionAxis,
-    RegressionFit,
     TrimFillEstimator,
     TrimFillState,
     begg_test,

@@ -396,6 +396,12 @@ def macaskill_test(
 # ---------------------------------------------------------------------------
 
 EXACT_KENDALL_MAX_K = 7
+# From this k on, Kendall's S comes from an inversion count, which costs
+# O(log k) passes over a block against the pair offsets' O(k). Timed on S
+# alone, the count is the faster from about k = 24 on one row, and from
+# between k = 48 and 56 on blocks of 1024 rows, the Monte Carlo path; on
+# one row below 64 it would save less than 0.2 ms.
+KENDALL_MERGE_MIN_K = 64
 
 
 @lru_cache(maxsize=None)
@@ -436,23 +442,107 @@ def _tie_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(terms.sum(axis=-1).astype(float) for terms in (p, 6 * p * (p + 2), 3 * p * (p - 1)))
 
 
+def _kendall_s_offsets(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Kendall's S of each row, summing the sign products of the pairs one offset at a time.
+
+    Each of the k - 1 offsets takes a few passes over the block. The
+    sums of +-1 and 0 are exact. A pair whose difference is nan (a nan
+    entry, or one infinity twice) makes its row's S nan.
+    """
+    s = np.zeros(xs.shape[0])
+    with np.errstate(invalid="ignore"):
+        for d in range(1, xs.shape[1]):
+            s = s + (np.sign(xs[:, d:] - xs[:, :-d]) * np.sign(ys[:, d:] - ys[:, :-d])).sum(axis=-1)
+    return s
+
+
+def _inversions(perm: np.ndarray) -> np.ndarray:
+    """The inversions (i < j with perm_i > perm_j) of each row of a (rows, k) block of permutations of 0..k-1.
+
+    A bottom-up merge sort counts them as it merges; here the merges run
+    backwards, as stable splits of the values on one bit, from the
+    highest bit down. Rows are padded with k..size-1 to a power-of-two
+    size, so at each bit the values that agree above it form groups of
+    equal width, each in its order in the row. A pair that the bit splits, a 1 before a
+    0, is an inversion counted once, at the highest bit where the two
+    differ. Each level is a few passes over the block, so the count
+    costs O(rows * k log k) time and O(rows * k) memory.
+    """
+    rows, k = perm.shape
+    levels = (k - 1).bit_length()
+    size = 1 << levels
+    values = np.empty((rows, size), dtype=np.int32)
+    values[:, :k] = perm
+    values[:, k:] = np.arange(k, size)  # above every value and in order: no inversion
+    values = values.ravel()
+    split = np.empty_like(values)
+    position = np.arange(rows * size, dtype=np.int32)  # 2**31 entries would take 16 GB per float column
+    count = np.zeros(rows, dtype=np.int64)
+    for b in reversed(range(levels)):
+        width = 2 << b
+        groups = values.reshape(-1, width)
+        bit = (groups >> b) & 1
+        ones_before = np.cumsum(bit, axis=-1, dtype=np.int32) - bit
+        count += (ones_before * (1 - bit)).reshape(rows, -1).sum(axis=-1)
+        # zeros keep their order at the front of the group, ones follow them
+        at = position.reshape(-1, width)
+        split[np.where(bit, at[:, :1] + (1 << b) + ones_before, at - ones_before).ravel()] = values
+        values, split = split, values
+    return count
+
+
+def _nan_pairs(values: np.ndarray) -> np.ndarray:
+    """Whether some pair of each row has a nan difference: a nan entry, or one infinity twice."""
+    twice = [(values == infinity).sum(axis=-1) > 1 for infinity in (np.inf, -np.inf)]
+    return np.isnan(values).any(axis=-1) | twice[0] | twice[1]
+
+
+def _kendall_s_merge(xs: np.ndarray, ys: np.ndarray, tx_pairs: np.ndarray, ty_pairs: np.ndarray) -> np.ndarray:
+    """Kendall's S of each row from sorts and an inversion count (Knight 1966), given its tied pairs in x and in y.
+
+    In (x, y) order a pair is discordant exactly when its y values are
+    strictly inverted, and the stable sort of y in that order is a
+    permutation with the same inversions D. With n0 pairs and txy of
+    them tied in both x and y, S = n0 - tx - ty + txy - 2 * D. Every
+    term is an integer count below 2**53, so S is the exact S that
+    :func:`_kendall_s_offsets` sums, nan where it is nan too.
+    """
+    rows, k = xs.shape
+    row = np.arange(rows)[:, None]
+    order = np.lexsort((ys, xs), axis=-1)
+    x_sorted, y_sorted = xs[row, order], ys[row, order]
+    discordant = _inversions(y_sorted.argsort(axis=-1, kind="stable"))
+    both = (x_sorted[:, 1:] == x_sorted[:, :-1]) & (y_sorted[:, 1:] == y_sorted[:, :-1])
+    txy = (np.arange(k) - _run_starts(both)).sum(axis=-1)
+    s = (k * (k - 1) // 2 - tx_pairs - ty_pairs) + (txy - 2 * discordant)
+    finite = np.isfinite(xs).all(axis=-1) & np.isfinite(ys).all(axis=-1)
+    if not finite.all():
+        s[~finite] = np.where(_nan_pairs(xs[~finite]) | _nan_pairs(ys[~finite]), np.nan, s[~finite])
+    return s
+
+
 def _kendall_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kendall's tau-b of each row, P(S >= s) for the alternative tau > 0, and the two-sided p.
 
-    S sums sign products one pair offset at a time, so memory stays
-    O(rows * k); the sums of +-1 and 0 are exact. Rows without ties take
-    the exact null for k up to ``EXACT_KENDALL_MAX_K``, the rest a normal
+    S takes one of two exact ways, chosen by k: below
+    ``KENDALL_MERGE_MIN_K`` it sums sign products one pair offset at a
+    time (:func:`_kendall_s_offsets`, O(k) passes), from there on it
+    comes from sorts and a merge-sort inversion count
+    (:func:`_kendall_s_merge`, O(log k) passes). Both give the same
+    integer S and keep memory O(rows * k). Rows without ties take the
+    exact null for k up to ``EXACT_KENDALL_MAX_K``, the rest a normal
     approximation with Kendall's (1970) tie-corrected variance.
     """
     rows, k = xs.shape
     n0 = k * (k - 1) / 2
     tx_pairs, tx_var, tx_triple = _tie_sums(xs)
     ty_pairs, ty_var, ty_triple = _tie_sums(ys)
-    # inf or nan entries (rows a caller has failed) give a nan S; constant rows are set below
+    # inf or nan entries (rows a caller has failed) can give a nan S; constant rows are set below
+    if k < KENDALL_MERGE_MIN_K:
+        s = _kendall_s_offsets(xs, ys)
+    else:
+        s = _kendall_s_merge(xs, ys, tx_pairs, ty_pairs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.zeros(rows)
-        for d in range(1, k):
-            s = s + (np.sign(xs[:, d:] - xs[:, :-d]) * np.sign(ys[:, d:] - ys[:, :-d])).sum(axis=-1)
         untied_pairs = (n0 - tx_pairs) * (n0 - ty_pairs)
         tau = s / np.sqrt(untied_pairs)
         var_s = (
@@ -595,13 +685,18 @@ def _signed_rank_probs(k: int) -> np.ndarray:
     return probs
 
 
+@lru_cache(maxsize=1 << 16)
+def _signed_rank_tail_sum(k: int, threshold: int) -> float:
+    """P(S+ >= threshold) for an integer threshold above 0; each (k, threshold) sums its O(k**2) tail once."""
+    return float(_signed_rank_probs(k)[threshold:].sum())  # 0.0 beyond the largest sum
+
+
 def _signed_rank_tail(k: int, s_plus: float) -> float:
     """P(S+ >= s_plus) when every sign is an independent fair coin."""
-    probs = _signed_rank_probs(k)
     threshold = math.ceil(s_plus - 1e-9)
     if threshold <= 0:
         return 1.0
-    return float(probs[threshold:].sum())  # 0.0 beyond the largest sum
+    return _signed_rank_tail_sum(k, threshold)
 
 
 def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:

@@ -254,28 +254,29 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     not UTF-8, bad header, wrong field count, non-integer cell, negative
     count, empty group) raises :class:`DatasetFormatError`, with its
     line number if any. Line numbers count CSV records, so a quoted
-    newline does not advance them.
+    newline does not advance them. A record the csv module cannot read
+    (a field longer than its field size limit) is a format error at
+    that record; an error in an earlier record comes first.
     """
     try:
-        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+        text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not utf-8 text: {exc.reason}") from None
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("empty file", line_no=1) from None
+    records, unreadable = _csv_records(text)
+    if not records:
+        raise unreadable or DatasetFormatError("empty file", line_no=1)
+    header, records = records[0], records[1:]
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise DatasetFormatError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
             line_no=1,
         )
-    records = list(reader)
     # a blank line has no cell that is more than whitespace
     kept = [any(map(str.strip, row)) for row in records]
     rows = list(itertools.compress(records, kept))
     line_nos = list(itertools.compress(itertools.count(2), kept))
     tables = _count_table(rows)
-    parse_error = None
+    parse_error = unreadable  # after every record read, so any error found in them comes first
     if tables is None:
         # find the first line that is not an id and four integer counts
         tables = []
@@ -300,6 +301,24 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     if parse_error is not None:
         raise parse_error
     return dataset, tuple(row[0].strip() for row in rows)
+
+
+def _csv_records(text: str) -> tuple[list[list[str]], DatasetFormatError | None]:
+    """The CSV records of ``text`` up to the first one the csv module cannot read, and that record's error.
+
+    The records are read in one ``list(...)``; only when that fails are
+    they read again one at a time, to number the record that fails.
+    """
+    try:
+        return list(csv.reader(io.StringIO(text, newline=""))), None
+    except csv.Error as exc:
+        error = str(exc)
+    records = []
+    try:
+        records.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        pass  # extend keeps the records read before the error
+    return records, DatasetFormatError(error, line_no=len(records) + 1)
 
 
 def _count_table(rows: list[list[str]]) -> np.ndarray | None:

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from funnelbias.asymmetry import (
+    KENDALL_MERGE_MIN_K,
     EggerWeighting,
     MacaskillWeighting,
     PrecisionAxis,
@@ -26,13 +27,17 @@ from funnelbias.asymmetry import (
     weighted_linear_fit,
 )
 from funnelbias.asymmetry import (
+    Failure,
     TrimFillState,
     _average_ranks,
     _gamma_plus,
     _kendall_rows,
+    _kendall_s_merge,
+    _kendall_s_offsets,
     _l_pass,
     _l_pvalue,
     _signed_rank_tail,
+    _tie_sums,
 )
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
 from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
@@ -292,13 +297,16 @@ def test_kendall_normal_approx_close_to_exact_small_k():
             assert abs(p_norm - p_exact) < 0.05
 
 
+def pairwise_s(xs, ys):
+    """Kendall's S of one sample: the sign products of its every pair, summed."""
+    i, j = np.triu_indices(len(xs), 1)
+    return float((np.sign(xs[j] - xs[i]) * np.sign(ys[j] - ys[i])).sum())
+
+
 def kendall_tied_p_greater(xs, ys):
     """P(S >= s) from Kendall's (1970) tie-corrected Var(S), continuity-corrected."""
     k = len(xs)
-    s = sum(
-        np.sign(xs[j] - xs[i]) * np.sign(ys[j] - ys[i])
-        for i, j in itertools.combinations(range(k), 2)
-    )
+    s = pairwise_s(xs, ys)
     t = np.unique(xs, return_counts=True)[1].astype(float)
     u = np.unique(ys, return_counts=True)[1].astype(float)
     var_s = (
@@ -312,16 +320,81 @@ def kendall_tied_p_greater(xs, ys):
 
 
 def test_kendall_tau_b_matches_scipy_with_ties():
+    # k runs across KENDALL_MERGE_MIN_K, so both ways to S meet scipy
     rng = np.random.default_rng(29)
-    for _ in range(25):
-        xs = rng.integers(0, 5, size=12).astype(float)
-        ys = rng.integers(0, 5, size=12).astype(float)
+    for k, _ in itertools.product([12, KENDALL_MERGE_MIN_K - 1, KENDALL_MERGE_MIN_K, 100, 300], range(25)):
+        xs = rng.integers(0, 5, size=k).astype(float)
+        ys = rng.integers(0, 5, size=k).astype(float)
         if np.ptp(xs) == 0 or np.ptp(ys) == 0:
             continue
         tau, p = kendall_tau(xs, ys)
         expected = sps.kendalltau(xs, ys, variant="b").statistic
         assert tau == pytest.approx(expected, rel=1e-12)
         assert p == pytest.approx(kendall_tied_p_greater(xs, ys), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 100, 300])
+@pytest.mark.parametrize("values", [4, None])
+def test_kendall_s_matches_every_pair(k, values):
+    # a few values tie in x, in y and in both; continuous draws do not tie
+    rng = np.random.default_rng(k)
+    xs, ys = rng.normal(size=(2, 8, k)) if values is None else rng.integers(0, values, size=(2, 8, k)) * 0.5
+    expected = [pairwise_s(x, y) for x, y in zip(xs, ys)]
+    tx, ty = _tie_sums(xs)[0], _tie_sums(ys)[0]
+    assert _kendall_s_merge(xs, ys, tx, ty).tolist() == expected
+    assert _kendall_s_offsets(xs, ys).tolist() == expected
+    n0 = k * (k - 1) / 2
+    assert _kendall_rows(xs, ys)[0].tolist() == (np.array(expected) / np.sqrt((n0 - tx) * (n0 - ty))).tolist()
+
+
+def test_kendall_s_ways_agree_on_non_finite_rows():
+    # a pair whose difference is nan (a nan, or one infinity twice) makes S nan;
+    # one infinity is just the largest value
+    rng = np.random.default_rng(30)
+    k = KENDALL_MERGE_MIN_K + 5
+    xs, ys = rng.normal(size=(2, 7, k))
+    xs[0, 3] = np.inf
+    xs[1, [3, 9]] = np.inf
+    xs[2, [3, 9]] = -np.inf
+    xs[3, [3, 9]] = [np.inf, -np.inf]
+    xs[4, 5] = np.nan
+    ys[5, [0, 1]] = np.inf
+    ys[6, 2] = np.nan
+    merged = _kendall_s_merge(xs, ys, _tie_sums(xs)[0], _tie_sums(ys)[0])
+    summed = _kendall_s_offsets(xs, ys)
+    _kendall_rows(xs, ys)  # and no warning on the way
+    undefined = [False, True, True, False, True, True, True]
+    assert np.isnan(merged).tolist() == undefined
+    assert np.isnan(summed).tolist() == undefined
+    assert merged[[0, 3]].tolist() == summed[[0, 3]].tolist()
+    for row in (0, 3):
+        # an infinity sorts as a finite value past every other does
+        assert merged[row] == pairwise_s(np.clip(xs[row], -1e300, 1e300), ys[row])
+
+
+def test_begg_block_with_failed_rows_raises_no_warning():
+    # a study whose variance swamps the rest has a centered variance of 0, so
+    # its t_star is inf (row 1: the rest move the pooled effect off its tiny
+    # value) or nan (row 2: every value is the pooled effect); warnings are
+    # errors under the suite's filterwarnings
+    rng = np.random.default_rng(31)
+    for k in (KENDALL_MERGE_MIN_K - 1, KENDALL_MERGE_MIN_K, 100):
+        ses = rng.uniform(0.1, 1.0, size=(4, k))
+        values = rng.normal(0.0, ses)
+        ses[[1, 2], 0] = 2.0**-40
+        values[1, 0] = 1e-9
+        values[2] = 0.25
+        ses[3] = 0.5
+        ns = np.full((4, k), 100)
+        rows = EstimateRows(values, ses, ns, ns * 1.0, ns // 2, ns - ns // 2)
+        results = begg_rows(rows)
+        assert results.failure.tolist() == [
+            Failure.NONE, Failure.CENTERED_VARIANCE, Failure.CENTERED_VARIANCE, Failure.ALL_TIED
+        ]
+        for i in range(4):
+            alone = begg_rows(EstimateRows(*(column[i:i + 1] for column in rows)))
+            assert np.array_equal(alone.statistic, results.statistic[i:i + 1], equal_nan=True)
+            assert np.array_equal(alone.p_value, results.p_value[i:i + 1], equal_nan=True)
 
 
 def test_kendall_constant_vector_is_uninformative():

@@ -93,6 +93,17 @@ def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
     assert "within int64" in err
 
 
+def test_analyze_id_past_the_csv_field_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(f"study_id,tp,fn,fp,tn\ns1,40,10,10,40\n{'x' * 200_000},30,5,8,57\ns3,20,15,12,38\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "(line 3)" in err
+    assert "field larger than field limit" in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/nonexistent/ds.csv")
     assert code == 2

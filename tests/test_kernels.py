@@ -1,8 +1,9 @@
 """Every family's kernel gives each row of a block the numbers that row gets alone.
 
 The blocks mix continuous, tied and constant columns and a study whose
-variance swamps the rest, so the exact and normal Kendall paths, the
-regression's singular designs and Begg's failure reasons all occur.
+variance swamps the rest, so the exact and normal Kendall paths, both
+ways to Kendall's S, the regression's singular designs and Begg's
+failure reasons all occur.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from funnelbias.asymmetry import (
     EXACT_KENDALL_MAX_K,
     FAILURE_ERRORS,
+    KENDALL_MERGE_MIN_K,
     Failure,
     PrecisionAxis,
     TrimFillEstimator,
@@ -61,9 +63,9 @@ def column(draw, k, continuous, tied, swamped=None):
 
 
 @st.composite
-def blocks(draw, max_k=40):
+def blocks(draw, min_k=3, max_k=40):
     count = draw(st.integers(1, 5))
-    k = draw(st.integers(3, max_k))
+    k = draw(st.integers(min_k, max_k))
     rows = []
     for _ in range(count):
         values = column(draw, k, st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
@@ -104,6 +106,13 @@ def test_each_row_of_a_block_is_that_row_alone(rows):
 @given(rows=blocks(max_k=EXACT_KENDALL_MAX_K))
 def test_each_row_of_a_small_block_is_that_row_alone(rows):
     # k <= 7 reaches Kendall's exact null on every untied row
+    assert_each_row_is_that_row_alone(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=blocks(min_k=KENDALL_MERGE_MIN_K - 2, max_k=KENDALL_MERGE_MIN_K + 2))
+def test_each_row_of_a_block_is_that_row_alone_across_the_merge_threshold(rows):
+    # k on both sides of KENDALL_MERGE_MIN_K, so Begg's S takes each of its two ways
     assert_each_row_is_that_row_alone(rows)
 
 

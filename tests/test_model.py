@@ -233,6 +233,8 @@ def read_dataset_csv_by_row(path):
         header = next(reader)
     except StopIteration:
         raise DatasetFormatError("empty file", line_no=1) from None
+    except csv.Error as exc:
+        raise DatasetFormatError(str(exc), line_no=1) from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise DatasetFormatError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
@@ -240,7 +242,16 @@ def read_dataset_csv_by_row(path):
         )
     rows, ids, line_nos = [], [], []
     parse_error = None
-    for line_no, row in enumerate(reader, start=2):
+    records = enumerate(reader, start=2)
+    line_no = 1
+    while True:
+        try:
+            line_no, row = next(records)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            parse_error = DatasetFormatError(str(exc), line_no=line_no + 1)
+            break
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 5:
@@ -280,6 +291,7 @@ def assert_reads_as_row_reader(path, text):
 
 HEADER = ",".join(CSV_HEADER) + "\n"
 INT64_MAX = 2**63 - 1
+LONG_ID = "x" * (csv.field_size_limit() + 1)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +314,8 @@ INT64_MAX = 2**63 - 1
         "s1,1,2,3,4\ns2,1,2,0,0\n\ns3,1.5,1,1,1\n",
         "s1,1,2,3,4\ns2,x,1,1,1\ns3,1,-2,3,4\n",
         "s1,1,2,3,4\ns2,1,2\ns3,0,0,3,4\n",
+        # a field past the csv module's size limit, alone or after an earlier error
+        *(f"{before}{LONG_ID},1,2,3,4\ns9,1,1,1,1\n" for before in ("", "s1,1,2,3,4\n\n", "s1,1,2\n", "s1,0,0,3,4\n")),
     ],
 )
 def test_reader_matches_row_reader_on_named_inputs(tmp_path, body):
@@ -334,6 +348,14 @@ def csv_line(fields, ending):
 )
 def test_reader_matches_row_reader(tmp_path, rows, ending, header):
     assert_reads_as_row_reader(tmp_path / "in.csv", header + "".join(csv_line(row, ending) for row in rows))
+
+
+def test_reader_numbers_a_long_header_as_line_1(tmp_path):
+    path = tmp_path / "in.csv"
+    assert_reads_as_row_reader(path, LONG_ID + ",tp,fn,fp,tn\ns1,1,2,3,4\n")
+    with pytest.raises(DatasetFormatError, match="field larger than field limit") as err:
+        read_dataset_csv(path)
+    assert err.value.line_no == 1
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
