@@ -11,6 +11,8 @@ from .asymmetry import (
     EggerWeighting,
     MacaskillWeighting,
     PrecisionAxis,
+    TestFamily,
+    TestVariantId,
     TrimFillEstimator,
     TrimFillState,
     begg_test,
@@ -19,6 +21,7 @@ from .asymmetry import (
     macaskill_test,
     pool_fixed_effects,
     pool_random_effects,
+    run_test,
     trim_fill_test,
 )
 from .measures import (
@@ -44,8 +47,6 @@ from .model import (
 )
 from .harness import (
     SimResult,
-    TestFamily,
-    TestVariantId,
     run_condition,
     run_grid,
     run_variant,

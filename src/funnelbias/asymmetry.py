@@ -17,6 +17,11 @@ family's single-dataset test is its kernel on a block of one:
   row's last pass: pooled effect, k0, pass count, convergence,
   statistic and p.
 
+A ``TestVariantId`` names one runnable (family, measure, axis, options)
+combination. It is validated against ``FAMILIES`` when it is made, and
+it is what both paths run: ``run_rows`` on a block's every row for the
+Monte Carlo harness, ``run_test`` on one dataset for the analyst.
+
 All effect measures are oriented so that larger values mean higher
 accuracy, hence suppressed studies are assumed to sit on the left of
 the funnel and every one-sided alternative points in a fixed direction
@@ -40,7 +45,7 @@ from .errors import (
     SingularDesign,
     TooFewStudies,
 )
-from .model import MIN_STUDIES, AsymmetryTestResult, EstimateRows, EstimateSet, Sidedness
+from .model import MIN_STUDIES, AsymmetryTestResult, EstimateRows, EstimateSet, MeasureId, Sidedness
 
 MAX_TRIM_ITERATIONS = 50
 
@@ -69,6 +74,13 @@ class MacaskillWeighting(enum.Enum):
 class TrimFillEstimator(enum.Enum):
     R = "r"  # run-based
     L = "l"  # rank-sum based
+
+
+class TestFamily(enum.Enum):
+    EGGER = "egger"
+    MACASKILL = "macaskill"
+    BEGG = "begg"
+    TRIMFILL = "trimfill"
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,11 +165,6 @@ class AxisTable(dict):
 # ---------------------------------------------------------------------------
 
 
-def _require_studies(estimates: EstimateSet) -> None:
-    if len(estimates) < MIN_STUDIES:
-        raise TooFewStudies(f"need at least {MIN_STUDIES} estimates, got {len(estimates)}")
-
-
 def weighted_linear_fit(
     x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
 ) -> RegressionFit:
@@ -226,26 +233,6 @@ def _t_pvalue(statistic: np.ndarray, df: int, sidedness: Sidedness, direction: s
     return np.minimum(p, 1.0)
 
 
-def _finish(test_id: str, results, sidedness: Sidedness, alpha: float, **extra) -> AsymmetryTestResult:
-    """One dataset's result from its (statistic, p, failure), scalars or a block of one row.
-
-    A failed row raises the exception its failure reason names.
-    """
-    statistic, p_value, failure = (np.ravel(column)[0].item() for column in results)
-    if failure != Failure.NONE:
-        error, message = FAILURE_ERRORS[Failure(failure)]
-        raise error(message)
-    return AsymmetryTestResult(
-        test_id=test_id,
-        statistic=statistic,
-        p_value=p_value,
-        sidedness=sidedness,
-        alpha=alpha,
-        reject=p_value <= alpha,
-        **extra,
-    )
-
-
 # ---------------------------------------------------------------------------
 # pooled effects
 # ---------------------------------------------------------------------------
@@ -307,13 +294,12 @@ MACASKILL_AXES = AxisTable("Macaskill", {
 
 def egger_rows(
     rows: EstimateRows,
-    axis: PrecisionAxis = PrecisionAxis.SE,
-    weighting: EggerWeighting | None = None,
+    axis: PrecisionAxis,
+    weighting: EggerWeighting,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
 ) -> RowResults:
     """Egger's intercept test on every row of a block of at least ``MIN_STUDIES`` studies."""
     rule = EGGER_AXES[axis]
-    weighting = rule.weighting if weighting is None else weighting
     values, ses = rows.value, rows.se
     response = values / ses
     if weighting is EggerWeighting.UNWEIGHTED:
@@ -341,22 +327,18 @@ def egger_test(
     The one-sided alternative is b0 > 0: under bias the small imprecise
     studies drag the standardized effects up near the origin.
     """
-    _require_studies(estimates)
-    rule = EGGER_AXES[axis]
-    weighting = rule.weighting if weighting is None else weighting
-    results = egger_rows(estimates.rows(), axis, weighting, sidedness)
-    return _finish(f"E({estimates.measure.value},{rule.tag},{weighting.value})", results, sidedness, alpha)
+    variant = TestVariantId(TestFamily.EGGER, estimates.measure, axis, weighting, sidedness=sidedness)
+    return run_test(variant, estimates, alpha)
 
 
 def macaskill_rows(
     rows: EstimateRows,
-    axis: PrecisionAxis = PrecisionAxis.N,
-    weighting: MacaskillWeighting | None = None,
+    axis: PrecisionAxis,
+    weighting: MacaskillWeighting,
     sidedness: Sidedness = Sidedness.ONE_SIDED,
 ) -> RowResults:
     """Macaskill's slope test on every row of a block of at least ``MIN_STUDIES`` studies."""
     rule = MACASKILL_AXES[axis]
-    weighting = rule.weighting if weighting is None else weighting
     values = rows.value
     if weighting is MacaskillWeighting.INV_VARIANCE_FIXED:
         weights = 1.0 / rows.se**2
@@ -384,11 +366,8 @@ def macaskill_test(
     (2001) on N (b1 < 0 under bias), Deeks et al. (2005) on 1/sqrt(ESS)
     and Peters et al. (2006) on 1/N (b1 > 0).
     """
-    _require_studies(estimates)
-    rule = MACASKILL_AXES[axis]
-    weighting = rule.weighting if weighting is None else weighting
-    results = macaskill_rows(estimates.rows(), axis, weighting, sidedness)
-    return _finish(f"M({estimates.measure.value},{rule.tag},{weighting.value})", results, sidedness, alpha)
+    variant = TestVariantId(TestFamily.MACASKILL, estimates.measure, axis, weighting, sidedness=sidedness)
+    return run_test(variant, estimates, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +596,7 @@ def begg_test(
     for ESS. Each grows as studies shrink, so the one-sided alternative
     is tau > 0 throughout.
     """
-    _require_studies(estimates)
-    results = begg_rows(estimates.rows(), axis, sidedness)
-    return _finish(f"B({estimates.measure.value},{BEGG_AXES[axis].tag})", results, sidedness, alpha)
+    return run_test(TestVariantId(TestFamily.BEGG, estimates.measure, axis, sidedness=sidedness), estimates, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +716,8 @@ def trim_fill_rows(
     2**(-gamma_plus) under the fair-signs null; L is tested via the
     signed-rank-sum null distribution.
     """
+    if not isinstance(estimator, TrimFillEstimator):
+        raise ValueError(f"trim and fill estimator must be a TrimFillEstimator, got {estimator!r}")
     values = rows.value
     count, k = values.shape
     pool = TRIM_FILL_AXES[axis]
@@ -809,18 +788,7 @@ def trim_fill_test(
     inverse-variance (DerSimonian-Laird) for SE, plain sample-size
     weights for N.
     """
-    _require_studies(estimates)
-    state = trim_fill_iterate(estimates, estimator, axis)
-    test_id = f"T({estimates.measure.value},{axis.value},{estimator.value})"
-    return _finish(
-        test_id,
-        (state.statistic, state.p_value, Failure.NONE),
-        Sidedness.ONE_SIDED,
-        alpha,
-        k0=state.k0,
-        pooled_effect=state.theta_hat,
-        converged=state.converged,
-    )
+    return run_test(TestVariantId(TestFamily.TRIMFILL, estimates.measure, axis, estimator=estimator), estimates, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +796,127 @@ def trim_fill_test(
 # ---------------------------------------------------------------------------
 
 
+# Each axis's funnel-plot value of every study.
+FUNNEL_AXES = AxisTable("funnel", {
+    PrecisionAxis.SE: lambda e: 1.0 / e.se,
+    PrecisionAxis.N: lambda e: e.n.astype(float),
+    PrecisionAxis.ESS: lambda e: e.ess,
+    PrecisionAxis.INV_N: lambda e: 1.0 / e.n,
+})
+
+
 def funnel_points(estimates: EstimateSet, axis: PrecisionAxis) -> tuple[np.ndarray, np.ndarray]:
     """(effects, axis values) in study order, for external plotting."""
-    if axis is PrecisionAxis.SE:
-        return estimates.value, 1.0 / estimates.se
-    if axis is PrecisionAxis.N:
-        return estimates.value, estimates.n.astype(float)
-    if axis is PrecisionAxis.ESS:
-        return estimates.value, estimates.ess
-    return estimates.value, 1.0 / estimates.n
+    return estimates.value, FUNNEL_AXES[axis](estimates)
+
+
+# ---------------------------------------------------------------------------
+# test variants
+# ---------------------------------------------------------------------------
+
+
+class FamilyRule(NamedTuple):
+    """The variants one test family takes."""
+
+    axes: AxisTable  # the family's per-axis rules
+    weighting: type[enum.Enum] | None = None  # its weighting enum; default per axis
+    estimator: TrimFillEstimator | None = None  # the default, for a family with estimators
+    two_sided: bool = True
+
+
+FAMILIES = {
+    TestFamily.EGGER: FamilyRule(EGGER_AXES, EggerWeighting),
+    TestFamily.MACASKILL: FamilyRule(MACASKILL_AXES, MacaskillWeighting),
+    TestFamily.BEGG: FamilyRule(BEGG_AXES),
+    TestFamily.TRIMFILL: FamilyRule(TRIM_FILL_AXES, estimator=TrimFillEstimator.R, two_sided=False),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class TestVariantId:
+    """One runnable combination of family, measure, axis and options.
+
+    Construction validates the combination against the family's rule in
+    ``FAMILIES``, raising ``ValueError`` for any mismatch, and fills in a
+    missing weighting or estimator with the family's default on that axis.
+    """
+
+    family: TestFamily
+    measure: MeasureId
+    axis: PrecisionAxis
+    weighting: EggerWeighting | MacaskillWeighting | None = None
+    estimator: TrimFillEstimator | None = None
+    sidedness: Sidedness = Sidedness.ONE_SIDED
+
+    def __post_init__(self) -> None:
+        for value, kind in ((self.family, TestFamily), (self.measure, MeasureId), (self.sidedness, Sidedness)):
+            if not isinstance(value, kind):
+                raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+        rule = FAMILIES[self.family]
+        family = rule.axes.family
+        axis_rule = rule.axes[self.axis]  # raises ValueError for an axis the family does not take
+        if self.weighting is None:
+            default = None if rule.weighting is None else axis_rule.weighting
+            object.__setattr__(self, "weighting", default)
+        elif rule.weighting is None or not isinstance(self.weighting, rule.weighting):
+            raise ValueError(f"{family} takes no weighting {self.weighting}")
+        if self.estimator is None:
+            object.__setattr__(self, "estimator", rule.estimator)
+        elif rule.estimator is None or not isinstance(self.estimator, TrimFillEstimator):
+            raise ValueError(f"{family} takes no estimator {self.estimator}")
+        if self.sidedness is not Sidedness.ONE_SIDED and not rule.two_sided:
+            raise ValueError(f"{family} is one-sided only")
+
+    @property
+    def label(self) -> str:
+        """The variant's name: measure, axis and options, with ``:two`` when two-sided."""
+        return self._name(self.axis.value, "" if self.sidedness is Sidedness.ONE_SIDED else ":two")
+
+    @property
+    def test_id(self) -> str:
+        """The name a result carries: the axis's tag (trim and fill: the axis) in place of the axis, no sidedness."""
+        tag = self.axis.value if self.family is TestFamily.TRIMFILL else FAMILIES[self.family].axes[self.axis].tag
+        return self._name(tag, "")
+
+    def _name(self, axis: str, suffix: str) -> str:
+        parts = [self.measure.value, axis]
+        parts += [option.value for option in (self.weighting, self.estimator) if option is not None]
+        return f"{self.family.value[0].upper()}({','.join(parts)}){suffix}"
+
+
+def run_rows(variant: TestVariantId, rows: EstimateRows) -> RowResults:
+    """Evaluate one variant's kernel on a block's every row; the rows need at least ``MIN_STUDIES`` studies."""
+    if variant.family is TestFamily.EGGER:
+        return egger_rows(rows, variant.axis, variant.weighting, variant.sidedness)
+    if variant.family is TestFamily.MACASKILL:
+        return macaskill_rows(rows, variant.axis, variant.weighting, variant.sidedness)
+    if variant.family is TestFamily.BEGG:
+        return begg_rows(rows, variant.axis, variant.sidedness)
+    state = trim_fill_rows(rows, variant.estimator, variant.axis)
+    return RowResults(state.statistic, state.p_value, np.zeros(len(state.p_value), dtype=int))
+
+
+def run_test(variant: TestVariantId, estimates: EstimateSet, alpha: float = 0.1) -> AsymmetryTestResult:
+    """Evaluate one variant on one dataset: its kernel on a block of one row.
+
+    Raises ``ValueError`` for estimates of another measure,
+    ``TooFewStudies`` below ``MIN_STUDIES`` estimates, and for a row the
+    kernel fails the exception ``FAILURE_ERRORS`` names. Trim and fill
+    runs :func:`trim_fill_iterate` and also reports its k0, pooled
+    effect and convergence.
+    """
+    if estimates.measure is not variant.measure:
+        raise ValueError(f"{variant.label} cannot run on estimates of {estimates.measure}")
+    if len(estimates) < MIN_STUDIES:
+        raise TooFewStudies(f"need at least {MIN_STUDIES} estimates, got {len(estimates)}")
+    extra = {}
+    if variant.family is TestFamily.TRIMFILL:
+        state = trim_fill_iterate(estimates, variant.estimator, variant.axis)
+        statistic, p_value = state.statistic, state.p_value
+        extra = {"k0": state.k0, "pooled_effect": state.theta_hat, "converged": state.converged}
+    else:
+        statistic, p_value, failure = (column[0].item() for column in run_rows(variant, estimates.rows()))
+        if failure != Failure.NONE:
+            error, message = FAILURE_ERRORS[Failure(failure)]
+            raise error(message)
+    return AsymmetryTestResult(variant.test_id, statistic, p_value, variant.sidedness, alpha, p_value <= alpha, **extra)

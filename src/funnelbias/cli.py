@@ -26,7 +26,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .asymmetry import (
+    FAMILIES,
     PrecisionAxis,
+    TestFamily,
+    TestVariantId,
     TrimFillEstimator,
     funnel_points,
 )
@@ -38,9 +41,6 @@ from .errors import (
     TooFewStudies,
 )
 from .harness import (
-    FAMILIES,
-    TestFamily,
-    TestVariantId,
     run_grid,
     run_variant,
     summarize,

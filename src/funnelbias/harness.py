@@ -20,49 +20,31 @@ each replicate's result is the one it gets alone.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .asymmetry import (
-    BEGG_AXES,
-    EGGER_AXES,
-    MACASKILL_AXES,
-    TRIM_FILL_AXES,
-    AxisTable,
-    EggerWeighting,
+# the variant types live with the kernels they name; imported here for callers of this module too
+from .asymmetry import (  # noqa: F401
+    FAMILIES,
+    FamilyRule,
     Failure,
-    MacaskillWeighting,
-    PrecisionAxis,
-    RowResults,
-    TrimFillEstimator,
-    begg_rows,
+    TestFamily,
+    TestVariantId,
     begg_test,
-    egger_rows,
     egger_test,
-    macaskill_rows,
     macaskill_test,
-    trim_fill_rows,
+    run_rows,
     trim_fill_test,
 )
 from .errors import EmptyInput
 from .measures import measure_block
-from .model import (
-    MIN_STUDIES,
-    AsymmetryTestResult,
-    CorrectionPolicy,
-    EstimateRows,
-    EstimateSet,
-    MeasureId,
-    Sidedness,
-)
+from .model import MIN_STUDIES, AsymmetryTestResult, CorrectionPolicy, EstimateSet
 from .sampler import SimCondition, generate_block, replicate_rng
 
 # perfbench/tracing.py wraps these names in this module; the block engine does not call them
@@ -70,75 +52,15 @@ from .measures import measure_studies as compute_usable  # noqa: F401
 from .sampler import generate_meta_analysis  # noqa: F401
 
 
-class TestFamily(enum.Enum):
-    EGGER = "egger"
-    MACASKILL = "macaskill"
-    BEGG = "begg"
-    TRIMFILL = "trimfill"
-
-
-class FamilyRule(NamedTuple):
-    """The variants one test family takes."""
-
-    axes: AxisTable  # the family's per-axis rules
-    weighting: type[enum.Enum] | None = None  # its weighting enum; default per axis
-    estimator: TrimFillEstimator | None = None  # the default, for a family with estimators
-    two_sided: bool = True
-
-
-FAMILIES = {
-    TestFamily.EGGER: FamilyRule(EGGER_AXES, EggerWeighting),
-    TestFamily.MACASKILL: FamilyRule(MACASKILL_AXES, MacaskillWeighting),
-    TestFamily.BEGG: FamilyRule(BEGG_AXES),
-    TestFamily.TRIMFILL: FamilyRule(TRIM_FILL_AXES, estimator=TrimFillEstimator.R, two_sided=False),
-}
-
-
-@dataclass(frozen=True, slots=True)
-class TestVariantId:
-    """One runnable combination of family, measure, axis and options.
-
-    Construction validates the combination against the family's rule in
-    ``FAMILIES`` and fills in a missing weighting or estimator with the
-    family's default on that axis.
-    """
-
-    family: TestFamily
-    measure: MeasureId
-    axis: PrecisionAxis
-    weighting: EggerWeighting | MacaskillWeighting | None = None
-    estimator: TrimFillEstimator | None = None
-    sidedness: Sidedness = Sidedness.ONE_SIDED
-
-    def __post_init__(self) -> None:
-        rule = FAMILIES[self.family]
-        family = rule.axes.family
-        axis_rule = rule.axes[self.axis]  # raises ValueError for an axis the family does not take
-        if self.weighting is None:
-            default = None if rule.weighting is None else axis_rule.weighting
-            object.__setattr__(self, "weighting", default)
-        elif rule.weighting is None or not isinstance(self.weighting, rule.weighting):
-            raise ValueError(f"{family} takes no weighting {self.weighting}")
-        if self.estimator is None:
-            object.__setattr__(self, "estimator", rule.estimator)
-        elif rule.estimator is None or not isinstance(self.estimator, TrimFillEstimator):
-            raise ValueError(f"{family} takes no estimator {self.estimator}")
-        if self.sidedness is not Sidedness.ONE_SIDED and not rule.two_sided:
-            raise ValueError(f"{family} is one-sided only")
-
-    @property
-    def label(self) -> str:
-        parts = [self.measure.value, self.axis.value]
-        parts += [option.value for option in (self.weighting, self.estimator) if option is not None]
-        letter = self.family.value[0].upper()
-        suffix = "" if self.sidedness is Sidedness.ONE_SIDED else ":two"
-        return f"{letter}({','.join(parts)}){suffix}"
-
-
 def run_variant(
     variant: TestVariantId, estimates: EstimateSet, alpha: float
 ) -> AsymmetryTestResult:
-    """Evaluate one variant on one set of estimates."""
+    """Evaluate one variant on one set of estimates, through its family's single-dataset test.
+
+    Each test is called by its name in this module, where
+    perfbench/tracing.py wraps it; ``asymmetry.run_test`` is the same
+    evaluation without the names.
+    """
     if variant.family is TestFamily.EGGER:
         return egger_test(estimates, variant.axis, variant.weighting, variant.sidedness, alpha)
     if variant.family is TestFamily.MACASKILL:
@@ -146,21 +68,6 @@ def run_variant(
     if variant.family is TestFamily.BEGG:
         return begg_test(estimates, variant.axis, variant.sidedness, alpha)
     return trim_fill_test(estimates, variant.axis, variant.estimator, alpha)
-
-
-def run_rows(variant: TestVariantId, rows: EstimateRows) -> RowResults:
-    """Evaluate one variant's kernel, which ``run_variant`` runs on one row, on a block's every row.
-
-    The rows need at least ``MIN_STUDIES`` studies.
-    """
-    if variant.family is TestFamily.EGGER:
-        return egger_rows(rows, variant.axis, variant.weighting, variant.sidedness)
-    if variant.family is TestFamily.MACASKILL:
-        return macaskill_rows(rows, variant.axis, variant.weighting, variant.sidedness)
-    if variant.family is TestFamily.BEGG:
-        return begg_rows(rows, variant.axis, variant.sidedness)
-    state = trim_fill_rows(rows, variant.estimator, variant.axis)
-    return RowResults(state.statistic, state.p_value, np.zeros(len(state.p_value), dtype=int))
 
 
 @dataclass(frozen=True, slots=True)

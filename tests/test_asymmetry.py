@@ -773,6 +773,11 @@ def test_funnel_points_axes():
         assert (effects.tolist(), axis_values.tolist()) == ([1.2], [coordinate])
 
 
+def test_funnel_points_rejects_an_axis_that_is_not_a_precision_axis():
+    with pytest.raises(ValueError, match="funnel axis must be one of"):
+        funnel_points(est([1.2, 0.4, 0.9], 0.5), "se")
+
+
 # ---------------------------------------------------------------------------
 # null calibration on synthetic estimates
 # ---------------------------------------------------------------------------
@@ -796,8 +801,8 @@ def test_null_calibration_synthetic():
     ses, values, ns = (np.array(column) for column in zip(*draws))
     rows = EstimateRows(values, ses, ns, ns.astype(float), ns // 2, ns - ns // 2)
     results = {
-        "egger": egger_rows(rows),
-        "macaskill": macaskill_rows(rows, PrecisionAxis.N),
+        "egger": egger_rows(rows, PrecisionAxis.SE, EggerWeighting.UNWEIGHTED),
+        "macaskill": macaskill_rows(rows, PrecisionAxis.N, MacaskillWeighting.INV_VARIANCE_FIXED),
         "begg": begg_rows(rows),
     }
     assert not any(r.failure.any() for r in results.values())

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -19,6 +20,8 @@ from funnelbias.asymmetry import (
     begg_test,
     egger_test,
     macaskill_test,
+    run_test,
+    trim_fill_iterate,
     trim_fill_test,
 )
 from funnelbias.errors import EmptyInput, StatisticalError
@@ -102,6 +105,44 @@ def test_variant_canonical_weighting_defaults():
     assert macaskill.weighting is MacaskillWeighting.INV_VARIANCE_FIXED
     assert E_SE.weighting is EggerWeighting.UNWEIGHTED
     assert T_SE_R.label == "T(lndor,se,r)"
+
+
+@pytest.mark.parametrize("test,options", [
+    (egger_test, (PrecisionAxis.SE, MacaskillWeighting.ESS)),
+    (macaskill_test, (PrecisionAxis.N, EggerWeighting.UNWEIGHTED)),
+])
+def test_single_dataset_test_rejects_another_familys_weighting(test, options):
+    with pytest.raises(ValueError, match="takes no weighting"):
+        test(variant_sample(), *options)
+    # the variant is checked before the study count
+    two_studies = EstimateSet(LNDOR, [1.0, 2.0], [0.5, 0.6], n=[100, 120], ess=[50.0, 60.0], m1=[50, 60], m2=[50, 60])
+    with pytest.raises(ValueError, match="takes no weighting"):
+        test(two_studies, *options)
+
+
+def test_sidedness_must_be_a_sidedness():
+    with pytest.raises(ValueError, match="expected a Sidedness"):
+        TestVariantId(TestFamily.EGGER, LNDOR, PrecisionAxis.SE, sidedness="two")
+    with pytest.raises(ValueError, match="expected a Sidedness"):
+        begg_test(variant_sample(), PrecisionAxis.SE, "two")
+    # the family and the measure are checked the same way
+    with pytest.raises(ValueError, match="expected a TestFamily"):
+        TestVariantId("egger", LNDOR, PrecisionAxis.SE)
+    with pytest.raises(ValueError, match="expected a MeasureId"):
+        TestVariantId(TestFamily.EGGER, "lndor", PrecisionAxis.SE)
+
+
+def test_trim_fill_estimator_must_be_an_estimator():
+    with pytest.raises(ValueError, match="takes no estimator"):
+        trim_fill_test(variant_sample(), PrecisionAxis.SE, "r")
+    with pytest.raises(ValueError, match="must be a TrimFillEstimator"):
+        trim_fill_iterate(variant_sample(), "r")
+
+
+def test_run_test_needs_estimates_of_the_variants_measure():
+    youden = dataclasses.replace(variant_sample(), measure=MeasureId.YOUDEN)
+    with pytest.raises(ValueError, match="cannot run on estimates of MeasureId.YOUDEN"):
+        run_test(E_SE, youden, 0.1)
 
 
 def variant_sample():
@@ -377,6 +418,18 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert type(passes) is float and passes > 0
     assert all(type(count) in (int, float) for count in tracer.counts.values())
     json.dumps(tracer.counts)
+
+
+def test_benchmark_workloads_find_every_name_they_import(monkeypatch):
+    # perfbench/workloads.py imports the program's names (and its sibling
+    # reference.py); a moved name would otherwise fail only a benchmark run
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    variants = [workloads.program_variant(v) for v in workloads.ALL_VARIANTS]
+    assert len({v.label for v in variants}) == 92
 
 
 def test_begg_variants_gain_power_under_selection():

@@ -3,7 +3,8 @@
 The blocks mix continuous, tied and constant columns and a study whose
 variance swamps the rest, so the exact and normal Kendall paths, both
 ways to Kendall's S, the regression's singular designs and Begg's
-failure reasons all occur.
+failure reasons all occur. Every variant's label and test_id are pinned
+here too.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from funnelbias.asymmetry import (
     TrimFillState,
     begg_rows,
     begg_test,
+    run_test,
     trim_fill_rows,
 )
 from funnelbias.errors import AllTied
@@ -31,7 +33,7 @@ from funnelbias.harness import FAMILIES, TestVariantId, run_rows, run_variant
 from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
 
 
-def every_variant():
+def every_variant(measure=MeasureId.LNDOR):
     """Each family's axes by its weightings or estimators, two-sided too where the family takes it."""
     variants = []
     for family, rule in FAMILIES.items():
@@ -42,7 +44,7 @@ def every_variant():
             options = [{"estimator": e} for e in TrimFillEstimator]
         sides = list(Sidedness) if rule.two_sided else [Sidedness.ONE_SIDED]
         for axis, option, sidedness in itertools.product(rule.axes, options, sides):
-            variants.append(TestVariantId(family, MeasureId.LNDOR, axis, sidedness=sidedness, **option))
+            variants.append(TestVariantId(family, measure, axis, sidedness=sidedness, **option))
     return variants
 
 
@@ -147,6 +149,58 @@ def test_failure_reason_is_what_the_single_dataset_test_raises(rows):
                 result = run_variant(variant, estimates, 0.1)
                 assert bits(result.statistic) == bits(block.statistic[i]), variant.label
                 assert bits(result.p_value) == bits(block.p_value[i]), variant.label
+
+
+# Each one-sided lndor variant's label and the test_id its result carries,
+# recorded before the variant types moved next to the kernels. Another
+# measure changes only the measure's name; a two-sided variant adds
+# ":two" to the label and keeps the test_id.
+VARIANT_NAMES = {
+    "E(lndor,se,unweighted)": "E(lndor,se,unweighted)",
+    "E(lndor,se,ivfixed)": "E(lndor,se,ivfixed)",
+    "E(lndor,se,ivrandom)": "E(lndor,se,ivrandom)",
+    "E(lndor,n,unweighted)": "E(lndor,n,unweighted)",
+    "E(lndor,n,ivfixed)": "E(lndor,n,ivfixed)",
+    "E(lndor,n,ivrandom)": "E(lndor,n,ivrandom)",
+    "M(lndor,n,ivfixed)": "M(lndor,n,ivfixed)",
+    "M(lndor,n,ess)": "M(lndor,n,ess)",
+    "M(lndor,n,peters)": "M(lndor,n,peters)",
+    "M(lndor,ess,ivfixed)": "M(lndor,inv_sqrt_ess,ivfixed)",
+    "M(lndor,ess,ess)": "M(lndor,inv_sqrt_ess,ess)",
+    "M(lndor,ess,peters)": "M(lndor,inv_sqrt_ess,peters)",
+    "M(lndor,inv_n,ivfixed)": "M(lndor,inv_n,ivfixed)",
+    "M(lndor,inv_n,ess)": "M(lndor,inv_n,ess)",
+    "M(lndor,inv_n,peters)": "M(lndor,inv_n,peters)",
+    "B(lndor,se)": "B(lndor,var)",
+    "B(lndor,n)": "B(lndor,inv_n)",
+    "B(lndor,ess)": "B(lndor,inv_ess)",
+    "B(lndor,inv_n)": "B(lndor,inv_n)",
+    "T(lndor,se,r)": "T(lndor,se,r)",
+    "T(lndor,se,l)": "T(lndor,se,l)",
+    "T(lndor,n,r)": "T(lndor,n,r)",
+    "T(lndor,n,l)": "T(lndor,n,l)",
+}
+
+
+def test_every_variant_keeps_its_label_and_test_id():
+    for measure in MeasureId:
+        rng = np.random.default_rng(44)
+        ses = rng.uniform(0.2, 0.8, size=12)
+        ns = rng.integers(60, 800, size=12)
+        estimates = EstimateSet(measure, rng.normal(1.0, ses), ses, ns, 0.7 * ns, ns // 3, ns - ns // 3)
+        expected = {}
+        for label, test_id in VARIANT_NAMES.items():
+            label, test_id = (name.replace("lndor", measure.value) for name in (label, test_id))
+            expected[label] = test_id
+            if not label.startswith("T("):
+                expected[label + ":two"] = test_id
+        variants = every_variant(measure)
+        assert len(variants) == len(expected) == 42
+        names = {v.label: v.test_id for v in variants}
+        assert names == expected
+        for variant in variants:
+            assert run_variant(variant, estimates, 0.1).test_id == variant.test_id, variant.label
+            assert run_test(variant, estimates, 0.1) == run_variant(variant, estimates, 0.1), variant.label
 
 
 def test_begg_failure_reasons_in_check_order():
