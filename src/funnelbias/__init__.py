@@ -63,8 +63,6 @@ from .sampler import (
     generate_meta_analysis,
     load_grid,
     replicate_rng,
-    sample_logit_pairs,
-    sample_sizes,
 )
 
 __version__ = "0.1.0"

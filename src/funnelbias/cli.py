@@ -227,12 +227,13 @@ def _json_object(members: list[tuple[str, str]]) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    # the flags are checked before the input, so a bad combination is a usage error whatever the file
+    variant = _build_variant(args)
     dataset, estimates, ids, warnings = _load_estimates(args)
     if len(estimates) < MIN_STUDIES:
         raise TooFewStudies(
             f"only {len(estimates)} usable studies after exclusions; need at least {MIN_STUDIES}"
         )
-    variant = _build_variant(args)
     result = run_variant(variant, estimates, args.alpha)
     test = {
         "test_id": result.test_id,

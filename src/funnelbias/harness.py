@@ -22,7 +22,9 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -32,7 +34,6 @@ from scipy.special import ndtri
 # the variant types live with the kernels they name; imported here for callers of this module too
 from .asymmetry import (  # noqa: F401
     FAMILIES,
-    FamilyRule,
     Failure,
     TestFamily,
     TestVariantId,
@@ -152,19 +153,6 @@ def run_condition(
     ]
 
 
-def _run_condition_task(args) -> list[SimResult]:
-    index, condition, variants, reps, alpha, master_seed, policy = args
-    return run_condition(
-        condition,
-        variants,
-        reps,
-        alpha=alpha,
-        master_seed=master_seed,
-        condition_index=index,
-        policy=policy,
-    )
-
-
 def run_grid(
     grid: Sequence[SimCondition],
     variants: Sequence[TestVariantId],
@@ -174,21 +162,23 @@ def run_grid(
     parallelism: int = 1,
     policy: CorrectionPolicy = CorrectionPolicy.HALF_IF_ANY_ZERO,
 ) -> list[SimResult]:
-    """Run every condition of the grid; output order follows the grid."""
-    tasks = [
-        (i, condition, tuple(variants), reps, alpha, master_seed, policy)
-        for i, condition in enumerate(grid)
-    ]
-    results: list[SimResult] = []
-    if parallelism <= 1:
-        for task in tasks:
-            results.extend(_run_condition_task(task))
-    else:
-        # a fork pool starts every worker at once, so never more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
-            for chunk in pool.map(_run_condition_task, tasks):
-                results.extend(chunk)
-    return results
+    """Run every condition of the grid; output order follows the grid.
+
+    Condition i runs as ``run_condition(grid[i], ..., condition_index=i)``
+    through the builtin ``map`` at parallelism 1 and a process pool's
+    ``map`` above it, so the results are the same at every parallelism.
+    """
+    with ExitStack() as stack:
+        mapper = map
+        if parallelism > 1:
+            # a fork pool starts every worker at once, so never more than there are conditions
+            pool = ProcessPoolExecutor(max_workers=min(parallelism, len(grid)))
+            mapper = stack.enter_context(pool).map
+        chunks = mapper(
+            run_condition, grid, repeat(tuple(variants)), repeat(reps), repeat(alpha),
+            repeat(master_seed), range(len(grid)), repeat(policy),
+        )
+        return [result for chunk in chunks for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +246,13 @@ def summarize(
     if unknown:
         raise ValueError(f"unknown group fields: {unknown}")
     getters = [_FIELD_GETTERS[f] for f in group_by]
-    buckets: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
+    buckets: dict[tuple, list[int]] = {}  # in the order each key first appears
     for r in results:
-        key = tuple(g(r) for g in getters)
-        if key not in buckets:
-            buckets[key] = [0, 0]
-            order.append(key)
-        buckets[key][0] += r.rejections
-        buckets[key][1] += r.reps
+        bucket = buckets.setdefault(tuple(g(r) for g in getters), [0, 0])
+        bucket[0] += r.rejections
+        bucket[1] += r.reps
     rows = []
-    for key in order:
-        rejections, reps = buckets[key]
+    for key, (rejections, reps) in buckets.items():
         low, high = wilson_interval(rejections, reps)
         rows.append(
             SummaryRow(

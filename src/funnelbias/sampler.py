@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from . import model
 from .errors import GridFormatError, NonPSDCovariance
@@ -46,10 +46,7 @@ __all__ = [
     "generate_meta_analysis",
     "generate_meta_analysis_traced",
     "load_grid",
-    "logit",
     "replicate_rng",
-    "sample_logit_pairs",
-    "sample_sizes",
 ]
 
 PSD_TOLERANCE = 1e-12
@@ -190,18 +187,6 @@ def replicate_rng(master_seed: int, condition_index: int, replicate_index: int) 
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_logit_pairs(
-    params: BivariateParams, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``count`` iid draws from the bivariate normal, shape (count, 2).
-
-    A zero covariance matrix short-circuits to exact copies of the mean
-    (no degenerate factorization, no rng consumption).
-    """
-    normals = np.empty((count, 2)) if params.is_fixed_effects else rng.standard_normal((count, 2))
-    return _logit_pairs(params, normals)
-
-
 def _logit_pairs(params: BivariateParams, normals: np.ndarray) -> np.ndarray:
     """mu + z @ sqrt(Sigma) for each standard normal pair z on the last axis.
 
@@ -211,23 +196,6 @@ def _logit_pairs(params: BivariateParams, normals: np.ndarray) -> np.ndarray:
     if params.is_fixed_effects:
         return np.broadcast_to(mu, normals.shape)
     return mu + normals @ params.sqrt_matrix()
-
-
-def sample_sizes(
-    condition: SimCondition, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Total sizes uniform on [n_min, n_max], split by prevalence.
-
-    Returns a (count, 2) int64 array of (n1, n2) rows: n1 = round(pi * N)
-    with half-up rounding, n2 the remainder.
-    """
-    return _split_sizes(condition, rng.integers(condition.n_min, condition.n_max + 1, size=count))
-
-
-def _split_sizes(condition: SimCondition, totals: np.ndarray) -> np.ndarray:
-    """(n1, n2) on a new last axis for each total size."""
-    n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)
-    return np.stack((n1, totals - n1), axis=-1)
 
 
 def _youden(tables: np.ndarray) -> np.ndarray:
@@ -282,7 +250,8 @@ def _realize_block(
         shifted = _logit_pairs(params.shifted(bias.eta), normals[:, n_base:])
         pairs = np.concatenate((pairs[:, :n_base], shifted), axis=1)
         pairs = np.take_along_axis(pairs, sources[:, :, None], axis=1)
-    sizes = _split_sizes(condition, totals)
+    n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)  # half-up
+    sizes = np.stack((n1, totals - n1), axis=-1)  # (n1, n2)
     probabilities = expit(pairs)  # (Sen, FPR)
     positives = np.empty_like(sizes)
     for r, rng in enumerate(rngs):

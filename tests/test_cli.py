@@ -167,6 +167,19 @@ def test_analyze_axis_outside_family_is_usage_error(dataset_path, capsys, test, 
     assert "axis must be one of" in err
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_analyze_checks_the_flags_before_the_input(tmp_path, capsys, k):
+    # a bad flag combination is a usage error even on a file with too few studies
+    path = tmp_path / "few.csv"
+    path.write_text("".join(DATASET.splitlines(keepends=True)[: k + 1]))
+    code, out, err = run(
+        capsys, "analyze", "--input", str(path), "--test", "begg", "--weighting", "ivfixed"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--weighting does not apply to begg" in err
+
+
 # Kappa's variance on (0,4,0,3) is exactly 0 but came out as rounding noise,
 # an SE near 3.5e-9 and a weight near 1e17 that broke the regression fits.
 NEAR_DEGENERATE_KAPPA = [

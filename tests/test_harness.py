@@ -382,8 +382,8 @@ def test_run_grid_starts_no_more_workers_than_conditions(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     grid = [fe_condition(k=10), fe_condition(k=12)]
@@ -508,16 +508,20 @@ def test_summarize_single_result():
 
 
 def test_summarize_by_bias_level():
-    grid = [fe_condition(k=10, bias=b) for b in (
+    biases = (
         BiasSpec(),
         BiasSpec(BiasMechanism.SELECTION, selection_fraction=0.2),
         BiasSpec(BiasMechanism.SELECTION, selection_fraction=0.4),
         BiasSpec(BiasMechanism.MIXTURE, eta=(0.75, -0.75)),
         BiasSpec(BiasMechanism.MIXTURE, eta=(1.25, -1.25)),
-    )]
-    results = run_grid(grid, [T_SE_R], reps=5, master_seed=6)
+    )
+    results = run_grid([fe_condition(k=10, bias=b) for b in biases], [T_SE_R], reps=5, master_seed=6)
     rows = summarize(results, ("bias", "bias_strength"))
-    assert len(rows) == 5
+    assert [row.key for row in rows] == [(b.mechanism.value, b.strength) for b in biases]
+    # rows follow the order in which each key first appears, not a sorted one
+    rows = summarize(results[::-1] + results, ("bias",))
+    assert [row.key for row in rows] == [("mixture",), ("selection",), ("none",)]
+    assert [row.reps for row in rows] == [20, 20, 10]
 
 
 def test_summarize_empty_and_unknown_fields():

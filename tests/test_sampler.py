@@ -1,11 +1,16 @@
+import ast
+import importlib
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import funnelbias
+from funnelbias import sampler
 from funnelbias.errors import GridFormatError, NonPSDCovariance
 from funnelbias.model import round_half_up
 from funnelbias.sampler import (
@@ -18,13 +23,13 @@ from funnelbias.sampler import (
     BiasSpec,
     BivariateParams,
     SimCondition,
+    _logit_pairs,
     default_grid,
+    generate_block,
     generate_meta_analysis,
     generate_meta_analysis_traced,
     load_grid,
     replicate_rng,
-    sample_logit_pairs,
-    sample_sizes,
 )
 
 FE = BivariateParams(mu=(1.0, -1.0))
@@ -34,6 +39,32 @@ SMALL = BivariateParams(mu=(1.0, -1.0), sigma_a2=0.5, sigma_ab=0.3, sigma_b2=0.5
 def condition(params=FE, k=10, pi=0.5, n_min=50, n_max=1000, bias=None):
     return SimCondition(params=params, k=k, pi=pi, n_min=n_min, n_max=n_max,
                         bias=bias or BiasSpec())
+
+
+def _top_level_names(path):
+    """Names a module's own top-level statements bind: defs, classes and assignments."""
+    names = set()
+    for node in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_sampler_exports_only_its_own_names():
+    # a name re-exported from elsewhere (or left behind by a deletion) is not the sampler's API
+    assert set(sampler.__all__) - _top_level_names(sampler.__file__) == set()
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(funnelbias.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"funnelbias.{node.module}")
+        for alias in node.names:
+            assert getattr(funnelbias, alias.asname or alias.name) is getattr(module, alias.name)
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +88,15 @@ def test_sqrt_matrix_squares_back():
 
 
 def test_fixed_effects_pairs_are_exact_copies():
-    rng = replicate_rng(0, 0, 0)
-    pairs = sample_logit_pairs(BivariateParams(mu=(2.0, -2.0)), 5, rng)
+    normals = replicate_rng(0, 0, 0).standard_normal((5, 2))
+    pairs = _logit_pairs(BivariateParams(mu=(2.0, -2.0)), normals)
     assert pairs.shape == (5, 2)
     assert (pairs == np.array([2.0, -2.0])).all()
 
 
 def test_sample_covariance_converges():
     params = BivariateParams(mu=(0.0, 0.0), sigma_a2=1.0, sigma_ab=0.5, sigma_b2=1.0)
-    rng = replicate_rng(1, 0, 0)
-    draws = sample_logit_pairs(params, 100_000, rng)
+    draws = _logit_pairs(params, replicate_rng(1, 0, 0).standard_normal((100_000, 2)))
     cov = np.cov(draws.T)
     assert np.allclose(cov, params.matrix(), rtol=0.03, atol=0.01)
 
@@ -83,19 +113,28 @@ def test_generated_tables_mean_behavior():
     assert abs(np.mean(xs) - 100.0) < 2.0
 
 
+def _group_sizes(block):
+    """(n1, n2) of each (x, w, y, z) table on the last axis."""
+    return np.stack((block[..., 0] + block[..., 1], block[..., 2] + block[..., 3]), axis=-1)
+
+
 def test_sample_sizes_rounding():
     cond = condition(pi=0.5, n_min=101, n_max=101)
-    sizes = sample_sizes(cond, 3, replicate_rng(5, 0, 0))
-    assert sizes.shape == (3, 2) and sizes.dtype == np.int64
-    assert sizes.tolist() == [[51, 50]] * 3
+    block = generate_block(cond, [replicate_rng(5, 0, rep) for rep in range(3)])
+    assert block.shape == (3, 10, 4) and block.dtype == np.int64
+    assert (_group_sizes(block) == [51, 50]).all()
     cond = condition(pi=0.2, n_min=50, n_max=50)
-    assert sample_sizes(cond, 2, replicate_rng(5, 0, 1)).tolist() == [[10, 40]] * 2
+    assert (_group_sizes(generate_block(cond, [replicate_rng(5, 0, 1)])) == [10, 40]).all()
+    # n1 = round(pi * N), halves up, at every drawn N
+    cond = condition(pi=0.5, n_min=51, n_max=60)
+    n1, n2 = _group_sizes(generate_block(cond, [replicate_rng(5, 0, 2)]))[0].T
+    assert n1.tolist() == [round_half_up(0.5 * n) for n in (n1 + n2).tolist()]
 
 
 def test_sample_sizes_uniform_mean():
-    cond = condition(n_min=50, n_max=1000)
-    sizes = sample_sizes(cond, 100_000, replicate_rng(6, 0, 0))
-    assert abs(np.mean(sizes.sum(axis=1)) - 525.0) < 0.01 * 525.0
+    cond = condition(k=100, n_min=50, n_max=1000)
+    block = generate_block(cond, [replicate_rng(6, 0, rep) for rep in range(1000)])
+    assert abs(np.mean(_group_sizes(block).sum(axis=-1)) - 525.0) < 0.01 * 525.0
 
 
 def test_small_n_min_leaving_a_group_empty_rejected():
@@ -123,6 +162,13 @@ def test_generate_deterministic():
     assert all(type(cell) is int for t in a.studies for cell in (t.x, t.w, t.y, t.z))
 
 
+def _scalar_pairs(params, count, rng):
+    """``count`` logit pairs mu + z @ sqrt(Sigma); fixed effects draw no normals."""
+    if params.is_fixed_effects:
+        return np.tile(params.mu, (count, 1))
+    return np.array(params.mu) + rng.standard_normal((count, 2)) @ params.sqrt_matrix()
+
+
 def _scalar_tables(cond, rng):
     """The documented draw order, one scalar binomial call per cell."""
     bias, k = cond.bias, cond.k
@@ -134,10 +180,10 @@ def _scalar_tables(cond, rng):
     total = k + n_drop
     totals = rng.integers(cond.n_min, cond.n_max + 1, size=total).tolist()
     sizes = [(round_half_up(cond.pi * n), n - round_half_up(cond.pi * n)) for n in totals]
-    pairs = sample_logit_pairs(cond.params, total - n_shifted, rng)
+    pairs = _scalar_pairs(cond.params, total - n_shifted, rng)
     sources = list(range(total))
     if n_shifted:
-        shifted = sample_logit_pairs(cond.params.shifted(bias.eta), n_shifted, rng)
+        shifted = _scalar_pairs(cond.params.shifted(bias.eta), n_shifted, rng)
         pairs = np.vstack([pairs, shifted])
         sources = rng.permutation(k).tolist()
     tables = []
