@@ -259,20 +259,40 @@ def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return (w * values).sum(axis=-1) / w.sum(axis=-1)
 
 
-def _pool_dersimonian_laird(values: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled effect and tau2 of each row, reducing along the last axis."""
-    k = values.shape[-1]
-    if k == 1:
-        return values[..., 0], np.zeros(values.shape[:-1])
+class _Groups(NamedTuple):
+    """How a pool reduces its members along the last axis.
+
+    ``total`` sums each group's members, ``spread`` gives each member its
+    group's value and ``size`` counts each group's members; ``None``
+    means one group per row, the whole axis.
+    """
+
+    total: Callable[[np.ndarray], np.ndarray]
+    spread: Callable[[np.ndarray], np.ndarray]
+    size: np.ndarray | None
+
+
+_ROWS = _Groups(lambda a: a.sum(axis=-1), lambda x: x[..., None], None)
+
+
+def _pool_dersimonian_laird(
+    values: np.ndarray, variances: np.ndarray, groups: _Groups = _ROWS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled effect and tau2 of each row, or of each of its ``groups``; a row of one value pools to it."""
+    total, spread, size = groups
+    if size is None:
+        size = values.shape[-1]
+        if size == 1:
+            return values[..., 0], np.zeros(values.shape[:-1])
     w = 1.0 / variances
-    sum_w = w.sum(axis=-1)
-    t_bar = (w * values).sum(axis=-1) / sum_w
-    q = (w * (values - t_bar[..., None]) ** 2).sum(axis=-1)
-    denom = sum_w - (w**2).sum(axis=-1) / sum_w
-    excess = (q - (k - 1)) / np.where(denom > 0, denom, np.inf)  # no excess without a positive denom
+    sum_w = total(w)
+    t_bar = total(w * values) / sum_w
+    q = total(w * (values - spread(t_bar)) ** 2)
+    denom = sum_w - total(w**2) / sum_w
+    excess = (q - (size - 1)) / np.where(denom > 0, denom, np.inf)  # no excess without a positive denom
     tau2 = np.where(excess > 0.0, excess, 0.0)
-    w_star = 1.0 / (variances + tau2[..., None])
-    return (w_star * values).sum(axis=-1) / w_star.sum(axis=-1), tau2
+    w_star = 1.0 / (variances + spread(tau2))
+    return total(w_star * values) / total(w_star), tau2
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +401,13 @@ EXACT_KENDALL_MAX_K = 7
 # between k = 48 and 56 on blocks of 1024 rows, the Monte Carlo path; on
 # one row below 64 it would save less than 0.2 ms.
 KENDALL_MERGE_MIN_K = 64
+# Up to this many rows * k * k, trim and fill pools every kept count of a
+# block once and walks the tables (see ``trim_fill_rows``); larger blocks
+# run the pass loop. On lnDOR blocks of the default grid (rows, k), the
+# tables took 0.45-0.6 of the loop's time at (2-9, 30) and (5, 10), about
+# the same at (1, 10-90) and (20, 30), and 1.3-1.9 times it at (1, 100),
+# (72, 30) and (650, 10) (2 shared CPUs).
+TRIM_FILL_TABLE_MAX_WORK = 2**13
 
 
 @lru_cache(maxsize=None)
@@ -690,40 +717,82 @@ def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
     return p
 
 
-# Each axis's pooled effect of each row, reducing (values, variances, sample sizes) along the last axis.
+# Each axis's pooled effect of each row, reducing (values, variances, sample sizes) along the last axis,
+# or of each of its ``groups``.
 TRIM_FILL_AXES = AxisTable("trim and fill", {
-    PrecisionAxis.SE: lambda values, variances, ns: _pool_dersimonian_laird(values, variances)[0],
-    PrecisionAxis.N: lambda values, variances, ns: (ns * values).sum(axis=-1) / ns.sum(axis=-1),
+    PrecisionAxis.SE: lambda values, variances, ns, groups=_ROWS: _pool_dersimonian_laird(values, variances, groups)[0],
+    PrecisionAxis.N: lambda values, variances, ns, groups=_ROWS: groups.total(ns * values) / groups.total(ns),
 })
 
 
-def trim_fill_rows(
-    rows: EstimateRows,
-    estimator: TrimFillEstimator,
-    axis: PrecisionAxis = PrecisionAxis.SE,
-) -> TrimFillState:
-    """Run the trim-and-fill iteration on every row of a block of at least ``MIN_STUDIES`` studies.
+@lru_cache(maxsize=None)
+def _prefix_layout(k: int) -> tuple[np.ndarray, np.ndarray, _Groups]:
+    """Where the prefixes m = 2..k of a row sit in one row, each behind a pad: (pad positions, source columns, groups)."""
+    lengths = np.arange(3, k + 2)  # the pad and m members
+    starts = np.cumsum(lengths) - lengths
+    take = np.concatenate([np.arange(-1, m) for m in range(2, k + 1)])  # -1 is overwritten by the pad
+    groups = _Groups(
+        lambda a: np.add.reduceat(a, starts, axis=-1),
+        lambda x: np.repeat(x, lengths, axis=-1),
+        np.arange(2, k + 1),
+    )
+    return starts, take, groups
 
-    The rows iterate independently and the result is a ``TrimFillState``
-    of arrays with one entry per row. A pass pools each active row's
-    kept studies (its k - k0 smallest effects), centers all k values on
-    that pooled effect and re-estimates k0; a row stops when k0 repeats
-    or after ``MAX_TRIM_ITERATIONS`` passes, and keeps the statistic of
-    its last pass. Rows with the same kept count m pool together over
-    the first m of their sorted values, so every sum is the one a single
-    row reduces, and each row's numbers are those it would get alone.
-    The run estimator R = gamma_plus - 1 has exact one-sided p =
-    2**(-gamma_plus) under the fair-signs null; L is tested via the
-    signed-rank-sum null distribution.
+
+def _prefix_pools(ascending: tuple[np.ndarray, ...], pool: Callable) -> np.ndarray:
+    """Each row's pooled effect over its m smallest values, for every m = 1..k, as a (rows, k) table.
+
+    ``ascending`` holds the rows' (values, variances, sample sizes)
+    sorted by value. A prefix of one pools as a row of one. The prefixes
+    m = 2..k are laid out in one row, each behind a pad (value 0,
+    variance inf, n 0) that adds 0 to every sum, and pooled together
+    with ``np.add.reduceat`` as the sum. That sums a segment as its first
+    element plus the pairwise sum of the rest, and ``sum(axis=-1)`` starts
+    from 0, so with the pad first each prefix's sum is bit-identical to
+    its own sum.
     """
-    if not isinstance(estimator, TrimFillEstimator):
-        raise ValueError(f"trim and fill estimator must be a TrimFillEstimator, got {estimator!r}")
+    count, k = ascending[0].shape
+    table = np.empty((count, k))
+    table[:, 0] = pool(*(column[:, :1] for column in ascending))
+    if k > 1:
+        starts, take, groups = _prefix_layout(k)
+        padded = []
+        for column, pad in zip(ascending, (0.0, np.inf, 0)):
+            laid = column[:, take]
+            laid[:, starts] = pad
+            padded.append(laid)
+        table[:, 1:] = pool(*padded, groups)
+    return table
+
+
+def _sorted_block(rows: EstimateRows) -> tuple[np.ndarray, ...]:
+    """Each row's (values, variances, sample sizes), sorted ascending by value: trimming takes from the top."""
+    row = np.arange(len(rows.value))[:, None]
+    order = rows.value.argsort(axis=-1, kind="stable")
+    return rows.value[row, order], rows.se[row, order] ** 2, rows.n[row, order]
+
+
+def _k0_estimate(estimate: np.ndarray, k: int) -> np.ndarray:
+    """The estimated number of suppressed studies: the estimate rounded half up into [0, k - 1]."""
+    return np.floor(estimate + 0.5).clip(0, k - 1).astype(np.int64)
+
+
+def _trim_fill_state(
+    estimator: TrimFillEstimator, k: int, theta, k0, iterations, converged, statistic, s_plus, tied,
+) -> TrimFillState:
+    """The ``TrimFillState`` of each row's last pass, with the one-sided p of its statistic; L reads S+ and ties."""
+    if estimator is TrimFillEstimator.R:
+        p_value = np.ldexp(1.0, -1 - statistic.astype(np.int64))
+    else:
+        p_value = np.minimum(_l_pvalue(k, s_plus, tied), 1.0)
+    return TrimFillState(theta, k0, iterations, converged, statistic, p_value)
+
+
+def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Callable) -> TrimFillState:
+    """``trim_fill_rows`` pass by pass: each pass pools the active rows' kept counts, one pool per count."""
     values = rows.value
     count, k = values.shape
-    pool = TRIM_FILL_AXES[axis]
-    row = np.arange(count)[:, None]
-    order = values.argsort(axis=-1, kind="stable")  # ascending; trim from the top
-    ascending = (values[row, order], rows.se[row, order] ** 2, rows.n[row, order])
+    ascending = _sorted_block(rows)
     theta = np.empty(count)
     k0 = np.zeros(count, dtype=np.int64)
     iterations = np.zeros(count, dtype=np.int64)
@@ -744,7 +813,7 @@ def trim_fill_rows(
         else:
             s_plus[active], estimate, tied[active] = _l_pass(values[active], theta[active])
         statistic[active] = estimate
-        k0_new = np.floor(estimate + 0.5).clip(0, k - 1).astype(np.int64)  # round half up
+        k0_new = _k0_estimate(estimate, k)
         iterations[active] = iteration
         done = k0_new == k0[active]
         converged[active[done]] = True
@@ -752,11 +821,70 @@ def trim_fill_rows(
         active = active[~done]
         if not len(active):
             break
+    return _trim_fill_state(estimator, k, theta, k0, iterations, converged, statistic, s_plus, tied)
+
+
+def _trim_fill_tables(rows: EstimateRows, estimator: TrimFillEstimator, pool: Callable) -> TrimFillState:
+    """``trim_fill_rows`` as lookups: every row's pass at every kept count m = 1..k, then a walk through them."""
+    ascending = _sorted_block(rows)
+    count, k = ascending[0].shape
+    theta = _prefix_pools(ascending, pool).ravel()  # entry row * k + m - 1
+    repeated = np.repeat(ascending[0], k, axis=0)  # each row against each of its thetas
+    s_plus = tied = None
     if estimator is TrimFillEstimator.R:
-        p_value = np.ldexp(1.0, -1 - statistic.astype(np.int64))
+        statistic = _gamma_plus(repeated - theta[:, None]) - 1.0
     else:
-        p_value = np.minimum(_l_pvalue(k, s_plus, tied), 1.0)
-    return TrimFillState(theta, k0, iterations, converged, statistic, p_value)
+        s_plus, statistic, tied = _l_pass(repeated, theta)
+    k0_table = _k0_estimate(statistic, k)
+    # the pass at a row's entry for m leaves k0_table's k0 there, so its
+    # next pass is at m = k - k0; a row whose k0 repeats stays put
+    top = np.arange(count) * k + k - 1  # each row's first pass: m = k
+    step = np.repeat(top, k) - k0_table
+    at = top
+    moves = np.zeros(count, dtype=np.int64)
+    for _ in range(MAX_TRIM_ITERATIONS - 1):
+        after = step[at]
+        moving = after != at
+        if not moving.any():
+            break
+        moves += moving
+        at = after
+    if estimator is TrimFillEstimator.L:
+        s_plus, tied = s_plus[at], tied[at]
+    return _trim_fill_state(
+        estimator, k, theta[at], k0_table[at], moves + 1, step[at] == at, statistic[at], s_plus, tied,
+    )
+
+
+def trim_fill_rows(
+    rows: EstimateRows,
+    estimator: TrimFillEstimator,
+    axis: PrecisionAxis = PrecisionAxis.SE,
+) -> TrimFillState:
+    """Run the trim-and-fill iteration on every row of a block of at least ``MIN_STUDIES`` studies.
+
+    The rows iterate independently and the result is a ``TrimFillState``
+    of arrays with one entry per row. A pass pools a row's kept studies
+    (its k - k0 smallest effects), centers all k values on that pooled
+    effect and re-estimates k0; a row stops when k0 repeats or after
+    ``MAX_TRIM_ITERATIONS`` passes, and keeps the statistic of its last
+    pass. The run estimator R = gamma_plus - 1 has exact one-sided p =
+    2**(-gamma_plus) under the fair-signs null; L is tested via the
+    signed-rank-sum null distribution.
+
+    A block of rows * k * k up to ``TRIM_FILL_TABLE_MAX_WORK`` computes
+    every row's pass at every kept count m = 1..k at once and walks
+    those tables; a larger one runs the passes, pooling the rows with
+    the same kept count together. Either way each pool sums exactly what
+    a single row's pool over its m smallest values sums, so every row's
+    numbers are those it would get alone, by either path.
+    """
+    if not isinstance(estimator, TrimFillEstimator):
+        raise ValueError(f"trim and fill estimator must be a TrimFillEstimator, got {estimator!r}")
+    pool = TRIM_FILL_AXES[axis]
+    count, k = rows.value.shape
+    path = _trim_fill_tables if count * k * k <= TRIM_FILL_TABLE_MAX_WORK else _trim_fill_passes
+    return path(rows, estimator, pool)
 
 
 def trim_fill_iterate(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from funnelbias import asymmetry
 from funnelbias.asymmetry import (
     KENDALL_MERGE_MIN_K,
     EggerWeighting,
@@ -36,6 +37,8 @@ from funnelbias.asymmetry import (
     _kendall_s_offsets,
     _l_pass,
     _l_pvalue,
+    _pool_dersimonian_laird,
+    _prefix_pools,
     _signed_rank_tail,
     _tie_sums,
 )
@@ -437,6 +440,39 @@ def test_pool_random_effects_dersimonian_laird_golden():
 def test_pool_random_effects_needs_two():
     with pytest.raises(TooFewStudies):
         pool_random_effects(est([1.0], 0.5))
+
+
+def test_reduceat_behind_a_zero_pad_sums_like_sum():
+    # trim and fill's prefix tables sum each prefix this way and rely on
+    # getting the bits of the prefix's own sum(axis=-1)
+    rng = np.random.default_rng(11)
+    for length in range(1, 301):
+        a = rng.standard_normal(length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
+        b = rng.standard_normal((3, length)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, length))
+        zero = np.zeros(1)
+        assert np.add.reduceat(np.concatenate((zero, a)), [0]).tobytes() == a.sum(keepdims=True).tobytes()
+        padded = np.concatenate((np.zeros((3, 1)), b), axis=1)
+        assert np.add.reduceat(padded, [0], axis=1)[:, 0].tobytes() == b.sum(axis=1).tobytes()
+        # several padded segments in one row, as the tables lay them out
+        row = np.concatenate((zero, a, zero, -a[::-1], zero, np.full(length, -0.0)))
+        sums = np.add.reduceat(row, [0, length + 1, 2 * length + 2])
+        assert sums.tobytes() == np.array([a.sum(), (-a[::-1]).sum(), np.full(length, -0.0).sum()]).tobytes()
+
+
+@pytest.mark.parametrize("axis", [PrecisionAxis.SE, PrecisionAxis.N])
+def test_prefix_pools_are_each_prefix_pooled_alone(axis):
+    rng = np.random.default_rng(3)
+    values = np.sort(np.round(rng.normal(0.0, 1.0, (4, 12)), 1), axis=-1)
+    variances = rng.uniform(0.01, 2.0, (4, 12))
+    ns = rng.integers(20, 500, (4, 12))
+    pool = asymmetry.TRIM_FILL_AXES[axis]
+    table = _prefix_pools((values, variances, ns), pool)
+    for m in range(1, 13):
+        alone = pool(values[:, :m], variances[:, :m], ns[:, :m])
+        assert table[:, m - 1].tobytes() == alone.tobytes(), m
+    if axis is PrecisionAxis.SE:
+        assert table[:, 0].tobytes() == values[:, 0].tobytes()  # one value pools to itself
+        assert table[:, -1].tobytes() == _pool_dersimonian_laird(values, variances)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

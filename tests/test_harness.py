@@ -394,6 +394,21 @@ def test_run_grid_starts_no_more_workers_than_conditions(monkeypatch):
     assert results == run_grid(grid, [T_SE_R], reps=3, master_seed=1, parallelism=1)
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_grid_rejects_empty_input_before_any_worker(monkeypatch, parallelism):
+    # the same ValueError at every parallelism, and no process started for it
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="no conditions supplied"):
+        run_grid([], [], reps=1, parallelism=parallelism)
+    with pytest.raises(ValueError, match="no conditions supplied"):
+        run_grid([], [T_SE_R], reps=1, parallelism=parallelism)
+    with pytest.raises(ValueError, match="no test variants supplied"):
+        run_grid([fe_condition(k=10)], [], reps=1, parallelism=parallelism)
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py swaps wrappers into these modules by name and
     # restores them on exit; a renamed target would break a traced run

@@ -15,14 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funnelbias import asymmetry
 from funnelbias.asymmetry import (
     EXACT_KENDALL_MAX_K,
     FAILURE_ERRORS,
     KENDALL_MERGE_MIN_K,
+    MAX_TRIM_ITERATIONS,
+    TRIM_FILL_AXES,
     Failure,
     PrecisionAxis,
     TrimFillEstimator,
     TrimFillState,
+    _trim_fill_passes,
+    _trim_fill_tables,
     begg_rows,
     begg_test,
     run_test,
@@ -128,6 +133,66 @@ def test_each_row_keeps_its_own_trim_fill_state(rows):
             alone = trim_fill_rows(one_row(rows, i), estimator, axis)
             for name in TrimFillState.__slots__:
                 assert bits(getattr(alone, name)) == bits(getattr(block, name)[i:i + 1]), (name, estimator, axis)
+
+
+def assert_both_trim_fill_paths_agree(rows):
+    """The prefix tables and the pass loop give every row the same state, bit for bit, whatever the block size."""
+    for estimator, axis in itertools.product(TrimFillEstimator, (PrecisionAxis.SE, PrecisionAxis.N)):
+        pool = TRIM_FILL_AXES[axis]
+        tables = _trim_fill_tables(rows, estimator, pool)
+        passes = _trim_fill_passes(rows, estimator, pool)
+        for name in TrimFillState.__slots__:
+            mine, theirs = getattr(tables, name), getattr(passes, name)
+            assert mine.dtype == theirs.dtype, (name, estimator, axis)
+            assert np.array_equal(mine, theirs, equal_nan=True), (name, estimator, axis)
+
+
+def rounded_block(seed, count, k, decimals):
+    """A seeded block with values and SEs rounded, so ties and k0 cycles are common."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(0.0, 1.0, (count, k)), decimals)
+    ses = np.round(rng.uniform(0.05, 1.5, (count, k)), max(decimals, 1))
+    ns = rng.integers(20, 500, (count, k))
+    m1 = ns // 3 + 1
+    return EstimateRows(values, ses, ns, 4.0 * m1 * (ns - m1) / ns, m1, ns - m1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=blocks())
+def test_trim_fill_tables_match_the_pass_loop(rows):
+    # swamped and constant columns, ties, and blocks on both sides of the size threshold
+    assert_both_trim_fill_paths_agree(rows)
+
+
+def test_trim_fill_tables_match_the_pass_loop_on_rounded_blocks():
+    rng = np.random.default_rng(20)
+    for seed in range(40):
+        count, k, decimals = int(rng.integers(1, 13)), int(rng.integers(3, 61)), int(rng.integers(0, 3))
+        assert_both_trim_fill_paths_agree(rounded_block(seed, count, k, decimals))
+
+
+def test_trim_fill_tables_match_the_pass_loop_at_the_pass_cap():
+    # this block has rows whose k0 cycles until the cap, under both estimators
+    rows = rounded_block(170, 256, 6, 2)
+    for estimator in TrimFillEstimator:
+        state = _trim_fill_passes(rows, estimator, TRIM_FILL_AXES[PrecisionAxis.SE])
+        capped = ~state.converged
+        assert capped.any() and (state.iterations[capped] == MAX_TRIM_ITERATIONS).all(), estimator
+    assert_both_trim_fill_paths_agree(rows)
+
+
+def test_benchmark_block_shapes_keep_their_trim_fill_path(monkeypatch):
+    # grid-trimfill's 5-replicate cells at k = 10 and 30 take the tables;
+    # analyze-cli's single rows at k = 300 and 1000 and simulate's
+    # 1024-row blocks take the pass loop
+    taken = []
+    monkeypatch.setattr(asymmetry, "_trim_fill_tables", lambda rows, estimator, pool: taken.append("tables"))
+    monkeypatch.setattr(asymmetry, "_trim_fill_passes", lambda rows, estimator, pool: taken.append("passes"))
+    shapes = {(5, 10): "tables", (5, 30): "tables", (1, 300): "passes", (1, 1000): "passes", (1024, 30): "passes"}
+    for (count, k), path in shapes.items():
+        taken.clear()
+        trim_fill_rows(EstimateRows(*(np.ones((count, k)) for _ in EstimateRows._fields)), TrimFillEstimator.R)
+        assert taken == [path], (count, k)
 
 
 @settings(max_examples=60, deadline=None)
