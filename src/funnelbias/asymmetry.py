@@ -579,8 +579,8 @@ BEGG_AXES = AxisTable("Begg", {
     PrecisionAxis.SE: AxisRule("var", lambda e: e.se**2),
     PrecisionAxis.N: AxisRule("inv_n", lambda e: 1.0 / e.n),
     PrecisionAxis.ESS: AxisRule("inv_ess", lambda e: 1.0 / e.ess),
-    PrecisionAxis.INV_N: AxisRule("inv_n", lambda e: 1.0 / e.n),  # the same test as axis N
 })
+BEGG_AXES[PrecisionAxis.INV_N] = BEGG_AXES[PrecisionAxis.N]  # the same test as axis N
 
 
 def begg_rows(
@@ -666,10 +666,18 @@ def _average_ranks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, ties.any(axis=-1)
 
 
-def _l_pass(values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S+, the L estimator and whether |centered| ties, for each row of (rows, k) values centered on its theta."""
+def _trim_fill_estimate(
+    estimator: TrimFillEstimator, values: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """S+, the statistic and whether |centered| ties, for each row of (rows, k) values centered on its theta.
+
+    The statistic is R = gamma_plus - 1 or L; R needs neither S+ nor the
+    ties, which are None for it.
+    """
     k = values.shape[-1]
     centered = values - theta[:, None]
+    if estimator is TrimFillEstimator.R:
+        return None, _gamma_plus(centered) - 1.0, None
     ranks, tied = _average_ranks(np.abs(centered))
     s_plus = np.where(centered > 0, ranks, 0.0).sum(axis=-1)  # sums of halves: exact in any order
     return s_plus, (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0), tied
@@ -690,17 +698,12 @@ def _signed_rank_probs(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1 << 16)
-def _signed_rank_tail_sum(k: int, threshold: int) -> float:
-    """P(S+ >= threshold) for an integer threshold above 0; each (k, threshold) sums its O(k**2) tail once."""
-    return float(_signed_rank_probs(k)[threshold:].sum())  # 0.0 beyond the largest sum
-
-
 def _signed_rank_tail(k: int, s_plus: float) -> float:
-    """P(S+ >= s_plus) when every sign is an independent fair coin."""
+    """P(S+ >= s_plus) when every sign is an independent fair coin; each (k, s_plus) sums its O(k**2) tail once."""
     threshold = math.ceil(s_plus - 1e-9)
     if threshold <= 0:
         return 1.0
-    return _signed_rank_tail_sum(k, threshold)
+    return float(_signed_rank_probs(k)[threshold:].sum())  # 0.0 beyond the largest sum
 
 
 def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
@@ -808,11 +811,10 @@ def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
             groups = [(active[kept == m], m) for m in np.unique(kept).tolist()]
         for chosen, m in groups:
             theta[chosen] = pool(*(column[chosen, :m] for column in ascending))
-        if estimator is TrimFillEstimator.R:
-            estimate = _gamma_plus(values[active] - theta[active, None]) - 1.0
-        else:
-            s_plus[active], estimate, tied[active] = _l_pass(values[active], theta[active])
+        pass_s_plus, estimate, pass_tied = _trim_fill_estimate(estimator, values[active], theta[active])
         statistic[active] = estimate
+        if estimator is TrimFillEstimator.L:
+            s_plus[active], tied[active] = pass_s_plus, pass_tied
         k0_new = _k0_estimate(estimate, k)
         iterations[active] = iteration
         done = k0_new == k0[active]
@@ -830,11 +832,7 @@ def _trim_fill_tables(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
     count, k = ascending[0].shape
     theta = _prefix_pools(ascending, pool).ravel()  # entry row * k + m - 1
     repeated = np.repeat(ascending[0], k, axis=0)  # each row against each of its thetas
-    s_plus = tied = None
-    if estimator is TrimFillEstimator.R:
-        statistic = _gamma_plus(repeated - theta[:, None]) - 1.0
-    else:
-        s_plus, statistic, tied = _l_pass(repeated, theta)
+    s_plus, statistic, tied = _trim_fill_estimate(estimator, repeated, theta)
     k0_table = _k0_estimate(statistic, k)
     # the pass at a row's entry for m leaves k0_table's k0 there, so its
     # next pass is at m = k - k0; a row whose k0 repeats stays put

@@ -79,6 +79,10 @@ def _build_variant(args) -> TestVariantId:
             if weightings is None:
                 raise ValueError(f"--weighting does not apply to {family.value}")
             weighting = weightings(args.weighting)
+        axes = FAMILIES[family].axes
+        if _AXES[args.axis] not in axes:
+            accepted = ", ".join(flag for flag, axis in _AXES.items() if axis in axes)
+            raise ValueError(f"--axis must be one of {accepted} for {family.value}, got {args.axis}")
         return TestVariantId(
             family=family,
             measure=MeasureId(args.measure),

@@ -159,7 +159,6 @@ class MeasureBlock(NamedTuple):
     studies whose first failed check has that reason, in check order.
     """
 
-    measure: MeasureId
     estimates: EstimateRows
     usable: np.ndarray
     corrected: np.ndarray
@@ -203,7 +202,7 @@ def measure_block(
     x, w, y, z = (tables[..., j] for j in range(4))
     n1, n2 = x + w, y + z
     estimates = EstimateRows(value, se, n1 + n2, effective_sample_size(n1, n2), x + y, w + z)
-    return MeasureBlock(measure, estimates, usable, corrected, tuple(excluded))
+    return MeasureBlock(estimates, usable, corrected, tuple(excluded))
 
 
 def measure_studies(

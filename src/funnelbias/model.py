@@ -250,16 +250,18 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
 
     Returns the dataset plus the study ids in file order. Blank lines
     are skipped; ids and counts may have surrounding whitespace, and a
-    count is any integer ``int`` parses. Any structural problem (text
-    not UTF-8, bad header, wrong field count, non-integer cell, negative
-    count, empty group) raises :class:`DatasetFormatError`, with its
-    line number if any. Line numbers count CSV records, so a quoted
-    newline does not advance them. A record the csv module cannot read
-    (a field longer than its field size limit) is a format error at
-    that record; an error in an earlier record comes first.
+    count is any integer ``int`` parses. A leading UTF-8 byte order mark,
+    as spreadsheets write into "CSV UTF-8" exports, is skipped; one
+    anywhere else is text. Any structural problem (text not UTF-8, bad
+    header, wrong field count, non-integer cell, negative count, empty
+    group) raises :class:`DatasetFormatError`, with its line number if
+    any. Line numbers count CSV records, so a quoted newline does not
+    advance them. A record the csv module cannot read (a field longer
+    than its field size limit) is a format error at that record; an
+    error in an earlier record comes first.
     """
     try:
-        text = Path(path).read_bytes().decode()
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not utf-8 text: {exc.reason}") from None
     records, unreadable = _csv_records(text)
@@ -306,19 +308,16 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
 def _csv_records(text: str) -> tuple[list[list[str]], DatasetFormatError | None]:
     """The CSV records of ``text`` up to the first one the csv module cannot read, and that record's error.
 
-    The records are read in one ``list(...)``; only when that fails are
-    they read again one at a time, to number the record that fails.
+    The records are read in one pass, by ``extend``. When the reader
+    fails, ``extend`` keeps the records read before the error, so the
+    record that fails is the next one.
     """
-    try:
-        return list(csv.reader(io.StringIO(text, newline=""))), None
-    except csv.Error as exc:
-        error = str(exc)
     records = []
     try:
         records.extend(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error:
-        pass  # extend keeps the records read before the error
-    return records, DatasetFormatError(error, line_no=len(records) + 1)
+    except csv.Error as exc:
+        return records, DatasetFormatError(str(exc), line_no=len(records) + 1)
+    return records, None
 
 
 def _count_table(rows: list[list[str]]) -> np.ndarray | None:

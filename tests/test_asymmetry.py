@@ -35,12 +35,12 @@ from funnelbias.asymmetry import (
     _kendall_rows,
     _kendall_s_merge,
     _kendall_s_offsets,
-    _l_pass,
     _l_pvalue,
     _pool_dersimonian_laird,
     _prefix_pools,
     _signed_rank_tail,
     _tie_sums,
+    _trim_fill_estimate,
 )
 from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
 from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
@@ -543,7 +543,7 @@ def _center_and_rank(values, theta):
     """One row's centered effects, average ranks of |centered|, gamma_plus, S+ and L, from the pass helpers."""
     centered = values - theta
     ranks, _ = _average_ranks(np.abs(centered)[None])
-    s_plus, l_est, _ = _l_pass(values[None], np.array([theta]))
+    s_plus, l_est, _ = _trim_fill_estimate(TrimFillEstimator.L, values[None], np.array([theta]))
     return centered, ranks[0], _gamma_plus(centered[None])[0], s_plus[0], l_est[0]
 
 
@@ -596,7 +596,7 @@ def test_gamma_plus_matches_group_loop():
         assert np.array_equal(ranks, sps.rankdata(np.abs(centered)))
         assert s_plus == np.sum(ranks[centered > 0])
         # a row is tied exactly when its ranks are not the integers 1..k
-        _, _, tied = _l_pass(values[None], np.array([theta]))
+        _, _, tied = _trim_fill_estimate(TrimFillEstimator.L, values[None], np.array([theta]))
         assert tied[0] == (not np.array_equal(np.sort(ranks), np.arange(1, len(values) + 1)))
 
 

@@ -435,16 +435,54 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     json.dumps(tracer.counts)
 
 
-def test_benchmark_workloads_find_every_name_they_import(monkeypatch):
-    # perfbench/workloads.py imports the program's names (and its sibling
-    # reference.py); a moved name would otherwise fail only a benchmark run
+def load_benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, with its sibling reference.py as ``ref``, loaded without changing either."""
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_workloads_find_every_name_they_import(monkeypatch):
+    # perfbench/workloads.py imports the program's names (and its sibling
+    # reference.py); a moved name would otherwise fail only a benchmark run
+    workloads = load_benchmark_workloads(monkeypatch)
     variants = [workloads.program_variant(v) for v in workloads.ALL_VARIANTS]
     assert len({v.label for v in variants}) == 92
+
+
+# default-grid cells: k = 10 and 30, fixed and random effects, no bias,
+# selection and mixture (checked in the test)
+REFERENCE_CELLS = (120, 97, 229, 13)
+
+
+def test_block_engine_counts_what_the_reference_counts(monkeypatch):
+    # perfbench/reference.py is an independent scalar implementation of
+    # every measure and test; the block engine must reject and give up on
+    # exactly the replicates where it does, for all 92 one-sided variants
+    workloads = load_benchmark_workloads(monkeypatch)
+    ref, alpha, seed, reps = workloads.ref, 0.1, 3, 3
+    variants = workloads.ALL_VARIANTS
+    grid = default_grid()
+    cells = [grid[i] for i in REFERENCE_CELLS]
+    assert {c.k for c in cells} == {10, 30}
+    assert {c.params.sigma_a2 == 0.0 for c in cells} == {True, False}
+    assert {c.bias.mechanism for c in cells} == set(BiasMechanism)
+    program = [workloads.program_variant(v) for v in variants]
+    for index, condition in zip(REFERENCE_CELLS, cells):
+        counts = [[0, 0] for _ in variants]  # rejections, degenerate
+        for rep in range(reps):
+            tables = generate_meta_analysis(condition, replicate_rng(seed, index, rep)).tables.tolist()
+            estimates = {m: ref.measure_dataset(tables, m, "half")[1] for m in workloads.MEASURES}
+            for count, v in zip(counts, variants):
+                try:
+                    count[0] += ref.run_test(estimates[v.measure], v).p_value <= alpha
+                except ref.Degenerate:
+                    count[1] += 1
+        results = run_condition(condition, program, reps, alpha, seed, index)
+        assert [[r.rejections, r.degenerate_reps] for r in results] == counts, index
 
 
 def test_begg_variants_gain_power_under_selection():

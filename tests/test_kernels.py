@@ -33,9 +33,10 @@ from funnelbias.asymmetry import (
     run_test,
     trim_fill_rows,
 )
-from funnelbias.errors import AllTied
+from funnelbias.errors import AllTied, FunnelBiasError
 from funnelbias.harness import FAMILIES, TestVariantId, run_rows, run_variant
-from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
+from funnelbias.measures import measure_studies
+from funnelbias.model import CorrectionPolicy, EstimateRows, EstimateSet, MeasureId, MetaDataset, Sidedness
 
 
 def every_variant(measure=MeasureId.LNDOR):
@@ -101,6 +102,34 @@ def assert_each_row_is_that_row_alone(rows):
             assert bits(alone.statistic) == bits(block.statistic[i:i + 1]), variant.label
             assert bits(alone.p_value) == bits(block.p_value[i:i + 1]), variant.label
             assert alone.failure.tolist() == block.failure[i:i + 1].tolist(), variant.label
+
+
+# a raw 2x2 cell: zero or a few, as in small studies, or anything up to 10**6
+CELLS = st.integers(0, 3) | st.integers(0, 10**6)
+TABLES = st.tuples(CELLS, CELLS, CELLS, CELLS).filter(lambda t: t[0] + t[1] > 0 and t[2] + t[3] > 0)
+
+
+@st.composite
+def raw_datasets(draw):
+    tables = draw(st.lists(TABLES, min_size=1, max_size=10))
+    duplicates = draw(st.lists(st.sampled_from(tables), max_size=4))
+    return MetaDataset(draw(st.permutations(tables + duplicates)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=raw_datasets(), policy=st.sampled_from(CorrectionPolicy))
+def test_every_variant_of_raw_tables_gives_a_p_or_a_library_error(dataset, policy):
+    # any valid input ends in a result or a FunnelBiasError, never another exception
+    alpha = 0.1
+    for measure in MeasureId:
+        estimates = measure_studies(dataset, measure, policy).estimates
+        for variant in every_variant(measure):
+            try:
+                result = run_test(variant, estimates, alpha)
+            except FunnelBiasError:
+                continue
+            assert 0.0 <= result.p_value <= 1.0, variant.label
+            assert result.reject == (result.p_value <= alpha), variant.label
 
 
 @settings(max_examples=60, deadline=None)

@@ -350,6 +350,18 @@ def test_reader_matches_row_reader(tmp_path, rows, ending, header):
     assert_reads_as_row_reader(tmp_path / "in.csv", header + "".join(csv_line(row, ending) for row in rows))
 
 
+def test_reader_skips_a_leading_byte_order_mark(tmp_path):
+    # spreadsheets write one at the start of their "CSV UTF-8" exports
+    text = HEADER + "s1,1,2,3,4\n\ufeffs2,5,6,7,8\na\ufeffb,1,1,1,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outcome = read_outcome(read_dataset_csv, marked)
+    assert outcome == read_outcome(read_dataset_csv, plain)
+    # one anywhere else is part of the text it sits in
+    assert outcome[1] == ("s1", "\ufeffs2", "a\ufeffb")
+
+
 def test_reader_numbers_a_long_header_as_line_1(tmp_path):
     path = tmp_path / "in.csv"
     assert_reads_as_row_reader(path, LONG_ID + ",tp,fn,fp,tn\ns1,1,2,3,4\n")
