@@ -365,7 +365,7 @@ def macaskill_rows(
     elif weighting is MacaskillWeighting.ESS:
         weights = rows.ess
     else:
-        weights = rows.m1 * rows.m2 / rows.n
+        weights = np.multiply(rows.m1, rows.m2, dtype=float) / rows.n  # an int64 product would wrap past 2**63
     fit = weighted_linear_fit(rule.column(rows), values, weights)
     statistic = _coefficient_statistic(fit.b1, fit.se_b1, np.abs(values).max(axis=-1))
     p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
@@ -769,10 +769,13 @@ def _prefix_pools(ascending: tuple[np.ndarray, ...], pool: Callable) -> np.ndarr
 
 
 def _sorted_block(rows: EstimateRows) -> tuple[np.ndarray, ...]:
-    """Each row's (values, variances, sample sizes), sorted ascending by value: trimming takes from the top."""
+    """Each row's (values, variances, sample sizes), sorted ascending by value: trimming takes from the top.
+
+    The sizes are floats, whose sums cannot wrap as int64 sums of sizes past 2**63 do.
+    """
     row = np.arange(len(rows.value))[:, None]
     order = rows.value.argsort(axis=-1, kind="stable")
-    return rows.value[row, order], rows.se[row, order] ** 2, rows.n[row, order]
+    return rows.value[row, order], rows.se[row, order] ** 2, rows.n[row, order].astype(float)
 
 
 def _k0_estimate(estimate: np.ndarray, k: int) -> np.ndarray:

@@ -185,7 +185,8 @@ class MetaDataset:
     valid by construction. Cells that are not integers (bool and float
     arrays included) raise ``NegativeCell``, and so does the first study
     with a negative cell; the first with an empty group raises
-    ``EmptyGroup``. Both errors name the study: "study i: ...".
+    ``EmptyGroup``, and the first whose total N does not fit in int64
+    raises ``DataError``. Each error names the study: "study i: ...".
     """
 
     tables: np.ndarray
@@ -220,22 +221,27 @@ def round_half_up(value: float) -> int:
 
 
 def _first_invalid(tables: np.ndarray) -> DataError | None:
-    """The error of the first study, in row order, with a negative cell or an empty group.
+    """The error of the first study, in row order, with a negative cell, an empty group or a total past int64.
 
     Within a study the cells are checked in x, w, y, z order, then n1,
-    then n2.
+    then n2, then N. N bounds every other total, n1, n2, m1 and m2, so
+    a study whose N fits in int64 has every total in int64.
     """
     negative = tables < 0
-    bad = negative.any(axis=1) | (tables[:, 0] + tables[:, 1] == 0) | (tables[:, 2] + tables[:, 3] == 0)
+    # with no negative cell, a sum past int64 wraps below 0 (to at most -2, never to 0)
+    n1, n2 = tables[:, 0] + tables[:, 1], tables[:, 2] + tables[:, 3]
+    bad = negative.any(axis=1) | (n1 <= 0) | (n2 <= 0) | (n1 + n2 < 0)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
     if negative[i].any():
         j = int(np.argmax(negative[i]))
         return NegativeCell(f"cell {'xwyz'[j]} is negative: {tables[i, j]}", study=i)
-    if tables[i, 0] + tables[i, 1] == 0:
+    if n1[i] == 0:
         return EmptyGroup("no diseased subjects (n1 = 0)", study=i)
-    return EmptyGroup("no healthy subjects (n2 = 0)", study=i)
+    if n2[i] == 0:
+        return EmptyGroup("no healthy subjects (n2 = 0)", study=i)
+    return DataError(f"total N = {sum(tables[i].tolist())} does not fit in int64", study=i)
 
 
 def validate_dataset(dataset: MetaDataset) -> MetaDataset:
@@ -254,11 +260,11 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     as spreadsheets write into "CSV UTF-8" exports, is skipped; one
     anywhere else is text. Any structural problem (text not UTF-8, bad
     header, wrong field count, non-integer cell, negative count, empty
-    group) raises :class:`DatasetFormatError`, with its line number if
-    any. Line numbers count CSV records, so a quoted newline does not
-    advance them. A record the csv module cannot read (a field longer
-    than its field size limit) is a format error at that record; an
-    error in an earlier record comes first.
+    group, a study total past int64) raises :class:`DatasetFormatError`,
+    with its line number if any. Line numbers count CSV records, so a
+    quoted newline does not advance them. A record the csv module cannot
+    read (a field longer than its field size limit) is a format error at
+    that record; an error in an earlier record comes first.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -277,25 +283,32 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     kept = [any(map(str.strip, row)) for row in records]
     rows = list(itertools.compress(records, kept))
     line_nos = list(itertools.compress(itertools.count(2), kept))
-    tables = _count_table(rows)
-    parse_error = unreadable  # after every record read, so any error found in them comes first
-    if tables is None:
-        # find the first line that is not an id and four integer counts
-        tables = []
-        for line_no, row in zip(line_nos, rows):
-            if len(row) != 5:
-                parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
-                break
+    # bad is the first row that is not an id and four integers: the first
+    # without five fields, or an earlier one with a cell int rejects
+    bad = next((i for i, row in enumerate(rows) if len(row) != 5), len(rows))
+    # one flat list, not zip(*rows): that holds an iterator per row, which
+    # would set off the cyclic garbage collector on every large file
+    cells = list(itertools.chain.from_iterable(rows[:bad]))
+    del cells[::5]  # the ids
+    counts, remaining = [], iter(cells)
+    while len(counts) < 4 * bad:
+        try:
+            # extend keeps the counts before a cell int rejects; that cell is the next
+            counts.extend(map(int, remaining))
+        except ValueError:
             try:
-                tables.append([int(cell.strip()) for cell in row[1:]])
+                # int skips whitespace but not "\x1c" to "\x1f", which str.strip removes
+                counts.append(int(cells[len(counts)].strip()))
             except ValueError:
-                parse_error = DatasetFormatError(
-                    f"non-integer cell count in {row[1:]!r}", line_no=line_no
-                )
-                break
+                bad = len(counts) // 4
+    parse_error = unreadable  # after every record read, so any error found in them comes first
+    if bad < len(rows):
+        row = rows[bad]
+        reason = f"expected 5 fields, got {len(row)}" if len(row) != 5 else f"non-integer cell count in {row[1:]!r}"
+        parse_error = DatasetFormatError(reason, line_no=line_nos[bad])
     # the rows read before a parse error come first in the file
     try:
-        dataset = MetaDataset(tables)
+        dataset = MetaDataset(np.array(counts[: 4 * bad]).reshape(bad, 4))
     except DataError as exc:
         if exc.study is None:
             raise  # a cell beyond int64 is no one study's fault
@@ -318,26 +331,6 @@ def _csv_records(text: str) -> tuple[list[list[str]], DatasetFormatError | None]
     except csv.Error as exc:
         return records, DatasetFormatError(str(exc), line_no=len(records) + 1)
     return records, None
-
-
-def _count_table(rows: list[list[str]]) -> np.ndarray | None:
-    """The (k, 4) int64 counts of rows of five fields, converted in one ``map(int, ...)``.
-
-    None if a row has another field count, or if a count is not
-    something ``int`` parses unstripped or does not fit in int64; the
-    caller then scans the rows one at a time.
-    """
-    if not set(map(len, rows)) <= {5}:
-        return None
-    # one flat list, not zip(*rows): that holds an iterator per row, which
-    # would set off the cyclic garbage collector on every large file
-    cells = list(itertools.chain.from_iterable(rows))
-    del cells[::5]  # the ids
-    try:
-        counts = np.array(list(map(int, cells)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return counts.reshape(len(rows), 4)
 
 
 _CSV_QUOTED = re.compile('[,"\r\n]')

@@ -161,7 +161,8 @@ class SimCondition:
             raise ValueError(f"k must be at least {MIN_STUDIES}, got {self.k}")
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"prevalence must be in (0, 1), got {self.pi}")
-        if not 1 <= self.n_min <= self.n_max:
+        # the sizes are drawn as int64
+        if not 1 <= self.n_min <= self.n_max <= np.iinfo(np.int64).max:
             raise ValueError(f"bad sample-size range [{self.n_min}, {self.n_max}]")
         # n1 and n2 never shrink as N grows, so n_min is the binding size
         n1 = round_half_up(self.pi * self.n_min)
@@ -210,9 +211,10 @@ def _realize_block(
     """Every realized table of one replicate per stream, the shifted flags and the kept mask.
 
     Each replicate draws from its own stream in the documented order:
-    sizes, base logit pairs, shifted pairs and the slot permutation for
-    a mixture, then one binomial call for all its tables, whose C order
-    is each study's x, then its y. Only those calls run per replicate;
+    sizes, the normals of every logit pair in one call (base pairs, then
+    a mixture's shifted pairs), the slot permutation for a mixture, then
+    one binomial call for all its tables, whose C order is each study's
+    x, then its y. Only those calls run per replicate;
     the rest is arithmetic on (reps, studies) arrays, elementwise or
     along the last axis, so every replicate's numbers are those it
     would get alone. Selection realizes k + l tables and keeps the k
@@ -240,9 +242,7 @@ def _realize_block(
     for r, rng in enumerate(rngs):
         totals[r] = rng.integers(condition.n_min, condition.n_max + 1, size=total)
         if not params.is_fixed_effects:  # fixed effects draw no normals
-            normals[r, :n_base] = rng.standard_normal((n_base, 2))
-            if mixture:
-                normals[r, n_base:] = rng.standard_normal((n_shifted, 2))
+            normals[r] = rng.standard_normal((total, 2))
         if mixture:
             sources[r] = rng.permutation(k)
     pairs = _logit_pairs(params, normals)

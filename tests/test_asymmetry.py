@@ -214,13 +214,15 @@ def test_macaskill_deeks_predictor_and_weights():
     assert r.p_value == pytest.approx(float(sps.t.sf(b1 / se_b1, len(ests) - 2)), rel=1e-10)
 
 
-def test_macaskill_peters_mass_weights():
+# at scale 10**7 the marginals reach 8e9, and m1 * m2 passes 2**63
+@pytest.mark.parametrize("scale", [1, 10**7])
+def test_macaskill_peters_mass_weights(scale):
     rng = np.random.default_rng(39)
     rows = []
     for _ in range(11):
         n = int(rng.integers(60, 800))
         m1 = int(rng.integers(10, n - 10))
-        rows.append((rng.normal(1.0, 0.4), rng.uniform(0.2, 0.8), n, m1, n - m1))
+        rows.append((rng.normal(1.0, 0.4), rng.uniform(0.2, 0.8), n * scale, m1 * scale, (n - m1) * scale))
     values, ses, ns, m1s, m2s = (np.array(col) for col in zip(*rows))
     ests = est(values, ses, n=ns, m1=m1s, m2=m2s)
     masses = np.array([m1 * m2 / n for _, _, n, m1, m2 in rows])
@@ -718,9 +720,11 @@ def test_trim_fill_l_estimator_paths():
     assert r.test_id.endswith(",l)")
 
 
-def test_trim_fill_axis_n_pools_by_sample_size():
+# at scale 10**16 the sizes sum past 2**63
+@pytest.mark.parametrize("scale", [1, 10**16])
+def test_trim_fill_axis_n_pools_by_sample_size(scale):
     values = np.array([1.0, 2.0, 6.0])
-    ns = np.array([100.0, 200.0, 700.0])
+    ns = np.array([100, 200, 700]) * scale
     state = trim_fill_iterate(est(values, 0.5, n=ns), TrimFillEstimator.R, PrecisionAxis.N)
     # N weights pool to (100 + 400 + 4200) / 1000; the most extreme
     # centered value is then negative, so k0 = 0 and convergence is

@@ -93,6 +93,20 @@ def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
     assert "within int64" in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["analyze", "--test", test, "--axis", "n"] for test in ("egger", "macaskill", "begg", "trimfill")),
+    ["funnel"],
+])
+def test_a_study_total_past_int64_is_input_error(tmp_path, capsys, argv):
+    # n1 = x + w would wrap in int64 and reach the measures as a negative size
+    header, _, rows = DATASET.partition("\n")
+    path = tmp_path / "total.csv"
+    path.write_text(f"{header}\ns1,{2**63 - 1},{2**63 - 1},1,1\n{rows}")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"(line 2): total N = {2**64} does not fit in int64\n")
+
+
 def test_analyze_id_past_the_csv_field_limit_is_input_error(tmp_path, capsys):
     path = tmp_path / "long.csv"
     path.write_text(f"study_id,tp,fn,fp,tn\ns1,40,10,10,40\n{'x' * 200_000},30,5,8,57\ns3,20,15,12,38\n")
@@ -647,3 +661,85 @@ def test_reports_are_json_dumps_indent_2(tmp_path, capsys, tables, measure, corr
 @given(st.lists(JSON_SCALAR))
 def test_json_array_of_scalars_is_json_dumps_indent_2(values):
     assert cli._json_array(cli._json_scalars(values)) == json.dumps(values, indent=2)
+
+
+SWEEP_CELLS = st.integers(0, 40).map(str) | st.sampled_from(
+    ["", " 7 ", "x", "1.5", "-1", "\x00", "\x1c3", "٣", str(2**62), str(2**63 - 1), str(2**63), "9" * 5000]
+)
+SWEEP_ROWS = st.tuples(st.text(max_size=3), *[st.integers(0, 60).map(str)] * 4).map(list)
+SWEEP_ODD_ROWS = st.one_of(
+    st.lists(SWEEP_CELLS | st.text(max_size=3), min_size=3, max_size=6),
+    st.just(["total", str(2**63 - 1), str(2**63 - 1), "1", "1"]),
+    st.just(["x" * (csv.field_size_limit() + 1), "1", "2", "3", "4"]),
+)
+
+
+@st.composite
+def sweep_file(draw):
+    """Dataset bytes: up to 6 rows and 2 malformed ones, now and then cut by a byte that is not UTF-8."""
+    rows = draw(st.lists(SWEEP_ROWS, max_size=6))
+    for row in draw(st.lists(SWEEP_ODD_ROWS, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    text = "study_id,tp,fn,fp,tn\n" + "".join(",".join(row) + "\n" for row in rows)
+    data = text.encode()
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + data[cut:]
+    return data
+
+
+SWEEP_GRID_SIZES = st.integers(-1, 120) | st.sampled_from([2**63 - 1, 2**63, 10**19, 50.5])
+
+
+SWEEP_FLAG_VALUES = {
+    "--test": ["egger", "macaskill", "begg", "trimfill"],
+    "--measure": ["lndor", "lntheta", "youden", "kappa"],
+    "--axis": ["se", "n", "ess", "inv-n"],
+    "--weighting": ["none", "unweighted", "ivfixed", "ivrandom", "ess", "peters"],
+    "--estimator": ["r", "l"],
+    "--sided": ["one", "two"],
+    "--correction": ["half", "never"],
+    "--format": ["csv", "json"],
+}
+
+
+def sweep_flags(draw, *names):
+    """Valid values for some of the named flags, combined at random; the program decides which combinations it takes."""
+    flags = []
+    for name in names:
+        if draw(st.booleans()):
+            flags += [name, draw(st.sampled_from(SWEEP_FLAG_VALUES[name]))]
+    return flags
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), body=sweep_file())
+def test_every_cli_call_exits_0_2_or_3(tmp_path, capsys, data, body):
+    # generated files and flags through analyze, funnel and simulate --grid
+    path = tmp_path / "in.csv"
+    path.write_bytes(body)
+    grid_path = tmp_path / "grid.json"
+    grid = {
+        **GRID,
+        "k": [data.draw(st.sampled_from([2, 3, 5, 7.5]))],
+        "pi": [data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))],
+        "n_min": data.draw(SWEEP_GRID_SIZES),
+        "n_max": data.draw(SWEEP_GRID_SIZES),
+    }
+    grid_path.write_text(json.dumps(grid))
+    variant = ["--test", "--measure", "--axis", "--weighting", "--estimator", "--sided", "--correction"]
+    calls = [
+        ["analyze", "--input", str(path), *sweep_flags(data.draw, *variant)],
+        ["funnel", "--input", str(path), *sweep_flags(data.draw, "--measure", "--axis", "--correction", "--format")],
+        ["simulate", "--grid", str(grid_path), "--reps", str(data.draw(st.integers(1, 3))),
+         "--seed", str(data.draw(st.integers(0, 2**64))), "--out", str(tmp_path / "out.csv"),
+         *sweep_flags(data.draw, *variant)],
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: "), argv
+        elif argv[0] == "analyze":
+            json.loads(out)

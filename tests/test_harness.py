@@ -485,6 +485,67 @@ def test_block_engine_counts_what_the_reference_counts(monkeypatch):
         assert [[r.rejections, r.degenerate_reps] for r in results] == counts, index
 
 
+# analyze-style specs in perfbench's DATASETS layout: (k, n range, mu, sigma,
+# selected, zero-cell and duplicated shares). Each study has its own
+# prevalence, so 1/ESS orders studies unlike 1/N, which grid data cannot show.
+ANALYZE_STYLE_SPECS = (
+    (5, (20, 200), (1.0, -1.0), 0.5, 0.0, 0.2, 0.2),
+    (8, (10, 60), (2.5, -2.5), 0.5, 0.3, 0.0, 0.0),  # zero cells of their own
+    (12, (30, 300), (2.0, -2.0), 0.5, 0.2, 0.25, 0.0),
+    (30, (50, 1000), (1.0, -1.0), 0.5, 0.2, 0.0, 0.2),
+)
+# marginals near 5e9, whose products pass 2**63
+LARGE_MARGINALS = (
+    (4_000_000_000, 1_000_000_000, 1_000_000_000, 4_000_000_000),
+    (4_500_000_000, 600_000_000, 1_500_000_000, 3_500_000_000),
+    (3_000_000_000, 2_000_000_000, 900_000_000, 4_200_000_000),
+    (4_200_000_000, 800_000_000, 1_200_000_000, 3_700_000_000),
+)
+# totals near 4e18, whose sum passes 2**63
+LARGE_TOTALS = tuple(
+    tuple(cell * 10**17 for cell in table)
+    for table in ((10, 10, 5, 10), (15, 5, 4, 12), (9, 11, 7, 13), (12, 9, 3, 17))
+)
+
+
+def test_single_dataset_tests_give_the_reference_p_on_analyze_style_datasets(monkeypatch):
+    # every one-sided variant and every two-sided one, under both correction
+    # policies: the same degenerate outcome and decision, and p within 1e-9
+    workloads = load_benchmark_workloads(monkeypatch)
+    ref, alpha = workloads.ref, 0.1
+    rng = np.random.default_rng(5)
+    datasets = [workloads.make_tables(rng, spec) for spec in ANALYZE_STYLE_SPECS for _ in range(2)]
+    datasets += [LARGE_MARGINALS, LARGE_TOTALS]
+    two_sided = [dataclasses.replace(v, sided="two") for v in workloads.ALL_VARIANTS if v.family != "trimfill"]
+    variants = [*workloads.ALL_VARIANTS, *two_sided]
+    checked = 0
+    for tables, measure, policy in itertools.product(datasets, workloads.MEASURES, CorrectionPolicy):
+        if measure == "kappa" and policy is CorrectionPolicy.NEVER and 0 in itertools.chain(*tables):
+            continue  # the reference's kappa rule still differs here (ROADMAP item 1)
+        kept, expected = ref.measure_dataset(tables, measure, policy.value)
+        estimates = measure_studies(model.MetaDataset(tables), MeasureId(measure), policy).estimates
+        assert estimates.index.tolist() == kept
+        for v in variants:
+            if v.measure != measure:
+                continue
+            variant = dataclasses.replace(workloads.program_variant(v), sidedness=Sidedness(v.sided))
+            try:
+                with np.errstate(divide="ignore"):  # the reference divides by the SE of an exact fit
+                    p = ref.run_test(expected, v).p_value
+            except ref.Degenerate:
+                with pytest.raises(StatisticalError):
+                    run_test(variant, estimates, alpha)
+                continue
+            result = run_test(variant, estimates, alpha)
+            assert result.reject == (p <= alpha), (tables, v)
+            # two distinct studies fit a line exactly: the program's SE is 0 and its p
+            # is 0, 1/2 or 1, where the reference's p is rounding noise
+            exact_fit = v.family in ("egger", "macaskill") and len(set(expected)) < ref.MIN_STUDIES
+            assert exact_fit or workloads._close(result.p_value, p), (tables, v)
+            checked += not exact_fit
+    assert checked > 2000
+
+
 def test_begg_variants_gain_power_under_selection():
     # selection leaves inflated small studies behind, so every dispersion
     # flavor should fire more often than it does under the null

@@ -81,6 +81,26 @@ def test_validate_dataset_reports_first_problem_in_study_order():
         MetaDataset([(10, 5, 4, 11), (0, -2, -1, 5), (3, 4, 0, 0)])
 
 
+@pytest.mark.parametrize("table", [
+    (2**63 - 1, 2**63 - 1, 1, 1),  # n1 past int64
+    (1, 1, 2**62, 2**62),  # n2
+    (2**62, 2**62 - 1, 2**62 - 1, 2**62 - 1),  # n1 and n2 fit, and so do m1 and m2
+])
+def test_a_study_total_past_int64_is_an_error_of_that_study(tmp_path, table):
+    # an int64 total would wrap below 0 and reach the measures as a negative N
+    with pytest.raises(DataError, match=rf"^study 1: total N = {sum(table)} does not fit in int64$") as err:
+        MetaDataset([(10, 5, 4, 11), table, (0, 0, 4, 11)])
+    assert type(err.value) is DataError and err.value.study == 1
+    # a file names the study's line
+    path = tmp_path / "big.csv"
+    path.write_text(f"{HEADER}s1,10,5,4,11\n\ns2,{','.join(map(str, table))}\ns3,1,2,3,4\n")
+    with pytest.raises(DatasetFormatError, match="does not fit in int64") as err:
+        read_dataset_csv(path)
+    assert err.value.line_no == 4
+    # the largest total that fits is a study like any other
+    assert MetaDataset([(2**62, 2**62 - 3, 1, 1)]).studies[0].n == 2**63 - 1
+
+
 def first_invalid_by_row_scan(rows):
     """(error type, study, message) for the first invalid study, one cell at a time; None if all are valid."""
     for i, (x, w, y, z) in enumerate(rows):

@@ -385,6 +385,18 @@ def test_load_grid_accepts_integral_floats(tmp_path):
     assert all(type(v) is int for c in grid for v in (c.k, c.n_min, c.n_max))
 
 
+@pytest.mark.parametrize("n_min,n_max", [(50, 2**63), (2**63, 2**63), (50, 10**19)])
+def test_load_grid_rejects_sizes_past_int64(tmp_path, n_min, n_max):
+    # the sizes are drawn as int64
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID_SPEC, "n_min": n_min, "n_max": n_max}))
+    with pytest.raises(GridFormatError, match="bad sample-size range"):
+        load_grid(path)
+    path.write_text(json.dumps({**GRID_SPEC, "n_min": n_min - 1, "n_max": 2**63 - 1}))
+    (largest,) = load_grid(path)
+    assert generate_block(largest, [replicate_rng(1, 0, 0)]).sum(axis=-1).min() >= n_min - 1
+
+
 def test_replicate_rng_streams_are_stable_and_distinct():
     a = replicate_rng(42, 1, 7).standard_normal(4)
     b = replicate_rng(42, 1, 7).standard_normal(4)
