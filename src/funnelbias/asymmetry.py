@@ -635,13 +635,14 @@ def _gamma_plus(centered: np.ndarray) -> np.ndarray:
     """Length of each row's run of positive centered effects holding the top |centered| ranks.
 
     The run is every value whose magnitude exceeds that of the largest
-    non-positive one: a tie group mixing positive and non-positive
-    values interrupts it before any of its members are counted, which
-    keeps the run statistic conservative. No sort is needed.
+    non-positive one, the row's minimum if that is at most 0: a tie group
+    mixing positive and non-positive values interrupts it before any of
+    its members are counted, which keeps the run statistic conservative.
+    No sort is needed, and a nan is neither non-positive nor counted.
     """
-    magnitude = np.abs(centered)
-    blocking = np.where(centered <= 0, magnitude, -1.0).max(axis=-1)
-    return np.count_nonzero(magnitude > blocking[:, None], axis=-1)
+    lowest = np.fmin.reduce(centered, axis=-1)  # fmin skips nan
+    blocking = np.where(lowest <= 0, -lowest, -1.0)
+    return np.count_nonzero(centered > blocking[:, None], axis=-1)
 
 
 def _average_ranks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

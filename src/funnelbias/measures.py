@@ -165,13 +165,29 @@ class MeasureBlock(NamedTuple):
     excluded: tuple[tuple[np.ndarray, str], ...]
 
     def groups(self) -> Iterator[EstimateRows]:
-        """The usable estimates of the block's datasets, one block per usable count, counts ascending."""
+        """The usable estimates of the block's datasets, one block per usable count, counts ascending.
+
+        A block whose studies are all usable is its own only group. Every
+        group's columns are read-only views, as each variant reads the same
+        group; the block's own columns stay as they are.
+        """
+        if self.usable.all():
+            yield _read_only(self.estimates)
+            return
         counts = self.usable.sum(axis=-1)
-        for k in np.unique(counts).tolist():
+        for k in np.flatnonzero(np.bincount(counts)).tolist():
             chosen = counts == k
             usable = self.usable & chosen[:, None]
             rows = np.count_nonzero(chosen)
-            yield EstimateRows(*(column[usable].reshape(rows, k) for column in self.estimates))
+            yield _read_only(EstimateRows(*(column[usable].reshape(rows, k) for column in self.estimates)))
+
+
+def _read_only(rows: EstimateRows) -> EstimateRows:
+    """The rows as read-only views of their columns."""
+    views = tuple(column.view() for column in rows)
+    for view in views:
+        view.flags.writeable = False
+    return EstimateRows(*views)
 
 
 def measure_block(

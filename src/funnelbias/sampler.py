@@ -144,6 +144,8 @@ class BiasSpec:
 
 NO_BIAS = BiasSpec()
 
+MAX_K = 10_000  # bounds the memory of a condition's replicate block (see README)
+
 
 @dataclass(frozen=True, slots=True)
 class SimCondition:
@@ -157,8 +159,8 @@ class SimCondition:
     bias: BiasSpec = NO_BIAS
 
     def __post_init__(self) -> None:
-        if self.k < MIN_STUDIES:
-            raise ValueError(f"k must be at least {MIN_STUDIES}, got {self.k}")
+        if not MIN_STUDIES <= self.k <= MAX_K:
+            raise ValueError(f"k must be in [{MIN_STUDIES}, {MAX_K}], got {self.k}")
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"prevalence must be in (0, 1), got {self.pi}")
         # the sizes are drawn as int64
@@ -235,36 +237,38 @@ def _realize_block(
     total = k + n_drop
     reps = len(rngs)
     params = condition.params
+    row = np.arange(reps)[:, None]
     totals = np.empty((reps, total), dtype=np.int64)
     normals = np.empty((reps, total, 2))
-    sources = np.tile(np.arange(total), (reps, 1))
-    n_base = total - n_shifted
+    sources = np.empty((reps, total), dtype=np.int64) if mixture else None
     for r, rng in enumerate(rngs):
         totals[r] = rng.integers(condition.n_min, condition.n_max + 1, size=total)
         if not params.is_fixed_effects:  # fixed effects draw no normals
-            normals[r] = rng.standard_normal((total, 2))
+            rng.standard_normal(out=normals[r])
         if mixture:
             sources[r] = rng.permutation(k)
     pairs = _logit_pairs(params, normals)
+    shifted = np.zeros((reps, total), dtype=bool)
     if mixture:
-        shifted = _logit_pairs(params.shifted(bias.eta), normals[:, n_base:])
-        pairs = np.concatenate((pairs[:, :n_base], shifted), axis=1)
-        pairs = np.take_along_axis(pairs, sources[:, :, None], axis=1)
+        n_base = total - n_shifted
+        moved = _logit_pairs(params.shifted(bias.eta), normals[:, n_base:])
+        pairs = np.concatenate((pairs[:, :n_base], moved), axis=1)[row, sources]
+        shifted = sources >= n_base
     n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)  # half-up
     sizes = np.stack((n1, totals - n1), axis=-1)  # (n1, n2)
     probabilities = expit(pairs)  # (Sen, FPR)
-    positives = np.empty_like(sizes)
+    tables = np.empty((reps, total, 4), dtype=np.int64)
+    positives = tables[..., 0::2]  # (x, y)
     for r, rng in enumerate(rngs):
-        positives[r] = rng.binomial(sizes[r], probabilities[r])  # (x, y)
-    x, y = positives[..., 0], positives[..., 1]
-    tables = np.stack((x, sizes[..., 0] - x, y, sizes[..., 1] - y), axis=-1)
+        positives[r] = rng.binomial(sizes[r], probabilities[r])
+    np.subtract(sizes, positives, out=tables[..., 1::2])  # (w, z)
     kept = np.ones((reps, total), dtype=bool)
     if n_drop:
         # drop the n_drop lowest observed Youden indices; ties drop the
         # smaller study, then the earlier draw (lexsort is stable)
         order = np.lexsort((totals, _youden(tables)), axis=-1)
-        np.put_along_axis(kept, order[:, :n_drop], False, axis=-1)
-    return tables, sources >= n_base, kept
+        kept[row, order[:, :n_drop]] = False
+    return tables, shifted, kept
 
 
 def generate_block(condition: SimCondition, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -273,8 +277,9 @@ def generate_block(condition: SimCondition, rngs: Sequence[np.random.Generator])
     Replicate r is the dataset ``generate_meta_analysis(condition,
     rngs[r])`` returns. The block's tables are checked once, together.
     """
-    tables, _, kept = _realize_block(condition, rngs)
-    block = tables[kept].reshape(len(rngs), condition.k, 4)
+    block, _, kept = _realize_block(condition, rngs)
+    if block.shape[1] > condition.k:  # selection realized the dropped studies too
+        block = block[kept].reshape(len(rngs), condition.k, 4)
     error = model._first_invalid(block.reshape(-1, 4))
     if error is not None:
         raise error

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats as sps
 
 from funnelbias import asymmetry
@@ -600,6 +603,44 @@ def test_gamma_plus_matches_group_loop():
         # a row is tied exactly when its ranks are not the integers 1..k
         _, _, tied = _trim_fill_estimate(TrimFillEstimator.L, values[None], np.array([theta]))
         assert tied[0] == (not np.array_equal(np.sort(ranks), np.arange(1, len(values) + 1)))
+
+
+def gamma_plus_by_magnitude(centered):
+    """gamma_plus of each row: |centered| above the largest |non-positive| one, over the whole (rows, k) table."""
+    magnitude = np.abs(centered)
+    blocking = np.where(centered <= 0, magnitude, -1.0).max(axis=-1)
+    return np.count_nonzero(magnitude > blocking[:, None], axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    halves=arrays(np.int64, st.tuples(st.integers(1, 5), st.integers(1, 12)), elements=st.integers(-6, 6)),
+    theta=st.sampled_from([0.0, 0.5, -1.0, -3.5, 3.0]),  # -3.5 leaves no non-positive value
+    ascending=st.booleans(),
+)
+def test_gamma_plus_is_the_magnitude_form(halves, theta, ascending):
+    # halves tie often, and centered values of exactly 0 (and -0.0 at theta 0) occur
+    values = halves * 0.5
+    if ascending:
+        values = np.sort(values, axis=-1)  # as the table path hands its rows
+    centered = values - theta
+    expected = gamma_plus_by_magnitude(centered)
+    assert _gamma_plus(centered).tolist() == expected.tolist()
+    _, statistic, _ = _trim_fill_estimate(TrimFillEstimator.R, values, np.full(len(values), theta))
+    assert statistic.tolist() == (expected - 1.0).tolist()
+
+
+def test_gamma_plus_is_the_magnitude_form_on_edge_rows():
+    rows = np.array([
+        [-0.0, 0.0, 1.0, 2.0],  # zeros of either sign block nothing above them
+        [2.0, 0.5, 1.0, 1.0],  # no non-positive value: every value counts
+        [2.0, -2.0, 1.0, -1.0],  # a mixed top tie group leaves no run
+        [1.5, -1.0, 2.0, 1.0],
+        [-3.0, -0.5, -2.0, -1.0],  # nothing positive
+        [np.nan, -1.0, 1.5, 2.0],  # a nan neither blocks nor counts
+        [np.nan, np.nan, np.nan, np.nan],
+    ])
+    assert _gamma_plus(rows).tolist() == gamma_plus_by_magnitude(rows).tolist() == [2, 4, 0, 2, 0, 2, 0]
 
 
 def test_trim_fill_state_holds_the_last_pass_as_python_scalars():

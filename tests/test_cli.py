@@ -93,6 +93,15 @@ def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
     assert "within int64" in err
 
 
+@pytest.mark.parametrize("count,dtype", [(2**63, "float64"), (2**64, "object"), (2**70, "object")])
+def test_a_count_past_int64_keeps_its_error_text(tmp_path, capsys, count, dtype):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,{count},5,8,57\ns3,20,15,12,38\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cells must be integer counts within int64, got dtype {dtype}\n"
+
+
 @pytest.mark.parametrize("argv", [
     *(["analyze", "--test", test, "--axis", "n"] for test in ("egger", "macaskill", "begg", "trimfill")),
     ["funnel"],
@@ -399,6 +408,17 @@ def test_simulate_grid_with_fractional_k_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "expected an integer, got 10.9" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("k", [10_001, 10**11, 10**19])
+def test_simulate_grid_with_k_past_the_bound_is_usage_error(tmp_path, capsys, k):
+    # 10**19 overflowed numpy's array dimensions, and 10**11 asked for terabytes
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**GRID, "k": [k]}))
+    code, out, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad grid: bad grid values: k must be in [3, 10000], got {k}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -721,7 +741,7 @@ def test_every_cli_call_exits_0_2_or_3(tmp_path, capsys, data, body):
     grid_path = tmp_path / "grid.json"
     grid = {
         **GRID,
-        "k": [data.draw(st.sampled_from([2, 3, 5, 7.5]))],
+        "k": [data.draw(st.sampled_from([2, 3, 5, 7.5, 10**11, 10**19]))],
         "pi": [data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))],
         "n_min": data.draw(SWEEP_GRID_SIZES),
         "n_max": data.draw(SWEEP_GRID_SIZES),

@@ -37,7 +37,7 @@ from funnelbias.harness import (
     wilson_interval,
     write_results_csv,
 )
-from funnelbias.measures import measure_studies
+from funnelbias.measures import measure_block, measure_studies
 from funnelbias.model import CorrectionPolicy, EstimateSet, MeasureId, Sidedness
 from funnelbias.sampler import (
     BiasMechanism,
@@ -45,6 +45,7 @@ from funnelbias.sampler import (
     BivariateParams,
     SimCondition,
     default_grid,
+    generate_block,
     generate_meta_analysis,
     replicate_rng,
 )
@@ -245,6 +246,41 @@ def test_run_condition_checks_each_replicate_tables_once(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_REPS", 3)
     run_condition(fe_condition(k=10), [T_SE_R, youden_egger], reps=7, master_seed=4)
     assert calls == [30, 30, 10]
+
+
+def test_run_condition_draws_each_replicate_stream_through_the_harness_name(monkeypatch):
+    # perfbench/tracing.py times the stream layer by wrapping harness.replicate_rng, as here
+    keys = []
+    original = harness.replicate_rng
+
+    def wrapper(*args, **kwargs):
+        keys.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "replicate_rng", wrapper)
+    run_condition(default_grid()[10], [T_SE_R], reps=5, master_seed=11, condition_index=10)
+    assert keys == [(11, 10, rep) for rep in range(5)]
+
+
+@pytest.mark.parametrize("condition,policy", [
+    (fe_condition(k=10), CorrectionPolicy.HALF_IF_ANY_ZERO),  # every study usable: one group, the block itself
+    (fe_condition(k=6, n_min=3, n_max=8), CorrectionPolicy.NEVER),  # zero cells: groups of several counts
+])
+def test_a_kernel_cannot_write_into_the_rows_the_next_variant_reads(monkeypatch, condition, policy):
+    tables = generate_block(condition, [replicate_rng(2, 0, rep) for rep in range(40)])
+    assert measure_block(tables, LNDOR, policy).usable.all() == (policy is CorrectionPolicy.HALF_IF_ANY_ZERO)
+    kernel = harness.run_rows
+    seen = []
+
+    def writing_kernel(variant, rows):
+        seen.append(rows.value.shape)
+        rows.value[...] = 0.0
+        return kernel(variant, rows)
+
+    monkeypatch.setattr(harness, "run_rows", writing_kernel)
+    with pytest.raises(ValueError, match="read-only"):
+        run_condition(condition, [T_SE_R, E_SE], reps=40, master_seed=2, policy=policy)
+    assert len(seen) == 1
 
 
 def one_sided_variants():

@@ -12,6 +12,7 @@ from funnelbias.measures import (
     effective_sample_size,
     kappa,
     ln_dor,
+    measure_block,
     measure_studies,
     neg_ln_theta,
     youden,
@@ -516,3 +517,48 @@ def test_log_is_bit_equal_on_edge_values_and_block_shapes():
         np.float64(0.25) * np.ones(()),
     ):
         assert _log(values).tobytes() == log_by_element(values).tobytes()
+
+
+def masked_groups(block):
+    """The groups as a masked gather per usable count, counts from np.unique: the reference for ``groups``."""
+    counts = block.usable.sum(axis=-1)
+    for k in np.unique(counts).tolist():
+        usable = block.usable & (counts == k)[:, None]
+        rows = np.count_nonzero(counts == k)
+        yield [column[usable].reshape(rows, k) for column in block.estimates]
+
+
+def assert_same_groups(block):
+    groups = list(block.groups())
+    expected = list(masked_groups(block))
+    assert len(groups) == len(expected)
+    for rows, reference in zip(groups, expected):
+        for column, ref in zip(rows, reference):
+            assert column.dtype == ref.dtype and column.shape == ref.shape
+            assert column.tobytes() == ref.tobytes()
+            assert not column.flags.writeable
+    return groups
+
+
+@pytest.mark.parametrize("measure", list(MeasureId))
+def test_an_all_usable_block_is_its_own_group(measure):
+    rng = np.random.default_rng(43)
+    tables = rng.integers(1, 60, size=(7, 12, 4))  # no zero cell: every measure is defined
+    block = measure_block(tables, measure)
+    assert block.usable.all()
+    (rows,) = assert_same_groups(block)
+    assert rows.value.shape == (7, 12)
+    assert all(np.shares_memory(column, whole) for column, whole in zip(rows, block.estimates))
+    assert all(whole.flags.writeable for whole in block.estimates)  # iterating leaves the block as it was
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tables=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 8), st.just(4)), elements=st.integers(0, 4)),
+    measure=st.sampled_from(MeasureId),
+    policy=st.sampled_from([HALF, NEVER]),
+)
+def test_groups_are_the_masked_gather_of_each_usable_count(tables, measure, policy):
+    tables[..., 0] += tables[..., 1] == 0  # no empty group
+    tables[..., 3] += tables[..., 2] == 0
+    assert_same_groups(measure_block(tables, measure, policy))

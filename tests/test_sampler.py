@@ -19,6 +19,7 @@ from funnelbias.sampler import (
     GRID_MU,
     GRID_PI,
     GRID_SIGMA,
+    MAX_K,
     BiasMechanism,
     BiasSpec,
     BivariateParams,
@@ -403,3 +404,9 @@ def test_replicate_rng_streams_are_stable_and_distinct():
     c = replicate_rng(42, 1, 8).standard_normal(4)
     assert (a == b).all()
     assert not (a == c).all()
+
+
+def test_k_is_bounded():
+    assert condition(k=MAX_K).k == MAX_K == 10_000
+    with pytest.raises(ValueError, match=r"^k must be in \[3, 10000\], got 10001$"):
+        condition(k=MAX_K + 1)
