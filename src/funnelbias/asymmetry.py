@@ -403,10 +403,14 @@ EXACT_KENDALL_MAX_K = 7
 KENDALL_MERGE_MIN_K = 64
 # Up to this many rows * k * k, trim and fill pools every kept count of a
 # block once and walks the tables (see ``trim_fill_rows``); larger blocks
-# run the pass loop. On lnDOR blocks of the default grid (rows, k), the
-# tables took 0.45-0.6 of the loop's time at (2-9, 30) and (5, 10), about
-# the same at (1, 10-90) and (20, 30), and 1.3-1.9 times it at (1, 100),
-# (72, 30) and (650, 10) (2 shared CPUs).
+# run the pass loop. Over the 5-replicate lnDOR blocks of all 240
+# default-grid cells, the tables took 31-34 ms and the loop 68-75 ms
+# (seeds 1 and 11, best of 5, 2 shared CPUs). The tables pool all k kept
+# counts, so the loop is the faster in the 28-29 cells where every row
+# stops within two passes, most of them without bias: at fixed effects,
+# mu = (0, 0), k = 30 and pi = 0.5 (cell 10, seed 1) it took 62 us and
+# the tables 140 us. Past the bound the tables took 1.9-3.8 times the
+# loop's time at (rows, k) = (20, 30), (72, 30) and (650, 10).
 TRIM_FILL_TABLE_MAX_WORK = 2**13
 
 
@@ -797,9 +801,8 @@ def _trim_fill_state(
 
 def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Callable) -> TrimFillState:
     """``trim_fill_rows`` pass by pass: each pass pools the active rows' kept counts, one pool per count."""
-    values = rows.value
-    count, k = values.shape
     ascending = _sorted_block(rows)
+    count, k = ascending[0].shape
     theta = np.empty(count)
     k0 = np.zeros(count, dtype=np.int64)
     iterations = np.zeros(count, dtype=np.int64)
@@ -809,13 +812,10 @@ def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
     active = np.arange(count)
     for iteration in range(1, MAX_TRIM_ITERATIONS + 1):
         kept = k - k0[active]
-        if len(active) == 1 or (kept == kept[0]).all():
-            groups = [(active, int(kept[0]))]
-        else:
-            groups = [(active[kept == m], m) for m in np.unique(kept).tolist()]
-        for chosen, m in groups:
+        for m in np.unique(kept).tolist():
+            chosen = active[kept == m]
             theta[chosen] = pool(*(column[chosen, :m] for column in ascending))
-        pass_s_plus, estimate, pass_tied = _trim_fill_estimate(estimator, values[active], theta[active])
+        pass_s_plus, estimate, pass_tied = _trim_fill_estimate(estimator, ascending[0][active], theta[active])
         statistic[active] = estimate
         if estimator is TrimFillEstimator.L:
             s_plus[active], tied[active] = pass_s_plus, pass_tied

@@ -7,10 +7,10 @@ excluded).
 
 The argument parser is built once per process and keeps no state between
 calls, so in-process callers of :func:`main` pay for it once. Reports are
-written in ``json.dumps(..., indent=2)`` layout; the per-study arrays go
-through :func:`_json_records` and :func:`_json_array`, which write that
-layout in one pass with json's C string encoder instead of json's
-pure-Python indenting encoder.
+written in ``json.dumps(..., indent=2)`` layout by :func:`_json_object`,
+:func:`_json_records` and :func:`_json_array`, which write that layout in
+one pass with json's C string encoder instead of json's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
@@ -248,9 +248,7 @@ def _cmd_analyze(args) -> int:
         "reject": result.reject,
     }
     if result.k0 is not None:
-        test["k0"] = result.k0
-        test["pooled_effect"] = result.pooled_effect
-        test["converged"] = result.converged
+        test.update(k0=result.k0, pooled_effect=result.pooled_effect, converged=result.converged)
     header = {
         "schema_version": SCHEMA_VERSION,
         "input": str(args.input),
@@ -266,7 +264,7 @@ def _cmd_analyze(args) -> int:
         *((key, json.dumps(value)) for key, value in header.items()),
         ("studies", studies),
         ("warnings", _json_array(_json_scalars(warnings))),
-        ("test", json.dumps(test, indent=2)),
+        ("test", _json_object([(key, json.dumps(value)) for key, value in test.items()])),
     ])
     sys.stdout.write(report + "\n")
     return 0

@@ -256,15 +256,16 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
 
     Returns the dataset plus the study ids in file order. Blank lines
     are skipped; ids and counts may have surrounding whitespace, and a
-    count is any integer ``int`` parses. A leading UTF-8 byte order mark,
-    as spreadsheets write into "CSV UTF-8" exports, is skipped; one
-    anywhere else is text. Any structural problem (text not UTF-8, bad
-    header, wrong field count, non-integer cell, negative count, empty
-    group, a study total past int64) raises :class:`DatasetFormatError`,
-    with its line number if any. Line numbers count CSV records, so a
-    quoted newline does not advance them. A record the csv module cannot
-    read (a field longer than its field size limit) is a format error at
-    that record; an error in an earlier record comes first.
+    count is any integer ``int`` parses and int64 holds. A leading
+    UTF-8 byte order mark, as spreadsheets write into "CSV UTF-8"
+    exports, is skipped; one anywhere else is text. Any structural
+    problem (text not UTF-8, bad header, wrong field count, a cell
+    that is not a count, a negative count, an empty group, a study
+    total past int64) raises :class:`DatasetFormatError` with its line
+    number, if any. Line numbers count CSV records, so a quoted
+    newline does not advance them. A record the csv module cannot read
+    (a field past its size limit) is a format error at that record; an
+    error in an earlier record comes first.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -301,17 +302,22 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
                 counts.append(int(cells[len(counts)].strip()))
             except ValueError:
                 bad = len(counts) // 4
+    reason = "non-integer cell count"
+    try:
+        tables = np.array(counts[: 4 * bad], dtype=np.int64)
+    except OverflowError:  # a count int64 cannot hold ends the rows read, as a cell int rejects does
+        bad = next(i for i, count in enumerate(counts) if not -(2**63) <= count < 2**63) // 4
+        reason = "cell count outside int64"
+        tables = np.array(counts[: 4 * bad], dtype=np.int64)
     parse_error = unreadable  # after every record read, so any error found in them comes first
     if bad < len(rows):
         row = rows[bad]
-        reason = f"expected 5 fields, got {len(row)}" if len(row) != 5 else f"non-integer cell count in {row[1:]!r}"
+        reason = f"expected 5 fields, got {len(row)}" if len(row) != 5 else f"{reason} in {row[1:]!r}"
         parse_error = DatasetFormatError(reason, line_no=line_nos[bad])
     # the rows read before a parse error come first in the file
     try:
-        dataset = MetaDataset(np.array(counts[: 4 * bad]).reshape(bad, 4))
+        dataset = MetaDataset(tables.reshape(bad, 4))
     except DataError as exc:
-        if exc.study is None:
-            raise  # a cell beyond int64 is no one study's fault
         raise DatasetFormatError(exc.reason, line_no=line_nos[exc.study]) from None
     if parse_error is not None:
         raise parse_error

@@ -172,6 +172,14 @@ class SimCondition:
             raise ValueError(
                 f"n_min = {self.n_min} at prevalence {self.pi} leaves a group empty (n1 = {n1})"
             )
+        # a mean or root that is not finite would reach the binomial draws as a nan probability
+        shifted = self.params.shifted(self.bias.eta).mu
+        with np.errstate(all="ignore"):  # the root of an infinite variance is nan
+            root = self.params.sqrt_matrix()
+        if not np.isfinite((*self.params.mu, *shifted, *root.flat)).all():
+            raise ValueError(
+                f"logit means {self.params.mu} and {shifted} and covariance root {root.tolist()} must be finite"
+            )
 
 
 @dataclass(frozen=True, slots=True)

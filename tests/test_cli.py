@@ -90,16 +90,21 @@ def test_analyze_cell_beyond_int64_is_input_error(tmp_path, capsys):
     path.write_text("study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,30,5,8,57\ns3,100000000000000000000,15,12,38\n")
     code, _, err = run(capsys, "analyze", "--input", str(path))
     assert code == 2
-    assert "within int64" in err
+    assert "(line 4): cell count outside int64" in err
 
 
-@pytest.mark.parametrize("count,dtype", [(2**63, "float64"), (2**64, "object"), (2**70, "object")])
-def test_a_count_past_int64_keeps_its_error_text(tmp_path, capsys, count, dtype):
+@pytest.mark.parametrize("count", [2**63, 2**64, 2**70])
+def test_a_count_past_int64_is_reported_at_its_line(tmp_path, capsys, count):
     path = tmp_path / "huge.csv"
     path.write_text(f"study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,{count},5,8,57\ns3,20,15,12,38\n")
     code, out, err = run(capsys, "analyze", "--input", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: cells must be integer counts within int64, got dtype {dtype}\n"
+    assert err == f"error: {path} (line 3): cell count outside int64 in ['{count}', '5', '8', '57']\n"
+    # an earlier row's error comes first
+    path.write_text(f"study_id,tp,fn,fp,tn\ns1,40,10,10,40\ns2,-1,5,8,57\ns3,{count},15,12,38\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} (line 3): cell x is negative: -1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +424,25 @@ def test_simulate_grid_with_k_past_the_bound_is_usage_error(tmp_path, capsys, k)
     code, out, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(tmp_path / "x.csv"))
     assert (code, out) == (2, "")
     assert err == f"error: bad grid: bad grid values: k must be in [3, 10000], got {k}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("members", [
+    '"mu": [[NaN, -1]]',
+    '"mu": [[1e400, -1]]',
+    '"sigma": [[[Infinity, 0], [0, 1]]]',
+    '"sigma": [[[1e308, 0], [0, 1e308]]]',  # finite, but its root overflows
+    '"bias": [{"mechanism": "mixture", "eta": [NaN, -1]}]',
+    '"mu": [[-1e400, -1]], "bias": [{"mechanism": "mixture", "eta": [1e400, -1]}]',
+])
+def test_simulate_grid_with_a_parameter_that_is_not_finite_is_usage_error(tmp_path, capsys, members):
+    # json reads NaN, Infinity and 1e400, and numpy's binomial once raised on the nan probabilities they made
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(GRID)[:-1] + ", " + members + "}")  # a repeated key takes the last value
+    code, out, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "2", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad grid: bad grid values: logit means ")
+    assert err.endswith(" must be finite\n")
     assert not (tmp_path / "x.csv").exists()
 
 

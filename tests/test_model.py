@@ -244,7 +244,7 @@ def test_csv_first_error_in_file_order_wins(tmp_path):
 
 
 def read_dataset_csv_by_row(path):
-    """The reader as it was before counts were converted by column: the reference for read_dataset_csv."""
+    """The reader row by row, a count outside int64 ending the rows read: the reference for read_dataset_csv."""
     try:
         reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
     except UnicodeDecodeError as exc:
@@ -278,17 +278,19 @@ def read_dataset_csv_by_row(path):
             parse_error = DatasetFormatError(f"expected 5 fields, got {len(row)}", line_no=line_no)
             break
         try:
-            rows.append([int(cell.strip()) for cell in row[1:]])
+            counts = [int(cell.strip()) for cell in row[1:]]
         except ValueError:
             parse_error = DatasetFormatError(f"non-integer cell count in {row[1:]!r}", line_no=line_no)
             break
+        if not all(-(2**63) <= count < 2**63 for count in counts):
+            parse_error = DatasetFormatError(f"cell count outside int64 in {row[1:]!r}", line_no=line_no)
+            break
+        rows.append(counts)
         ids.append(row[0].strip())
         line_nos.append(line_no)
     try:
         dataset = MetaDataset(rows)
     except DataError as exc:
-        if exc.study is None:
-            raise
         raise DatasetFormatError(exc.reason, line_no=line_nos[exc.study]) from None
     if parse_error is not None:
         raise parse_error
@@ -328,7 +330,11 @@ LONG_ID = "x" * (csv.field_size_limit() + 1)
         "s1,1,2,3,4\ns2\n",
         *(f"s1,1,2,3,4\ns2,1,{cell},3,4\ns3,0,0,1,1\n" for cell in ("1.5", "x", "", "+5", " 7 ", "1_000", "٣", "\x1c7\x1f")),
         *(f"s1,1,2,3,4\ns2,1,{cell},3,4\n" for cell in (INT64_MAX, INT64_MAX + 1, -INT64_MAX - 2, 2**64, 10**30)),
+        # a count outside int64 ends the rows read: an earlier row's error comes first
         f"s1,-1,2,3,4\ns2,1,{INT64_MAX + 1},3,4\n",
+        f"s1,1,2,3,4\ns2,1,{2**64},3,4\ns3,x,1,1,1\n",
+        f"s1,1,2,3,4\ns2,{2**64},x,3,4\n",
+        *(f"s1,1,2,3,4\ns2,1,2,{cell},4\ns3,1,1,1,1\n" for cell in (INT64_MAX, -INT64_MAX - 1, -INT64_MAX - 2, 2**63)),
         "s1,1,2,3,4\ns2,1,-2,3,4\ns3,x,1,1,1\n",
         "s1,1,2,3,4\ns2,0,0,3,4\ns3,1,2\n",
         "s1,1,2,3,4\ns2,1,2,0,0\n\ns3,1.5,1,1,1\n",
