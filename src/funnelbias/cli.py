@@ -8,21 +8,19 @@ excluded).
 The argument parser is built once per process and keeps no state between
 calls, so in-process callers of :func:`main` pay for it once. Reports are
 written in ``json.dumps(..., indent=2)`` layout by :func:`_json_object`,
-:func:`_json_records` and :func:`_json_array`, which write that layout in
-one pass with json's C string encoder instead of json's pure-Python
-indenting encoder.
+:func:`_json_records` and :func:`_json_array`, which lay out each column's
+JSON text from one call to json's C encoder instead of running json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import os
 import sys
 import tempfile
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
 
 from .asymmetry import (
@@ -61,6 +59,7 @@ from .sampler import default_grid, load_grid
 SCHEMA_VERSION = 1
 
 _MEASURES = sorted(m.value for m in MeasureId)
+_SCALAR_ENCODER = JSONEncoder(separators=("\n", ":"))
 _AXES = {"se": PrecisionAxis.SE, "n": PrecisionAxis.N, "ess": PrecisionAxis.ESS, "inv-n": PrecisionAxis.INV_N}
 
 
@@ -190,17 +189,10 @@ def _load_estimates(args):
 def _json_scalars(values: list) -> list[str]:
     """Each value's JSON text, as ``json.dumps(value)`` writes it.
 
-    A column of one exact type is encoded at once; anything else (nan and
-    infinities, bools, None, mixed or subclassed types) by ``json.dumps``.
+    The column is encoded in one call with "\\n" between its items, which
+    JSON text never holds raw.
     """
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    return [json.dumps(value) for value in values]
+    return _SCALAR_ENCODER.encode(values)[1:-1].split("\n") if values else []
 
 
 def _json_array(items: list[str]) -> str:
@@ -261,10 +253,10 @@ def _cmd_analyze(args) -> int:
         (ids, estimates.value.tolist(), estimates.se.tolist(), estimates.n.tolist(), estimates.ess.tolist()),
     )
     report = _json_object([
-        *((key, json.dumps(value)) for key, value in header.items()),
+        *zip(header, _json_scalars(list(header.values()))),
         ("studies", studies),
         ("warnings", _json_array(_json_scalars(warnings))),
-        ("test", _json_object([(key, json.dumps(value)) for key, value in test.items()])),
+        ("test", _json_object(list(zip(test, _json_scalars(list(test.values())))))),
     ])
     sys.stdout.write(report + "\n")
     return 0

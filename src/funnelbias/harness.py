@@ -167,13 +167,15 @@ def run_grid(
     Condition i runs as ``run_condition(grid[i], ..., condition_index=i)``
     through the builtin ``map`` at parallelism 1 and a process pool's
     ``map`` above it, so the results are the same at every parallelism.
-    An empty grid or variant list raises ``ValueError`` before any
-    worker starts.
+    An empty grid or variant list, or a parallelism below 1, raises
+    ``ValueError`` before any worker starts.
     """
     if not grid:
         raise ValueError("no conditions supplied")
     if not variants:
         raise ValueError("no test variants supplied")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     with ExitStack() as stack:
         mapper = map
         if parallelism > 1:

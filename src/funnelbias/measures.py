@@ -77,7 +77,8 @@ def neg_ln_theta(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     se = np.sqrt((1.0 / x - 1.0 / n1) / log_sen_sq + (1.0 / y - 1.0 / n2) / log_fpr_sq)
     return value, se, [
         ((x == 0.0) | (y == 0.0), "lnTheta undefined with x = 0 or y = 0"),
-        ((x == n1) | (y == n2), "lnTheta degenerate when Sen = 1 or FPR = 1"),
+        # on the logs, not the counts: past about 1e13 subjects ln(x) can equal ln(n1) with x < n1
+        ((log_sen == 0.0) | (log_fpr == 0.0), "lnTheta degenerate when Sen = 1 or FPR = 1"),
         (se == 0.0, "lnTheta standard error is zero"),
     ]
 

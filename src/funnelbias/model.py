@@ -101,6 +101,7 @@ class EstimateSet:
     asymmetry-test variants order or weight studies by those quantities
     rather than by the SE. ``index`` is each study's 0-based position in
     its dataset and defaults to 0..k-1. Columns are read-only copies.
+    Every value, SE and ESS is finite, and every SE, ESS and n positive.
     """
 
     measure: MeasureId
@@ -124,6 +125,8 @@ class EstimateSet:
             object.__setattr__(self, name, column)
         if not (np.array((self.se, self.ess, self.n)) > 0).all():
             raise ValueError("se, ess and n must be positive for every study")
+        if not np.isfinite((self.value, self.se, self.ess)).all():
+            raise ValueError("value, se and ess must be finite for every study")
 
     def __len__(self) -> int:
         return len(self.value)
@@ -291,17 +294,13 @@ def read_dataset_csv(path: str | Path) -> tuple[MetaDataset, tuple[str, ...]]:
     # would set off the cyclic garbage collector on every large file
     cells = list(itertools.chain.from_iterable(rows[:bad]))
     del cells[::5]  # the ids
-    counts, remaining = [], iter(cells)
-    while len(counts) < 4 * bad:
-        try:
-            # extend keeps the counts before a cell int rejects; that cell is the next
-            counts.extend(map(int, remaining))
-        except ValueError:
-            try:
-                # int skips whitespace but not "\x1c" to "\x1f", which str.strip removes
-                counts.append(int(cells[len(counts)].strip()))
-            except ValueError:
-                bad = len(counts) // 4
+    counts = []
+    try:
+        # int skips whitespace but not "\x1c" to "\x1f", which str.strip removes;
+        # extend keeps the counts before a cell int rejects, so that cell is the next
+        counts.extend(map(int, map(str.strip, cells)))
+    except ValueError:
+        bad = len(counts) // 4
     reason = "non-integer cell count"
     try:
         tables = np.array(counts[: 4 * bad], dtype=np.int64)

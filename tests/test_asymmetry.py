@@ -71,6 +71,18 @@ def random_estimates(rng, k=12):
     return est(values, ses, n=ns)
 
 
+@pytest.mark.parametrize("single_test", [egger_test, macaskill_test, begg_test, trim_fill_test])
+@pytest.mark.parametrize("column,bad", [
+    ("values", math.nan), ("values", math.inf), ("values", -math.inf), ("ses", math.inf), ("ess", math.inf),
+])
+def test_no_family_is_given_an_estimate_that_is_not_finite(single_test, column, bad):
+    # each family returned a p, or raised about a nan p, on such a study
+    columns = {"values": [0.1, 0.4, -0.2, 0.8, 0.3], "ses": [0.1, 0.2, 0.3, 0.4, 0.5], "ess": [40.0, 80, 150, 300, 600]}
+    columns[column][2] = bad
+    with pytest.raises(ValueError, match="must be finite for every study"):
+        single_test(est(**columns, n=[40, 80, 150, 300, 600]))
+
+
 # ---------------------------------------------------------------------------
 # weighted least squares vs a normal-equations oracle
 # ---------------------------------------------------------------------------

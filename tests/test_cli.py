@@ -473,6 +473,76 @@ def test_simulate_out_under_a_file_is_input_error(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def test_simulate_parallelism_below_1_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code, _, err = run(capsys, "simulate", "--reps", "1", "--parallelism", "0", "--out", str(out))
+    assert code == 2
+    assert err == "error: --parallelism must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_simulate_failing_mid_run_leaves_no_temporary_and_keeps_the_old_output(tmp_path, monkeypatch, failure):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(GRID))
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"earlier results\n")
+
+    def failing_run_grid(*args, **kwargs):
+        assert len(list(tmp_path.glob("r.csv*.tmp"))) == 1  # the output is claimed before the run
+        raise failure("stopped mid-run")
+
+    monkeypatch.setattr(cli, "run_grid", failing_run_grid)
+    with pytest.raises(failure, match="stopped mid-run"):
+        main(["simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(out)])
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert out.read_bytes() == b"earlier results\n"
+
+
+# s1's zero cell is corrected, so its FPR is (1e15 + 0.5) / (1e15 + 1): below
+# 1, but ln(y) and ln(n2) are the same double, so ln(FPR) reads 0
+LNTHETA_ROUNDING = """study_id,tp,fn,fp,tn
+s1,3,100000000000000000,1000000000000000,0
+s2,10,5,4,11
+s3,9,6,3,12
+s4,20,5,6,30
+"""
+
+
+def assert_finite_studies(out):
+    """The report's studies, or funnel points, hold no NaN or Infinity."""
+    report = json.loads(out)
+    studies = report["studies"] if isinstance(report, dict) else report
+    assert all(math.isfinite(v) for study in studies for v in study.values() if isinstance(v, float)), out
+
+
+@pytest.mark.parametrize("test", ["egger", "macaskill", "begg", "trimfill"])
+def test_lntheta_study_with_sen_or_fpr_rounding_to_1_is_excluded(tmp_path, capsys, test):
+    path = tmp_path / "in.csv"
+    path.write_text(LNTHETA_ROUNDING)
+    axis = "n" if test == "macaskill" else "se"
+    code, out, err = run(capsys, "analyze", "--input", str(path), "--measure", "lntheta", "--test", test, "--axis", axis)
+    assert code in (0, 3), err
+    if code == 0:
+        assert_finite_studies(out)
+        report = json.loads(out)
+        assert [study["study_id"] for study in report["studies"]] == ["s2", "s3", "s4"]
+        assert "study s1: excluded: lnTheta degenerate when Sen = 1 or FPR = 1" in report["warnings"]
+
+
+@pytest.mark.parametrize("test", ["egger", "macaskill", "begg", "trimfill"])
+def test_simulate_lntheta_past_1e13_subjects_per_group(tmp_path, capsys, test):
+    grid_path = tmp_path / "grid.json"
+    grid = {**GRID, "mu": [[2.0, 34.5]], "bias": [{"mechanism": "none"}], "n_min": 10**16, "n_max": 2 * 10**16}
+    grid_path.write_text(json.dumps(grid))
+    axis = "n" if test == "macaskill" else "se"
+    code, _, err = run(
+        capsys, "simulate", "--grid", str(grid_path), "--reps", "20", "--seed", "1",
+        "--measure", "lntheta", "--test", test, "--axis", axis, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code in (0, 3), err
+
+
 def test_simulate_summary_on_stdout(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(GRID))
@@ -710,7 +780,9 @@ def test_json_array_of_scalars_is_json_dumps_indent_2(values):
 SWEEP_CELLS = st.integers(0, 40).map(str) | st.sampled_from(
     ["", " 7 ", "x", "1.5", "-1", "\x00", "\x1c3", "٣", str(2**62), str(2**63 - 1), str(2**63), "9" * 5000]
 )
-SWEEP_ROWS = st.tuples(st.text(max_size=3), *[st.integers(0, 60).map(str)] * 4).map(list)
+# past about 1e13 subjects per group, logs of counts and of totals can round together
+SWEEP_COUNTS = (st.integers(0, 60) | st.integers(10**13, 2 * 10**18)).map(str)
+SWEEP_ROWS = st.tuples(st.text(max_size=3), *[SWEEP_COUNTS] * 4).map(list)
 SWEEP_ODD_ROWS = st.one_of(
     st.lists(SWEEP_CELLS | st.text(max_size=3), min_size=3, max_size=6),
     st.just(["total", str(2**63 - 1), str(2**63 - 1), "1", "1"]),
@@ -785,5 +857,5 @@ def test_every_cli_call_exits_0_2_or_3(tmp_path, capsys, data, body):
         assert "Traceback" not in err
         if code:
             assert err.startswith("error: "), argv
-        elif argv[0] == "analyze":
-            json.loads(out)
+        elif argv[0] == "analyze" or "json" in argv:
+            assert_finite_studies(out)

@@ -445,6 +445,17 @@ def test_run_grid_rejects_empty_input_before_any_worker(monkeypatch, parallelism
         run_grid([fe_condition(k=10)], [], reps=1, parallelism=parallelism)
 
 
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_run_grid_rejects_parallelism_below_1_before_any_work(monkeypatch, parallelism):
+    def never(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(harness, "run_condition", never)
+    with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+        run_grid([fe_condition(k=10)], [T_SE_R], reps=1, parallelism=parallelism)
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py swaps wrappers into these modules by name and
     # restores them on exit; a renamed target would break a traced run
@@ -519,6 +530,43 @@ def test_block_engine_counts_what_the_reference_counts(monkeypatch):
                     count[1] += 1
         results = run_condition(condition, program, reps, alpha, seed, index)
         assert [[r.rejections, r.degenerate_reps] for r in results] == counts, index
+
+
+# default-grid cells: k = 10 and 30, fixed and random effects, and every bias mechanism
+PERMUTATION_CELLS = (13, 61, 97, 120, 183, 229)
+
+
+def outcome(variant, estimates):
+    """(decision, p) of one variant, or (exception class, None) where it cannot run."""
+    try:
+        result = run_test(variant, estimates, 0.1)
+    except StatisticalError as exc:
+        return type(exc), None
+    return result.reject, result.p_value
+
+
+def test_permuting_study_order_changes_no_result():
+    grid = default_grid()
+    cells = [grid[i] for i in PERMUTATION_CELLS]
+    assert {c.k for c in cells} == {10, 30}
+    assert {c.params.sigma_a2 == 0.0 for c in cells} == {True, False}
+    assert {c.bias.mechanism for c in cells} == set(BiasMechanism)
+    shuffle = np.random.default_rng(8)
+    compared = 0
+    for (index, condition), rep, policy in itertools.product(zip(PERMUTATION_CELLS, cells), range(2), CorrectionPolicy):
+        dataset = generate_meta_analysis(condition, replicate_rng(1, index, rep))
+        order = shuffle.permutation(dataset.k)
+        assert (order != np.arange(dataset.k)).any()
+        outcomes = []
+        for tables in (dataset.tables, dataset.tables[order]):
+            estimates = {m: measure_studies(model.MetaDataset(tables), m, policy).estimates for m in MeasureId}
+            outcomes.append([outcome(v, estimates[v.measure]) for v in ALL_ONE_SIDED])
+        for variant, (kind, p), (shuffled_kind, shuffled_p) in zip(ALL_ONE_SIDED, *outcomes):
+            where = (index, rep, policy, variant.label)
+            assert kind == shuffled_kind, where
+            assert p == shuffled_p or math.isclose(p, shuffled_p, rel_tol=1e-9), where
+            compared += 1
+    assert compared == len(cells) * 2 * 2 * 92
 
 
 # analyze-style specs in perfbench's DATASETS layout: (k, n range, mu, sigma,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,25 @@ def test_neg_ln_theta_chance_line_is_zero():
 def test_neg_ln_theta_boundary_excluded():
     assert one(neg_ln_theta, 100.0, 0.0, 20.0, 80.0)[2] == "lnTheta degenerate when Sen = 1 or FPR = 1"
     assert one(neg_ln_theta, 0.0, 100.0, 20.0, 80.0)[2] == "lnTheta undefined with x = 0 or y = 0"
+    # FPR = (1e15 + 0.5) / (1e15 + 1) is below 1, but ln(y) and ln(n2) are the same double
+    assert one(neg_ln_theta, 3.5, 1e17, 1e15 + 0.5, 0.5)[2] == "lnTheta degenerate when Sen = 1 or FPR = 1"
+    assert one(neg_ln_theta, 1e15 + 0.5, 0.5, 3.5, 1e17)[2] == "lnTheta degenerate when Sen = 1 or FPR = 1"
+
+
+# every table of these cells; past about 1e13 subjects per group a count's
+# log and its group total's log can be the same double
+EXTREME_CELLS = (0, 1, 2, 3, 7, 100, 10**6, 10**9, 10**12, 10**13, 10**14, 10**15, 2**52, 10**17, 10**18, 2 * 10**18)
+
+
+@pytest.mark.parametrize("policy", list(CorrectionPolicy))
+@pytest.mark.parametrize("measure", list(MeasureId))
+def test_every_usable_study_has_a_finite_estimate(measure, policy):
+    tables = np.array(list(itertools.product(EXTREME_CELLS, repeat=4)), dtype=np.int64)
+    tables = tables[(tables[:, 0] + tables[:, 1] > 0) & (tables[:, 2] + tables[:, 3] > 0)]
+    estimates = measure_studies(MetaDataset(tables), measure, policy).estimates
+    assert (estimates.n > 10**13).any()
+    assert np.isfinite(estimates.value).all() and np.isfinite(estimates.ess).all()
+    assert np.isfinite(estimates.se).all() and (estimates.se > 0).all()
 
 
 def test_youden_golden():
@@ -419,10 +439,10 @@ def scalar_lntheta(x, w, y, z):
     n1, n2 = x + w, y + z
     if x == 0.0 or y == 0.0:
         return "lnTheta undefined with x = 0 or y = 0"
-    if x == n1 or y == n2:
-        return "lnTheta degenerate when Sen = 1 or FPR = 1"
     log_sen = math.log(x) - math.log(n1)
     log_fpr = math.log(y) - math.log(n2)
+    if log_sen == 0.0 or log_fpr == 0.0:
+        return "lnTheta degenerate when Sen = 1 or FPR = 1"
     se = math.sqrt((1.0 / x - 1.0 / n1) / log_sen**2 + (1.0 / y - 1.0 / n2) / log_fpr**2)
     return -math.log(log_sen / log_fpr), se
 
