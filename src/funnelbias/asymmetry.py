@@ -404,12 +404,12 @@ KENDALL_MERGE_MIN_K = 64
 # Up to this many rows * k * k, trim and fill pools every kept count of a
 # block once and walks the tables (see ``trim_fill_rows``); larger blocks
 # run the pass loop. Over the 5-replicate lnDOR blocks of all 240
-# default-grid cells, the tables took 31-34 ms and the loop 68-75 ms
+# default-grid cells, the tables took 27 ms and the loop 61-62 ms
 # (seeds 1 and 11, best of 5, 2 shared CPUs). The tables pool all k kept
 # counts, so the loop is the faster in the 28-29 cells where every row
 # stops within two passes, most of them without bias: at fixed effects,
-# mu = (0, 0), k = 30 and pi = 0.5 (cell 10, seed 1) it took 62 us and
-# the tables 140 us. Past the bound the tables took 1.9-3.8 times the
+# mu = (0, 0), k = 30 and pi = 0.5 (cell 10, seed 1) it took 55 us and
+# the tables 126 us. Past the bound the tables took 2.1-3.6 times the
 # loop's time at (rows, k) = (20, 30), (72, 30) and (650, 10).
 TRIM_FILL_TABLE_MAX_WORK = 2**13
 
@@ -646,7 +646,7 @@ def _gamma_plus(centered: np.ndarray) -> np.ndarray:
     """
     lowest = np.fmin.reduce(centered, axis=-1)  # fmin skips nan
     blocking = np.where(lowest <= 0, -lowest, -1.0)
-    return np.count_nonzero(centered > blocking[:, None], axis=-1)
+    return np.count_nonzero(centered > blocking[..., None], axis=-1)
 
 
 def _average_ranks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -674,16 +674,19 @@ def _average_ranks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _trim_fill_estimate(
     estimator: TrimFillEstimator, values: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """S+, the statistic and whether |centered| ties, for each row of (rows, k) values centered on its theta.
+    """S+, the statistic and whether |centered| ties, for each row of values centered on its theta.
 
-    The statistic is R = gamma_plus - 1 or L; R needs neither S+ nor the
-    ties, which are None for it.
+    ``values`` broadcasts against ``theta[..., None]``: each row of k
+    values along the last axis, under any leading shape. The statistic
+    is R = gamma_plus - 1 or L; R needs neither S+ nor the ties, which
+    are None for it.
     """
     k = values.shape[-1]
-    centered = values - theta[:, None]
+    centered = values - theta[..., None]
     if estimator is TrimFillEstimator.R:
         return None, _gamma_plus(centered) - 1.0, None
-    ranks, tied = _average_ranks(np.abs(centered))
+    ranks, tied = _average_ranks(np.abs(centered).reshape(-1, k))
+    ranks, tied = ranks.reshape(centered.shape), tied.reshape(centered.shape[:-1])
     s_plus = np.where(centered > 0, ranks, 0.0).sum(axis=-1)  # sums of halves: exact in any order
     return s_plus, (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0), tied
 
@@ -725,11 +728,27 @@ def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
     return p
 
 
-# Each axis's pooled effect of each row, reducing (values, variances, sample sizes) along the last axis,
-# or of each of its ``groups``.
+class TrimFillRule(NamedTuple):
+    """How trim and fill pools on one funnel axis: one weight column beside the values."""
+
+    weights: Callable[[EstimateRows], np.ndarray]  # each study's weight column
+    pad: float  # a weight under which a study of value 0 adds 0 to every sum of the pool
+    # each row's pooled effect from (values, weights), reducing along the last axis or over ``groups``
+    pool: Callable[..., np.ndarray]
+
+
 TRIM_FILL_AXES = AxisTable("trim and fill", {
-    PrecisionAxis.SE: lambda values, variances, ns, groups=_ROWS: _pool_dersimonian_laird(values, variances, groups)[0],
-    PrecisionAxis.N: lambda values, variances, ns, groups=_ROWS: groups.total(ns * values) / groups.total(ns),
+    PrecisionAxis.SE: TrimFillRule(
+        lambda rows: rows.se**2,
+        np.inf,
+        lambda values, variances, groups=_ROWS: _pool_dersimonian_laird(values, variances, groups)[0],
+    ),
+    # the sizes are floats, whose sums cannot wrap as int64 sums of sizes past 2**63 do
+    PrecisionAxis.N: TrimFillRule(
+        lambda rows: rows.n.astype(float),
+        0.0,
+        lambda values, ns, groups=_ROWS: groups.total(ns * values) / groups.total(ns),
+    ),
 })
 
 
@@ -747,40 +766,35 @@ def _prefix_layout(k: int) -> tuple[np.ndarray, np.ndarray, _Groups]:
     return starts, take, groups
 
 
-def _prefix_pools(ascending: tuple[np.ndarray, ...], pool: Callable) -> np.ndarray:
+def _prefix_pools(values: np.ndarray, weights: np.ndarray, rule: TrimFillRule) -> np.ndarray:
     """Each row's pooled effect over its m smallest values, for every m = 1..k, as a (rows, k) table.
 
-    ``ascending`` holds the rows' (values, variances, sample sizes)
-    sorted by value. A prefix of one pools as a row of one. The prefixes
-    m = 2..k are laid out in one row, each behind a pad (value 0,
-    variance inf, n 0) that adds 0 to every sum, and pooled together
-    with ``np.add.reduceat`` as the sum. That sums a segment as its first
-    element plus the pairwise sum of the rest, and ``sum(axis=-1)`` starts
-    from 0, so with the pad first each prefix's sum is bit-identical to
-    its own sum.
+    ``values`` and ``weights`` are the rows' columns sorted by value. A
+    prefix of one pools as a row of one. The prefixes m = 2..k are laid
+    out in one row, each behind a pad (value 0 with the rule's pad
+    weight: variance inf, or n 0) that adds 0 to every sum, and pooled
+    together with ``np.add.reduceat`` as the sum. That sums a segment as
+    its first element plus the pairwise sum of the rest, and
+    ``sum(axis=-1)`` starts from 0, so with the pad first each prefix's
+    sum is bit-identical to its own sum.
     """
-    count, k = ascending[0].shape
+    count, k = values.shape
     table = np.empty((count, k))
-    table[:, 0] = pool(*(column[:, :1] for column in ascending))
+    table[:, 0] = rule.pool(values[:, :1], weights[:, :1])
     if k > 1:
         starts, take, groups = _prefix_layout(k)
-        padded = []
-        for column, pad in zip(ascending, (0.0, np.inf, 0)):
-            laid = column[:, take]
-            laid[:, starts] = pad
-            padded.append(laid)
-        table[:, 1:] = pool(*padded, groups)
+        laid_values, laid_weights = values[:, take], weights[:, take]
+        laid_values[:, starts] = 0.0
+        laid_weights[:, starts] = rule.pad
+        table[:, 1:] = rule.pool(laid_values, laid_weights, groups)
     return table
 
 
-def _sorted_block(rows: EstimateRows) -> tuple[np.ndarray, ...]:
-    """Each row's (values, variances, sample sizes), sorted ascending by value: trimming takes from the top.
-
-    The sizes are floats, whose sums cannot wrap as int64 sums of sizes past 2**63 do.
-    """
+def _sorted_block(rows: EstimateRows, rule: TrimFillRule) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's values and the rule's weights, sorted ascending by value: trimming takes from the top."""
     row = np.arange(len(rows.value))[:, None]
     order = rows.value.argsort(axis=-1, kind="stable")
-    return rows.value[row, order], rows.se[row, order] ** 2, rows.n[row, order].astype(float)
+    return rows.value[row, order], rule.weights(rows)[row, order]
 
 
 def _k0_estimate(estimate: np.ndarray, k: int) -> np.ndarray:
@@ -799,10 +813,10 @@ def _trim_fill_state(
     return TrimFillState(theta, k0, iterations, converged, statistic, p_value)
 
 
-def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Callable) -> TrimFillState:
+def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, rule: TrimFillRule) -> TrimFillState:
     """``trim_fill_rows`` pass by pass: each pass pools the active rows' kept counts, one pool per count."""
-    ascending = _sorted_block(rows)
-    count, k = ascending[0].shape
+    values, weights = _sorted_block(rows, rule)
+    count, k = values.shape
     theta = np.empty(count)
     k0 = np.zeros(count, dtype=np.int64)
     iterations = np.zeros(count, dtype=np.int64)
@@ -814,8 +828,8 @@ def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
         kept = k - k0[active]
         for m in np.unique(kept).tolist():
             chosen = active[kept == m]
-            theta[chosen] = pool(*(column[chosen, :m] for column in ascending))
-        pass_s_plus, estimate, pass_tied = _trim_fill_estimate(estimator, ascending[0][active], theta[active])
+            theta[chosen] = rule.pool(values[chosen, :m], weights[chosen, :m])
+        pass_s_plus, estimate, pass_tied = _trim_fill_estimate(estimator, values[active], theta[active])
         statistic[active] = estimate
         if estimator is TrimFillEstimator.L:
             s_plus[active], tied[active] = pass_s_plus, pass_tied
@@ -830,13 +844,15 @@ def _trim_fill_passes(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
     return _trim_fill_state(estimator, k, theta, k0, iterations, converged, statistic, s_plus, tied)
 
 
-def _trim_fill_tables(rows: EstimateRows, estimator: TrimFillEstimator, pool: Callable) -> TrimFillState:
+def _trim_fill_tables(rows: EstimateRows, estimator: TrimFillEstimator, rule: TrimFillRule) -> TrimFillState:
     """``trim_fill_rows`` as lookups: every row's pass at every kept count m = 1..k, then a walk through them."""
-    ascending = _sorted_block(rows)
-    count, k = ascending[0].shape
-    theta = _prefix_pools(ascending, pool).ravel()  # entry row * k + m - 1
-    repeated = np.repeat(ascending[0], k, axis=0)  # each row against each of its thetas
-    s_plus, statistic, tied = _trim_fill_estimate(estimator, repeated, theta)
+    values, weights = _sorted_block(rows, rule)
+    count, k = values.shape
+    theta = _prefix_pools(values, weights, rule)  # (row, m - 1)
+    # each row against each of its thetas: the (count, k, k) broadcast of its values
+    s_plus, statistic, tied = _trim_fill_estimate(estimator, values[:, None], theta)
+    # flat entry row * k + m - 1
+    theta, statistic = theta.ravel(), statistic.ravel()
     k0_table = _k0_estimate(statistic, k)
     # the pass at a row's entry for m leaves k0_table's k0 there, so its
     # next pass is at m = k - k0; a row whose k0 repeats stays put
@@ -852,7 +868,7 @@ def _trim_fill_tables(rows: EstimateRows, estimator: TrimFillEstimator, pool: Ca
         moves += moving
         at = after
     if estimator is TrimFillEstimator.L:
-        s_plus, tied = s_plus[at], tied[at]
+        s_plus, tied = s_plus.ravel()[at], tied.ravel()[at]
     return _trim_fill_state(
         estimator, k, theta[at], k0_table[at], moves + 1, step[at] == at, statistic[at], s_plus, tied,
     )
@@ -883,10 +899,10 @@ def trim_fill_rows(
     """
     if not isinstance(estimator, TrimFillEstimator):
         raise ValueError(f"trim and fill estimator must be a TrimFillEstimator, got {estimator!r}")
-    pool = TRIM_FILL_AXES[axis]
+    rule = TRIM_FILL_AXES[axis]
     count, k = rows.value.shape
     path = _trim_fill_tables if count * k * k <= TRIM_FILL_TABLE_MAX_WORK else _trim_fill_passes
-    return path(rows, estimator, pool)
+    return path(rows, estimator, rule)
 
 
 def trim_fill_iterate(

@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,7 +149,13 @@ MAX_K = 10_000  # bounds the memory of a condition's replicate block (see README
 
 @dataclass(frozen=True, slots=True)
 class SimCondition:
-    """One cell of the simulation grid."""
+    """One cell of the simulation grid.
+
+    The condition also holds the logit means of its base and shifted
+    studies and the covariance root, which its validation computes once
+    and every replicate block reads; they are derived from ``params`` and
+    ``bias``, so they take no part in equality, hashing or the repr.
+    """
 
     params: BivariateParams
     k: int
@@ -157,6 +163,9 @@ class SimCondition:
     n_min: int = 50
     n_max: int = 1000
     bias: BiasSpec = NO_BIAS
+    mean: np.ndarray = field(init=False, repr=False, compare=False)  # params.mu
+    shifted_mean: np.ndarray = field(init=False, repr=False, compare=False)  # params.mu + bias.eta
+    root: np.ndarray = field(init=False, repr=False, compare=False)  # params.sqrt_matrix()
 
     def __post_init__(self) -> None:
         if not MIN_STUDIES <= self.k <= MAX_K:
@@ -180,6 +189,15 @@ class SimCondition:
             raise ValueError(
                 f"logit means {self.params.mu} and {shifted} and covariance root {root.tolist()} must be finite"
             )
+        for name, constant in (("mean", self.params.mu), ("shifted_mean", shifted), ("root", root)):
+            constant = np.array(constant)
+            constant.flags.writeable = False  # every block of the condition reads the same array
+            object.__setattr__(self, name, constant)
+
+    def __reduce__(self):
+        # a pickle (how a process pool receives the condition) holds the init fields; loading it validates
+        # them and derives the constants again, read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,17 +214,6 @@ def replicate_rng(master_seed: int, condition_index: int, replicate_index: int) 
     """Counter-based stream for one replicate, independent of run order."""
     seq = np.random.SeedSequence((master_seed, condition_index, replicate_index))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _logit_pairs(params: BivariateParams, normals: np.ndarray) -> np.ndarray:
-    """mu + z @ sqrt(Sigma) for each standard normal pair z on the last axis.
-
-    Under fixed effects every pair is mu itself.
-    """
-    mu = np.array(params.mu)
-    if params.is_fixed_effects:
-        return np.broadcast_to(mu, normals.shape)
-    return mu + normals @ params.sqrt_matrix()
 
 
 def _youden(tables: np.ndarray) -> np.ndarray:
@@ -244,26 +251,29 @@ def _realize_block(
         n_shifted = round_half_up(bias.mixture_fraction * k)
     total = k + n_drop
     reps = len(rngs)
-    params = condition.params
+    fixed = condition.params.is_fixed_effects  # fixed effects draw no normals: every pair is its mean
     row = np.arange(reps)[:, None]
     totals = np.empty((reps, total), dtype=np.int64)
     normals = np.empty((reps, total, 2))
     sources = np.empty((reps, total), dtype=np.int64) if mixture else None
     for r, rng in enumerate(rngs):
         totals[r] = rng.integers(condition.n_min, condition.n_max + 1, size=total)
-        if not params.is_fixed_effects:  # fixed effects draw no normals
+        if not fixed:
             rng.standard_normal(out=normals[r])
         if mixture:
             sources[r] = rng.permutation(k)
-    pairs = _logit_pairs(params, normals)
+    # mean + z @ root for each pair's standard normals z
+    pairs = np.broadcast_to(condition.mean, normals.shape) if fixed else condition.mean + normals @ condition.root
     shifted = np.zeros((reps, total), dtype=bool)
     if mixture:
         n_base = total - n_shifted
-        moved = _logit_pairs(params.shifted(bias.eta), normals[:, n_base:])
+        z = normals[:, n_base:]
+        moved = np.broadcast_to(condition.shifted_mean, z.shape) if fixed else condition.shifted_mean + z @ condition.root
         pairs = np.concatenate((pairs[:, :n_base], moved), axis=1)[row, sources]
         shifted = sources >= n_base
-    n1 = np.floor(condition.pi * totals + 0.5).astype(np.int64)  # half-up
-    sizes = np.stack((n1, totals - n1), axis=-1)  # (n1, n2)
+    sizes = np.empty((reps, total, 2), dtype=np.int64)  # (n1, n2)
+    sizes[..., 0] = np.floor(condition.pi * totals + 0.5)  # half-up
+    np.subtract(totals, sizes[..., 0], out=sizes[..., 1])
     probabilities = expit(pairs)  # (Sen, FPR)
     tables = np.empty((reps, total, 4), dtype=np.int64)
     positives = tables[..., 0::2]  # (x, y)

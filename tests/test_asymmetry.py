@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats as sps
@@ -42,10 +42,11 @@ from funnelbias.asymmetry import (
     _pool_dersimonian_laird,
     _prefix_pools,
     _signed_rank_tail,
+    _sorted_block,
     _tie_sums,
     _trim_fill_estimate,
 )
-from funnelbias.errors import AllTied, SingularDesign, TooFewStudies
+from funnelbias.errors import AllTied, FunnelBiasError, SingularDesign, TooFewStudies
 from funnelbias.model import EstimateRows, EstimateSet, MeasureId, Sidedness
 
 
@@ -480,16 +481,20 @@ def test_reduceat_behind_a_zero_pad_sums_like_sum():
 def test_prefix_pools_are_each_prefix_pooled_alone(axis):
     rng = np.random.default_rng(3)
     values = np.sort(np.round(rng.normal(0.0, 1.0, (4, 12)), 1), axis=-1)
-    variances = rng.uniform(0.01, 2.0, (4, 12))
+    ses = rng.uniform(0.1, 1.4, (4, 12))
     ns = rng.integers(20, 500, (4, 12))
-    pool = asymmetry.TRIM_FILL_AXES[axis]
-    table = _prefix_pools((values, variances, ns), pool)
+    rule = asymmetry.TRIM_FILL_AXES[axis]
+    # each axis pools one weight column: the variances, or the sizes as floats
+    weights = rule.weights(EstimateRows(values, ses, ns, None, None, None))
+    expected = ses**2 if axis is PrecisionAxis.SE else ns.astype(float)
+    assert weights.dtype == np.float64 and weights.tobytes() == expected.tobytes()
+    table = _prefix_pools(values, weights, rule)
     for m in range(1, 13):
-        alone = pool(values[:, :m], variances[:, :m], ns[:, :m])
+        alone = rule.pool(values[:, :m], weights[:, :m])
         assert table[:, m - 1].tobytes() == alone.tobytes(), m
     if axis is PrecisionAxis.SE:
         assert table[:, 0].tobytes() == values[:, 0].tobytes()  # one value pools to itself
-        assert table[:, -1].tobytes() == _pool_dersimonian_laird(values, variances)[0].tobytes()
+        assert table[:, -1].tobytes() == _pool_dersimonian_laird(values, ses**2)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -824,29 +829,72 @@ def scale_estimates(ests, c):
     return dataclasses.replace(ests, value=ests.value * c, se=ests.se * c)
 
 
-def test_location_shift_leaves_rank_statistics_unchanged():
-    rng = np.random.default_rng(35)
-    ests = random_estimates(rng, k=14)
-    shifted = shift_estimates(ests, 3.7)
-    assert begg_test(shifted).statistic == pytest.approx(begg_test(ests).statistic)
-    for axis in (PrecisionAxis.SE, PrecisionAxis.N):
-        base = trim_fill_test(ests, axis, TrimFillEstimator.R)
-        moved = trim_fill_test(shifted, axis, TrimFillEstimator.R)
-        assert moved.k0 == base.k0
-        assert moved.p_value == pytest.approx(base.p_value)
-        assert moved.pooled_effect == pytest.approx(base.pooled_effect + 3.7)
+@st.composite
+def drawn_estimates(draw):
+    """Estimates on fine grids: values in [-3, 3], SEs in [0.05, 2] and sizes from 10 to 5000.
+
+    From k = 5 on, neither trim-and-fill estimator can trim all but one
+    study: R would need every centered value positive, and L's k0 is at
+    most k(k + 1) / (2k - 1), rounded, which is below k - 1.
+    """
+    k = draw(st.integers(5, 25))
+    column = lambda low, high: draw(arrays(np.int64, k, elements=st.integers(low, high), fill=st.nothing()))
+    return est(column(-3_000_000, 3_000_000) / 1e6, column(5, 200) / 100, n=column(10, 5000))
 
 
-def test_scale_leaves_standardized_statistics_unchanged():
-    rng = np.random.default_rng(36)
-    ests = random_estimates(rng, k=14)
-    scaled = scale_estimates(ests, 2.5)
-    assert egger_test(scaled).statistic == pytest.approx(egger_test(ests).statistic, rel=1e-9)
-    assert begg_test(scaled).statistic == pytest.approx(begg_test(ests).statistic)
-    base = trim_fill_test(ests, PrecisionAxis.SE, TrimFillEstimator.R)
-    up = trim_fill_test(scaled, PrecisionAxis.SE, TrimFillEstimator.R)
-    assert up.statistic == base.statistic  # gamma_plus is scale free
-    assert up.p_value == base.p_value
+def in_general_position(ests, tolerance=1e-9):
+    """No |value - pool| is within ``tolerance`` of 0 or of another value's, for the pools of 2..k smallest values.
+
+    At such a near-tie, the rounding of a shifted or scaled pooled effect
+    can flip a sign or swap two ranks; equal values stay equal. The pool
+    of one value is out of reach (see ``drawn_estimates``).
+    """
+    for rule in (asymmetry.TRIM_FILL_AXES[PrecisionAxis.SE], asymmetry.TRIM_FILL_AXES[PrecisionAxis.N]):
+        values, weights = _sorted_block(ests.rows(), rule)
+        pools = _prefix_pools(values, weights, rule)[0, 1:]
+        magnitudes = np.sort(np.abs(np.unique(values) - pools[:, None]), axis=-1)
+        if not ((magnitudes[:, 0] > tolerance).all() and (np.diff(magnitudes, axis=-1) > tolerance).all()):
+            return False
+    return True
+
+
+def statistic_or_failure(test, ests):
+    """The test's statistic, or the class of the library error it raises."""
+    try:
+        return test(ests).statistic
+    except FunnelBiasError as exc:
+        return type(exc)
+
+
+def assert_trim_fill_moves_with(before, after, pooled):
+    """Every trim-and-fill variant keeps its k0, statistic and p, and its pooled effect maps by ``pooled``."""
+    for axis, estimator in itertools.product((PrecisionAxis.SE, PrecisionAxis.N), TrimFillEstimator):
+        base, moved = trim_fill_test(before, axis, estimator), trim_fill_test(after, axis, estimator)
+        where = (axis, estimator)
+        assert (moved.k0, moved.statistic, moved.p_value) == (base.k0, base.statistic, base.p_value), where
+        assert moved.pooled_effect == pytest.approx(pooled(base.pooled_effect), rel=1e-12, abs=1e-12), where
+
+
+@settings(max_examples=150, deadline=None)
+@given(ests=drawn_estimates(), shift=st.floats(-10.0, 10.0))
+def test_location_shift_leaves_rank_statistics_unchanged(ests, shift):
+    assume(in_general_position(ests))
+    shifted = shift_estimates(ests, shift)
+    assert statistic_or_failure(begg_test, shifted) == pytest.approx(statistic_or_failure(begg_test, ests))
+    assert_trim_fill_moves_with(ests, shifted, lambda theta: theta + shift)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ests=drawn_estimates(), scale=st.floats(0.25, 4.0), power=st.integers(-4, 4))
+def test_scale_leaves_standardized_statistics_unchanged(ests, scale, power):
+    # by a power of two every product and sum scales exactly, so trim and fill's state does too
+    exact = 2.0**power
+    assert_trim_fill_moves_with(ests, scale_estimates(ests, exact), lambda theta: theta * exact)
+    assume(in_general_position(ests))
+    scaled = scale_estimates(ests, scale)
+    for test in (egger_test, begg_test):
+        assert statistic_or_failure(test, scaled) == pytest.approx(statistic_or_failure(test, ests), rel=1e-9), test
+    assert_trim_fill_moves_with(ests, scaled, lambda theta: theta * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,32 @@ def test_all_variants_golden_bytes(tmp_path, policy):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_VARIANTS_CSV_SHA256[policy]
 
 
+# sha256 of the results CSV of the 16 one-sided trim-and-fill variants on
+# every 13th cell of the default grid, 10 replicates at seed 1, per
+# correction policy. Its k = 30 blocks (10 * 30 * 30 studies past
+# TRIM_FILL_TABLE_MAX_WORK) run the pass loop and its k = 10 blocks the
+# tables, so a change to either path's numbers shows here.
+TRIM_FILL_CSV_SHA256 = {
+    CorrectionPolicy.HALF_IF_ANY_ZERO: "68654ef006a8c8a343a3bff78dc9fb5d4b470f87b4edaac8bd1353fd03a7c282",
+    CorrectionPolicy.NEVER: "5372331977de69e5eed44d4c707eb47b7e6866ff5a4139556ae50cc576dc3567",
+}
+
+
+@pytest.mark.parametrize("policy", list(TRIM_FILL_CSV_SHA256))
+def test_trim_fill_golden_bytes_on_both_paths(tmp_path, monkeypatch, policy):
+    variants = [v for v in ALL_ONE_SIDED if v.family is TestFamily.TRIMFILL]
+    assert len(variants) == 16
+    taken = set()
+    for name in ("_trim_fill_tables", "_trim_fill_passes"):
+        path = getattr(asymmetry, name)
+        monkeypatch.setattr(asymmetry, name, lambda *args, path=path, name=name: taken.add(name) or path(*args))
+    results = run_grid(default_grid()[::13], variants, reps=10, master_seed=1, policy=policy)
+    assert taken == {"_trim_fill_tables", "_trim_fill_passes"}
+    path = tmp_path / "results.csv"
+    write_results_csv(path, results)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRIM_FILL_CSV_SHA256[policy]
+
+
 def test_run_condition_raises_on_a_nan_p(monkeypatch):
     # a nan p is a fault, not a degenerate replicate, as it is for one dataset
     kernel = harness.run_rows
@@ -567,6 +593,37 @@ def test_permuting_study_order_changes_no_result():
             assert p == shuffled_p or math.isclose(p, shuffled_p, rel_tol=1e-9), where
             compared += 1
     assert compared == len(cells) * 2 * 2 * 92
+
+
+@st.composite
+def raw_tables(draw):
+    """Raw 2x2 tables: small studies with zero cells, studies of N near 1e6, and repeated studies."""
+    small, large = st.integers(0, 12), st.integers(0, 500_000)
+    tables = []
+    for _ in range(draw(st.integers(3, 10))):
+        cell = draw(st.sampled_from([small, large]))
+        x, w, y, z = draw(st.tuples(cell, cell, cell, cell))
+        tables.append((x, w + (x + w == 0), y, z + (y + z == 0)))  # no empty group
+    tables += [tables[i] for i in draw(st.lists(st.integers(0, len(tables) - 1), max_size=4))]
+    return np.array(tables, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables=raw_tables(), data=st.data())
+def test_permuting_drawn_tables_changes_no_result(tables, data):
+    order = np.array(data.draw(st.permutations(range(len(tables)))))
+    for policy in CorrectionPolicy:
+        outcomes = []
+        for rows in (tables, tables[order]):
+            estimates = {m: measure_studies(model.MetaDataset(rows), m, policy).estimates for m in MeasureId}
+            outcomes.append([outcome(v, estimates[v.measure]) for v in ALL_ONE_SIDED])
+        # the same failure or decision; p may move in its last digits where a
+        # sum runs in another order, and most in E(kappa, ivrandom), whose
+        # DL tau2 is a difference of sums: by up to 7e-9 over 800 drawn sets
+        for variant, (kind, p), (shuffled_kind, shuffled_p) in zip(ALL_ONE_SIDED, *outcomes):
+            where = (policy, variant.label)
+            assert kind == shuffled_kind, where
+            assert p == shuffled_p or math.isclose(p, shuffled_p, rel_tol=1e-6), where
 
 
 # analyze-style specs in perfbench's DATASETS layout: (k, n range, mu, sigma,

@@ -26,6 +26,7 @@ from funnelbias.asymmetry import (
     PrecisionAxis,
     TrimFillEstimator,
     TrimFillState,
+    _trim_fill_estimate,
     _trim_fill_passes,
     _trim_fill_tables,
     begg_rows,
@@ -174,6 +175,38 @@ def assert_both_trim_fill_paths_agree(rows):
             mine, theirs = getattr(tables, name), getattr(passes, name)
             assert mine.dtype == theirs.dtype, (name, estimator, axis)
             assert np.array_equal(mine, theirs, equal_nan=True), (name, estimator, axis)
+
+
+# values whose differences are exact zeros of either sign, with ties among the magnitudes
+SIGNED_ZEROS = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def rows_and_thetas(draw):
+    """Sorted (count, k) values and a (count, k) table of thetas, one per kept count, as the k0 table has."""
+    count, k = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    entries = st.one_of(SIGNED_ZEROS, st.floats(-3.0, 3.0))
+    values = np.sort(np.array(draw(st.lists(entries, min_size=count * k, max_size=count * k))).reshape(count, k))
+    thetas = np.array(draw(st.lists(entries, min_size=count * k, max_size=count * k))).reshape(count, k)
+    return values, thetas
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=rows_and_thetas())
+def test_k0_table_broadcast_is_the_repeated_rows(drawn):
+    # the tables center each row on each of its k thetas through a (count, k, k) broadcast; a copy of each
+    # row per theta, as np.repeat makes, gives the same S+, statistic and ties, bit for bit
+    values, thetas = drawn
+    count, k = values.shape
+    for estimator in TrimFillEstimator:
+        broadcast = _trim_fill_estimate(estimator, values[:, None], thetas)
+        repeated = _trim_fill_estimate(estimator, np.repeat(values, k, axis=0), thetas.ravel())
+        for mine, theirs in zip(broadcast, repeated):
+            if theirs is None:
+                assert mine is None, estimator
+                continue
+            assert mine.shape == (count, k) and mine.dtype == theirs.dtype, estimator
+            assert mine.ravel().tobytes() == theirs.tobytes(), estimator
 
 
 def rounded_block(seed, count, k, decimals):

@@ -1,12 +1,16 @@
 import ast
+import dataclasses
 import importlib
 import itertools
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import funnelbias
@@ -24,7 +28,6 @@ from funnelbias.sampler import (
     BiasSpec,
     BivariateParams,
     SimCondition,
-    _logit_pairs,
     default_grid,
     generate_block,
     generate_meta_analysis,
@@ -88,18 +91,70 @@ def test_sqrt_matrix_squares_back():
         assert np.allclose(root @ root, params.matrix(), atol=1e-12)
 
 
-def test_fixed_effects_pairs_are_exact_copies():
-    normals = replicate_rng(0, 0, 0).standard_normal((5, 2))
-    pairs = _logit_pairs(BivariateParams(mu=(2.0, -2.0)), normals)
-    assert pairs.shape == (5, 2)
-    assert (pairs == np.array([2.0, -2.0])).all()
+def test_fixed_effects_constants_are_exact_copies():
+    cond = condition(params=BivariateParams(mu=(2.0, -2.0)), bias=BiasSpec(BiasMechanism.MIXTURE, eta=(0.5, -0.25)))
+    assert cond.mean.tolist() == [2.0, -2.0]
+    assert cond.shifted_mean.tolist() == [2.5, -2.25]
+    assert (cond.root == 0.0).all()
 
 
 def test_sample_covariance_converges():
-    params = BivariateParams(mu=(0.0, 0.0), sigma_a2=1.0, sigma_ab=0.5, sigma_b2=1.0)
-    draws = _logit_pairs(params, replicate_rng(1, 0, 0).standard_normal((100_000, 2)))
+    cond = condition(params=BivariateParams(mu=(0.0, 0.0), sigma_a2=1.0, sigma_ab=0.5, sigma_b2=1.0))
+    draws = cond.mean + replicate_rng(1, 0, 0).standard_normal((100_000, 2)) @ cond.root
     cov = np.cov(draws.T)
-    assert np.allclose(cov, params.matrix(), rtol=0.03, atol=0.01)
+    assert np.allclose(cov, cond.params.matrix(), rtol=0.03, atol=0.01)
+
+
+def assert_constants_are_derived(cond):
+    """The condition's means and root are those of its params and bias, bit for bit, and read-only."""
+    assert cond.mean.tobytes() == np.array(cond.params.mu).tobytes()
+    assert cond.shifted_mean.tobytes() == np.array(cond.params.shifted(cond.bias.eta).mu).tobytes()
+    assert cond.root.tobytes() == cond.params.sqrt_matrix().tobytes()
+    for constant in (cond.mean, cond.shifted_mean, cond.root):
+        assert constant.dtype == np.float64 and not constant.flags.writeable
+
+
+def assert_identity_is_the_init_fields(cond):
+    """==, hash and repr read only the init fields, and a pickle round trip keeps them and the constants."""
+    init = (cond.params, cond.k, cond.pi, cond.n_min, cond.n_max, cond.bias)
+    assert hash(cond) == hash(init)
+    assert repr(cond) == (
+        f"SimCondition(params={cond.params!r}, k={cond.k!r}, pi={cond.pi!r}, "
+        f"n_min={cond.n_min!r}, n_max={cond.n_max!r}, bias={cond.bias!r})"
+    )
+    again = SimCondition(*init)
+    assert again == cond and hash(again) == hash(cond) and again is not cond
+    assert dataclasses.replace(cond, k=cond.k + 1) != cond
+    loaded = pickle.loads(pickle.dumps(cond))
+    assert loaded == cond and hash(loaded) == hash(cond) and repr(loaded) == repr(cond)
+    assert_constants_are_derived(loaded)
+
+
+def test_default_grid_constants_are_derived():
+    for cond in default_grid():
+        assert_constants_are_derived(cond)
+        assert_identity_is_the_init_fields(cond)
+
+
+@st.composite
+def drawn_conditions(draw):
+    finite = st.floats(-8.0, 8.0, allow_subnormal=False)
+    a2, b2 = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 4.0))
+    ab = draw(st.floats(-1.0, 1.0)) * math.sqrt(a2 * b2) * (1.0 - 1e-9)
+    params = BivariateParams(mu=(draw(finite), draw(finite)), sigma_a2=a2, sigma_ab=ab, sigma_b2=b2)
+    bias = draw(st.sampled_from([
+        BiasSpec(),
+        BiasSpec(BiasMechanism.SELECTION, selection_fraction=draw(st.floats(0.0, 0.9))),
+        BiasSpec(BiasMechanism.MIXTURE, eta=(draw(st.floats(0.0, 3.0)), draw(st.floats(-3.0, 0.0)))),
+    ]))
+    return SimCondition(params, draw(st.integers(3, 40)), draw(st.sampled_from([0.2, 0.5])), 50, 1000, bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cond=drawn_conditions())
+def test_drawn_condition_constants_are_derived(cond):
+    assert_constants_are_derived(cond)
+    assert_identity_is_the_init_fields(cond)
 
 
 def test_generated_tables_mean_behavior():
