@@ -242,7 +242,7 @@ def pool_fixed_effects(estimates: EstimateSet) -> float:
     """Inverse-variance weighted mean of the estimates."""
     if not len(estimates):
         raise TooFewStudies("cannot pool an empty set of estimates")
-    return float(_pool_fixed(estimates.value, estimates.se**2))
+    return float(_weighted_mean(estimates.value, 1.0 / estimates.se**2))
 
 
 def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
@@ -251,12 +251,6 @@ def pool_random_effects(estimates: EstimateSet) -> tuple[float, float]:
         raise TooFewStudies(f"random-effects pooling needs k >= 2, got {len(estimates)}")
     theta, tau2 = _pool_dersimonian_laird(estimates.value, estimates.se**2)
     return float(theta), float(tau2)
-
-
-def _pool_fixed(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Inverse-variance weighted mean of each row, reducing along the last axis."""
-    w = 1.0 / variances
-    return (w * values).sum(axis=-1) / w.sum(axis=-1)
 
 
 class _Groups(NamedTuple):
@@ -275,6 +269,11 @@ class _Groups(NamedTuple):
 _ROWS = _Groups(lambda a: a.sum(axis=-1), lambda x: x[..., None], None)
 
 
+def _weighted_mean(values: np.ndarray, weights: np.ndarray, groups: _Groups = _ROWS) -> np.ndarray:
+    """Weighted mean of each row, or of each of its ``groups``: every pool's mean."""
+    return groups.total(weights * values) / groups.total(weights)
+
+
 def _pool_dersimonian_laird(
     values: np.ndarray, variances: np.ndarray, groups: _Groups = _ROWS,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +290,7 @@ def _pool_dersimonian_laird(
     denom = sum_w - total(w**2) / sum_w
     excess = (q - (size - 1)) / np.where(denom > 0, denom, np.inf)  # no excess without a positive denom
     tau2 = np.where(excess > 0.0, excess, 0.0)
-    w_star = 1.0 / (variances + spread(tau2))
-    return total(w_star * values) / total(w_star), tau2
+    return _weighted_mean(values, 1.0 / (variances + spread(tau2)), groups), tau2
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +596,13 @@ def begg_rows(
     variance is not positive, else with ``ALL_TIED`` when its dispersion
     is constant.
     """
-    values, ses = rows.value, rows.se
-    variances = ses**2
-    t_bar = _pool_fixed(values, variances)
+    values, variances = rows.value, rows.se**2
+    w = 1.0 / variances
+    t_bar = _weighted_mean(values, w)
     disp = BEGG_AXES[axis].column(rows)
     # rounding can leave a centered variance at or below 0, whose square root is 0 or nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        se_star = np.sqrt(variances - 1.0 / (1.0 / variances).sum(axis=-1, keepdims=True))
+        se_star = np.sqrt(variances - 1.0 / w.sum(axis=-1, keepdims=True))
         failed = [~(se_star > 0.0).all(axis=-1), np.ptp(disp, axis=-1) == 0.0]
         failure = np.select(failed, [Failure.CENTERED_VARIANCE, Failure.ALL_TIED], Failure.NONE)
         t_star = (values - t_bar[:, None]) / se_star
@@ -744,11 +742,7 @@ TRIM_FILL_AXES = AxisTable("trim and fill", {
         lambda values, variances, groups=_ROWS: _pool_dersimonian_laird(values, variances, groups)[0],
     ),
     # the sizes are floats, whose sums cannot wrap as int64 sums of sizes past 2**63 do
-    PrecisionAxis.N: TrimFillRule(
-        lambda rows: rows.n.astype(float),
-        0.0,
-        lambda values, ns, groups=_ROWS: groups.total(ns * values) / groups.total(ns),
-    ),
+    PrecisionAxis.N: TrimFillRule(lambda rows: rows.n.astype(float), 0.0, _weighted_mean),
 })
 
 

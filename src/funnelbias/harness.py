@@ -198,6 +198,10 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in [0, trials] = [0, {trials}], got {successes}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     z = float(ndtri(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials

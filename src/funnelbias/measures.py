@@ -218,8 +218,7 @@ def measure_block(
         usable &= ~failed
     x, w, y, z = (tables[..., j] for j in range(4))
     n1, n2 = x + w, y + z
-    n = n1 + n2
-    estimates = EstimateRows(value, se, n, 4.0 * n1 * n2 / n, x + y, w + z)  # ESS as effective_sample_size
+    estimates = EstimateRows(value, se, n1 + n2, effective_sample_size(n1, n2), x + y, w + z)
     return MeasureBlock(estimates, usable, corrected, tuple(excluded))
 
 

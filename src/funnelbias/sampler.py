@@ -229,15 +229,15 @@ def _realize_block(
 
     Each replicate draws from its own stream in the documented order:
     sizes, the normals of every logit pair in one call (base pairs, then
-    a mixture's shifted pairs), the slot permutation for a mixture, then
-    one binomial call for all its tables, whose C order is each study's
-    x, then its y. Only those calls run per replicate;
+    a mixture's shifted pairs; fixed effects draw none, so theirs stay 0
+    and each pair mean + z @ root is its mean), the slot permutation for
+    a mixture, then one binomial call for all its tables, whose C order
+    is each study's x, then its y. Only those calls run per replicate;
     the rest is arithmetic on (reps, studies) arrays, elementwise or
-    along the last axis, so every replicate's numbers are those it
-    would get alone. Selection realizes k + l tables and keeps the k
-    with the highest observed Youden indices, in draw order; a mixture
-    realizes its base and shifted logit pairs into randomly permuted
-    slots.
+    along the last axis, so every replicate's numbers are those it would
+    get alone. Selection realizes k + l tables and keeps the k with the
+    highest observed Youden indices, in draw order; a mixture realizes
+    its base and shifted logit pairs into randomly permuted slots.
     Returns the (reps, k + l, 4) int64 (x, w, y, z) tables, and the
     (reps, k + l) shifted flags and kept mask.
     """
@@ -251,10 +251,10 @@ def _realize_block(
         n_shifted = round_half_up(bias.mixture_fraction * k)
     total = k + n_drop
     reps = len(rngs)
-    fixed = condition.params.is_fixed_effects  # fixed effects draw no normals: every pair is its mean
+    fixed = condition.params.is_fixed_effects  # no normals drawn: they stay 0 and every pair is its mean
     row = np.arange(reps)[:, None]
     totals = np.empty((reps, total), dtype=np.int64)
-    normals = np.empty((reps, total, 2))
+    normals = np.zeros((reps, total, 2))
     sources = np.empty((reps, total), dtype=np.int64) if mixture else None
     for r, rng in enumerate(rngs):
         totals[r] = rng.integers(condition.n_min, condition.n_max + 1, size=total)
@@ -263,12 +263,11 @@ def _realize_block(
         if mixture:
             sources[r] = rng.permutation(k)
     # mean + z @ root for each pair's standard normals z
-    pairs = np.broadcast_to(condition.mean, normals.shape) if fixed else condition.mean + normals @ condition.root
+    pairs = condition.mean + normals @ condition.root
     shifted = np.zeros((reps, total), dtype=bool)
     if mixture:
         n_base = total - n_shifted
-        z = normals[:, n_base:]
-        moved = np.broadcast_to(condition.shifted_mean, z.shape) if fixed else condition.shifted_mean + z @ condition.root
+        moved = condition.shifted_mean + normals[:, n_base:] @ condition.root
         pairs = np.concatenate((pairs[:, :n_base], moved), axis=1)[row, sources]
         shifted = sources >= n_base
     sizes = np.empty((reps, total, 2), dtype=np.int64)  # (n1, n2)
@@ -366,31 +365,44 @@ def default_grid() -> list[SimCondition]:
     return _product_grid(GRID_MU, sigmas, GRID_K, GRID_PI, GRID_BIAS, *GRID_N_RANGE)
 
 
-def _parse_bias(entry: dict) -> BiasSpec:
-    mechanism = entry.get("mechanism", "none")
-    if mechanism == "none":
-        return BiasSpec()
-    if mechanism == "selection":
-        return BiasSpec(
-            BiasMechanism.SELECTION,
-            selection_fraction=float(entry["fraction"]),
-        )
-    if mechanism == "mixture":
-        eta = entry["eta"]
-        return BiasSpec(
-            BiasMechanism.MIXTURE,
-            eta=(float(eta[0]), float(eta[1])),
-            mixture_fraction=float(entry.get("fraction", 1.0 / 3.0)),
-        )
-    raise GridFormatError(f"unknown bias mechanism {mechanism!r}")
+def _number(value, kind: type = float):
+    """A JSON number as a float, or as an int when it is whole; a string or a bool is an error, not converted."""
+    whole = kind is int
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (whole and int(value) != value):
+        raise ValueError(f"expected {'an integer' if whole else 'a number'}, got {value!r}")
+    return kind(value)
 
 
-def _integer(value) -> int:
-    """An integral grid value as an int; a fraction is an error, not truncated."""
-    number = int(value)
-    if number != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return number
+def _pair(value) -> tuple[float, float]:
+    """A [a, b] pair of numbers; a list of any other length is an error, not cut short."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected a pair of numbers, got {value!r}")
+    return _number(value[0]), _number(value[1])
+
+
+def _check_keys(entry: dict, accepted: tuple[str, ...], where: str) -> None:
+    """Raise ``GridFormatError`` naming the first key of ``entry`` that is not ``accepted``."""
+    for key in entry:
+        if key not in accepted:
+            raise GridFormatError(f"unknown key {key!r} in {where}; accepted: {', '.join(accepted)}")
+
+
+def _parse_bias(entry) -> BiasSpec:
+    """One bias entry: a ``mechanism`` (none if left out) and that mechanism's own fields, no other key."""
+    if not isinstance(entry, dict):
+        raise GridFormatError(f"a bias entry must be a JSON object, got {entry!r}")
+    try:
+        mechanism = BiasMechanism(entry.get("mechanism", "none"))
+    except ValueError:
+        raise GridFormatError(f"unknown bias mechanism {entry['mechanism']!r}") from None
+    fields = {BiasMechanism.SELECTION: ("fraction",), BiasMechanism.MIXTURE: ("eta", "fraction")}.get(mechanism, ())
+    _check_keys(entry, ("mechanism", *fields), f"a {mechanism.value} bias entry")
+    if mechanism is BiasMechanism.SELECTION:
+        return BiasSpec(mechanism, selection_fraction=_number(entry["fraction"]))
+    if mechanism is BiasMechanism.MIXTURE:
+        fraction = _number(entry.get("fraction", 1.0 / 3.0))
+        return BiasSpec(mechanism, eta=_pair(entry["eta"]), mixture_fraction=fraction)
+    return BiasSpec()
 
 
 def load_grid(path: str | Path) -> list[SimCondition]:
@@ -398,8 +410,11 @@ def load_grid(path: str | Path) -> list[SimCondition]:
 
     Expected keys: ``mu`` (list of [mu_a, mu_b]), ``sigma`` (list of 2x2
     matrices), ``k``, ``pi`` (lists), ``bias`` (list of objects with a
-    ``mechanism`` plus per-mechanism fields) and optional ``n_min`` /
-    ``n_max``. ``k``, ``n_min`` and ``n_max`` must be integers (10 or
+    ``mechanism`` plus that mechanism's fields: ``fraction`` for
+    selection, ``eta`` and an optional ``fraction`` for mixture) and
+    optional ``n_min`` / ``n_max``. Any other key, a ``mu`` or ``eta``
+    that is not a pair, and a number written as a string or a bool are
+    bad grids. ``k``, ``n_min`` and ``n_max`` must be integers (10 or
     10.0, not 10.9).
     """
     path = Path(path)
@@ -407,14 +422,17 @@ def load_grid(path: str | Path) -> list[SimCondition]:
         spec = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise GridFormatError(f"a grid must be a JSON object, got {type(spec).__name__}")
+    _check_keys(spec, ("mu", "sigma", "k", "pi", "bias", "n_min", "n_max"), "the grid")
     try:
-        mus = [(float(m[0]), float(m[1])) for m in spec["mu"]]
-        sigmas = [np.asarray(s, dtype=float) for s in spec["sigma"]]
-        ks = [_integer(k) for k in spec["k"]]
-        pis = [float(p) for p in spec["pi"]]
+        mus = [_pair(m) for m in spec["mu"]]
+        sigmas = [np.asarray([[_number(v) for v in row] for row in s]) for s in spec["sigma"]]
+        ks = [_number(k, int) for k in spec["k"]]
+        pis = [_number(p) for p in spec["pi"]]
         biases = [_parse_bias(b) for b in spec["bias"]]
-        n_min = _integer(spec.get("n_min", GRID_N_RANGE[0]))
-        n_max = _integer(spec.get("n_max", GRID_N_RANGE[1]))
+        n_min = _number(spec.get("n_min", GRID_N_RANGE[0]), int)
+        n_max = _number(spec.get("n_max", GRID_N_RANGE[1]), int)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise GridFormatError(f"bad grid definition: {exc!r}") from None
     try:

@@ -416,6 +416,16 @@ def test_simulate_grid_with_fractional_k_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_grid_with_a_misspelt_key_is_usage_error(tmp_path, capsys):
+    # "n_mn" used to be ignored, so the run went ahead at n_min 50
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**GRID, "n_mn": 500}))
+    code, out, err = run(capsys, "simulate", "--grid", str(grid_path), "--reps", "1", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: bad grid: unknown key 'n_mn' in the grid; accepted: mu, sigma, k, pi, bias, n_min, n_max\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("k", [10_001, 10**11, 10**19])
 def test_simulate_grid_with_k_past_the_bound_is_usage_error(tmp_path, capsys, k):
     # 10**19 overflowed numpy's array dimensions, and 10**11 asked for terabytes

@@ -754,6 +754,18 @@ def test_wilson_interval_bounds():
     assert high == 1.0
 
 
+@pytest.mark.parametrize("successes", [11, -1])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes):
+    with pytest.raises(ValueError, match=r"successes must be in \[0, trials\] = \[0, 10\]"):
+        wilson_interval(successes, 10)
+
+
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.5, math.nan])
+def test_wilson_interval_rejects_confidence_outside_the_unit_interval(confidence):
+    with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):
+        wilson_interval(5, 10, confidence)
+
+
 def test_summarize_single_result():
     res = run_condition(fe_condition(), [T_SE_R], reps=20, master_seed=4)
     rows = summarize(res, ("test_family",))

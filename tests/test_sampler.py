@@ -415,6 +415,33 @@ def test_load_grid_errors(tmp_path):
     }))
     with pytest.raises(GridFormatError):
         load_grid(unknown)
+    # input the reader used to ignore, cut short or convert: each error names the key or value
+    ignored = [
+        ({"n_mn": 500}, "unknown key 'n_mn' in the grid; accepted: mu, sigma, k, pi, bias, n_min, n_max"),
+        ({"mu": [[2, -2, 99]]}, r"pair of numbers, got \[2, -2, 99\]"),
+        ({"mu": [[2]]}, r"pair of numbers, got \[2\]"),
+        ({"bias": [{"mechanism": "mixture", "eta": [1, -1, 5]}]}, r"pair of numbers, got \[1, -1, 5\]"),
+        ({"pi": ["0.5"]}, "expected a number, got '0.5'"),
+        ({"pi": [True]}, "expected a number, got True"),
+        ({"k": [True]}, "expected an integer, got True"),
+        ({"n_max": "100"}, "expected an integer, got '100'"),
+        ({"sigma": [[["0", 0], [0, 0]]]}, "expected a number, got '0'"),
+        ({"bias": [{"mechanism": "selection", "fraction": "0.2"}]}, "expected a number, got '0.2'"),
+        ({"bias": [{"mechanism": "none", "fraction": 0.2}]}, "unknown key 'fraction' in a none bias entry"),
+        ({"bias": [{"mechanism": "selection", "fraction": 0.2, "eta": [1, -1]}]},
+         "unknown key 'eta' in a selection bias entry; accepted: mechanism, fraction"),
+        ({"bias": [{"mechanism": "mixture", "eta": [1, -1], "share": 0.5}]},
+         "unknown key 'share' in a mixture bias entry; accepted: mechanism, eta, fraction"),
+        ({"bias": [5]}, "a bias entry must be a JSON object, got 5"),
+    ]
+    path = tmp_path / "grid.json"
+    for change, message in ignored:
+        path.write_text(json.dumps({**GRID_SPEC, **change}))
+        with pytest.raises(GridFormatError, match=message):
+            load_grid(path)
+    path.write_text(json.dumps([GRID_SPEC]))
+    with pytest.raises(GridFormatError, match="a grid must be a JSON object, got list"):
+        load_grid(path)
 
 
 GRID_SPEC = {
