@@ -309,6 +309,17 @@ MACASKILL_AXES = AxisTable("Macaskill", {
     PrecisionAxis.INV_N: AxisRule("inv_n", lambda e: 1.0 / e.n, MacaskillWeighting.PETERS),
 })
 
+REGRESSION_WEIGHTS = {
+    EggerWeighting.UNWEIGHTED: None,
+    EggerWeighting.INV_VARIANCE_FIXED: lambda rows: 1.0 / rows.se**2,
+    EggerWeighting.INV_VARIANCE_RANDOM:
+        lambda rows: 1.0 / (rows.se**2 + _pool_dersimonian_laird(rows.value, rows.se**2)[1][:, None]),
+    MacaskillWeighting.INV_VARIANCE_FIXED: lambda rows: 1.0 / rows.se**2,
+    MacaskillWeighting.ESS: lambda rows: rows.ess,
+    # an int64 product would wrap past 2**63
+    MacaskillWeighting.PETERS: lambda rows: np.multiply(rows.m1, rows.m2, dtype=float) / rows.n,
+}
+
 
 def egger_rows(
     rows: EstimateRows,
@@ -317,17 +328,9 @@ def egger_rows(
     sidedness: Sidedness = Sidedness.ONE_SIDED,
 ) -> RowResults:
     """Egger's intercept test on every row of a block of at least ``MIN_STUDIES`` studies."""
-    rule = EGGER_AXES[axis]
-    values, ses = rows.value, rows.se
-    response = values / ses
-    if weighting is EggerWeighting.UNWEIGHTED:
-        weights = None
-    elif weighting is EggerWeighting.INV_VARIANCE_FIXED:
-        weights = 1.0 / ses**2
-    else:
-        _, tau2 = _pool_dersimonian_laird(values, ses**2)
-        weights = 1.0 / (ses**2 + tau2[:, None])
-    fit = weighted_linear_fit(rule.column(rows), response, weights)
+    rule, weights = EGGER_AXES[axis], REGRESSION_WEIGHTS[weighting]
+    response = rows.value / rows.se
+    fit = weighted_linear_fit(rule.column(rows), response, None if weights is None else weights(rows))
     statistic = _coefficient_statistic(fit.b0, fit.se_b0, np.abs(response).max(axis=-1))
     p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
     return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
@@ -358,13 +361,7 @@ def macaskill_rows(
     """Macaskill's slope test on every row of a block of at least ``MIN_STUDIES`` studies."""
     rule = MACASKILL_AXES[axis]
     values = rows.value
-    if weighting is MacaskillWeighting.INV_VARIANCE_FIXED:
-        weights = 1.0 / rows.se**2
-    elif weighting is MacaskillWeighting.ESS:
-        weights = rows.ess
-    else:
-        weights = np.multiply(rows.m1, rows.m2, dtype=float) / rows.n  # an int64 product would wrap past 2**63
-    fit = weighted_linear_fit(rule.column(rows), values, weights)
+    fit = weighted_linear_fit(rule.column(rows), values, REGRESSION_WEIGHTS[weighting](rows))
     statistic = _coefficient_statistic(fit.b1, fit.se_b1, np.abs(values).max(axis=-1))
     p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
     return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
@@ -393,6 +390,8 @@ def macaskill_test(
 # ---------------------------------------------------------------------------
 
 EXACT_KENDALL_MAX_K = 7
+# Exact L p for untied rows up to this k: its table is O(k**3) (2.2 s at k = 2000), and normal is within 8.3e-5 beyond.
+EXACT_SIGNED_RANK_MAX_K = 1024
 # From this k on, Kendall's S comes from an inversion count, which costs
 # O(log k) passes over a block against the pair offsets' O(k). Timed on S
 # alone, the count is the faster from about k = 24 on one row, and from
@@ -716,13 +715,14 @@ def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """One-sided p of each row's L estimator under the symmetric-signs null.
 
     Exact via the signed-rank-sum distribution for a row without ``tied``
-    |centered| values, whose ranks are the integers 1..k; otherwise a
-    normal approximation with continuity correction on the rank-sum scale.
+    |centered| values (ranks 1..k) of at most ``EXACT_SIGNED_RANK_MAX_K``
+    studies; otherwise a normal approximation with continuity correction.
     """
     mean = k * (k + 1) / 4.0
     sd = math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
     p = ndtr(-((s_plus - 0.5 - mean) / sd))
-    p[~tied] = [_signed_rank_tail(k, s) for s in s_plus[~tied].tolist()]
+    if k <= EXACT_SIGNED_RANK_MAX_K:
+        p[~tied] = [_signed_rank_tail(k, s) for s in s_plus[~tied].tolist()]
     return p
 
 

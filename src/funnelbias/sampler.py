@@ -21,11 +21,12 @@ stream, so a replicate's tables do not depend on the block it is in.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,15 +148,21 @@ NO_BIAS = BiasSpec()
 MAX_K = 10_000  # bounds the memory of a condition's replicate block (see README)
 
 
+@functools.cache
+def _logit_constants(params: BivariateParams, eta: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only logit means of the base and shifted studies and covariance root, derived once per process."""
+    with np.errstate(all="ignore"):  # the root of an infinite variance is nan
+        root = params.sqrt_matrix()
+    # the cache matches by ==, under which -0.0 == 0.0, so + 0.0 stores each zero as 0.0 (and keeps other values)
+    constants = np.array(params.mu) + 0.0, np.array(params.shifted(eta).mu) + 0.0, root + 0.0
+    for constant in constants:
+        constant.flags.writeable = False
+    return constants
+
+
 @dataclass(frozen=True, slots=True)
 class SimCondition:
-    """One cell of the simulation grid.
-
-    The condition also holds the logit means of its base and shifted
-    studies and the covariance root, which its validation computes once
-    and every replicate block reads; they are derived from ``params`` and
-    ``bias``, so they take no part in equality, hashing or the repr.
-    """
+    """One cell of the simulation grid."""
 
     params: BivariateParams
     k: int
@@ -163,9 +170,6 @@ class SimCondition:
     n_min: int = 50
     n_max: int = 1000
     bias: BiasSpec = NO_BIAS
-    mean: np.ndarray = field(init=False, repr=False, compare=False)  # params.mu
-    shifted_mean: np.ndarray = field(init=False, repr=False, compare=False)  # params.mu + bias.eta
-    root: np.ndarray = field(init=False, repr=False, compare=False)  # params.sqrt_matrix()
 
     def __post_init__(self) -> None:
         if not MIN_STUDIES <= self.k <= MAX_K:
@@ -182,22 +186,12 @@ class SimCondition:
                 f"n_min = {self.n_min} at prevalence {self.pi} leaves a group empty (n1 = {n1})"
             )
         # a mean or root that is not finite would reach the binomial draws as a nan probability
-        shifted = self.params.shifted(self.bias.eta).mu
-        with np.errstate(all="ignore"):  # the root of an infinite variance is nan
-            root = self.params.sqrt_matrix()
-        if not np.isfinite((*self.params.mu, *shifted, *root.flat)).all():
+        mean, shifted, root = _logit_constants(self.params, self.bias.eta)
+        if not np.isfinite((*mean, *shifted, *root.flat)).all():
             raise ValueError(
-                f"logit means {self.params.mu} and {shifted} and covariance root {root.tolist()} must be finite"
+                f"logit means {tuple(mean.tolist())} and {tuple(shifted.tolist())} "
+                f"and covariance root {root.tolist()} must be finite"
             )
-        for name, constant in (("mean", self.params.mu), ("shifted_mean", shifted), ("root", root)):
-            constant = np.array(constant)
-            constant.flags.writeable = False  # every block of the condition reads the same array
-            object.__setattr__(self, name, constant)
-
-    def __reduce__(self):
-        # a pickle (how a process pool receives the condition) holds the init fields; loading it validates
-        # them and derives the constants again, read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,13 +256,15 @@ def _realize_block(
             rng.standard_normal(out=normals[r])
         if mixture:
             sources[r] = rng.permutation(k)
-    # mean + z @ root for each pair's standard normals z
-    pairs = condition.mean + normals @ condition.root
+    # each pair is its mean (a mixture's shifted slots: the shifted mean) + z @ root for its standard normals z
+    mean, shifted_mean, root = _logit_constants(condition.params, bias.eta)
+    offsets = normals @ root
+    pairs = mean + offsets
     shifted = np.zeros((reps, total), dtype=bool)
     if mixture:
         n_base = total - n_shifted
-        moved = condition.shifted_mean + normals[:, n_base:] @ condition.root
-        pairs = np.concatenate((pairs[:, :n_base], moved), axis=1)[row, sources]
+        pairs[:, n_base:] = shifted_mean + offsets[:, n_base:]
+        pairs = pairs[row, sources]
         shifted = sources >= n_base
     sizes = np.empty((reps, total, 2), dtype=np.int64)  # (n1, n2)
     sizes[..., 0] = np.floor(condition.pi * totals + 0.5)  # half-up

@@ -11,6 +11,7 @@ from scipy import stats as sps
 
 from funnelbias import asymmetry
 from funnelbias.asymmetry import (
+    EXACT_SIGNED_RANK_MAX_K,
     KENDALL_MERGE_MIN_K,
     EggerWeighting,
     MacaskillWeighting,
@@ -767,6 +768,23 @@ def test_l_pvalue_tied_ranks_falls_back_to_normal():
     p = _l_pvalue(k, np.array([s_plus, 21.0]), tied)
     assert p[0] == pytest.approx(expected)
     assert p[1] == pytest.approx(1.0 / 2.0**6)
+
+
+def test_l_pvalue_of_an_untied_row_past_the_exact_bound_is_normal():
+    # the exact table costs O(k**3) time, so past the bound an untied row takes a tied row's normal p
+    k = EXACT_SIGNED_RANK_MAX_K + 1
+    values = np.random.default_rng(k).normal(size=k)
+    state = trim_fill_iterate(est(values, 0.5), TrimFillEstimator.L)
+    _, ranks, _, s_plus, _ = _center_and_rank(values, state.theta_hat)
+    assert sorted(ranks.tolist()) == list(range(1, k + 1))  # untied
+    mean, sd = k * (k + 1) / 4.0, math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
+    assert state.p_value == pytest.approx(float(sps.norm.sf((s_plus - 0.5 - mean) / sd)), rel=1e-12)
+    s_plus = np.array([s_plus, mean + 2.0 * sd])
+    untied = _l_pvalue(k, s_plus, np.array([False, False]))
+    assert untied.tobytes() == _l_pvalue(k, s_plus, np.array([True, True])).tobytes()
+    # up to the bound the same row takes the exact path
+    exact = _l_pvalue(k - 1, s_plus, np.array([False, False]))
+    assert exact.tolist() == [_signed_rank_tail(k - 1, s) for s in s_plus.tolist()]
 
 
 def test_trim_fill_l_estimator_paths():

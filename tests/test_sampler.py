@@ -35,6 +35,7 @@ from funnelbias.sampler import (
     load_grid,
     replicate_rng,
 )
+from funnelbias.sampler import _logit_constants
 
 FE = BivariateParams(mu=(1.0, -1.0))
 SMALL = BivariateParams(mu=(1.0, -1.0), sigma_a2=0.5, sigma_ab=0.3, sigma_b2=0.5)
@@ -71,6 +72,19 @@ def test_package_imports_resolve():
             assert getattr(funnelbias, alias.asname or alias.name) is getattr(module, alias.name)
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module parses with the grammar of Python 3.10, pyproject's ``requires-python`` floor.
+
+    This checks the grammar only (``except*``, ``type`` aliases, PEP 695
+    generics and the like), not the standard library a module imports or
+    calls, which this interpreter's version provides.
+    """
+    sources = sorted(Path(funnelbias.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 # ---------------------------------------------------------------------------
 # parameters and primitives
 # ---------------------------------------------------------------------------
@@ -93,30 +107,37 @@ def test_sqrt_matrix_squares_back():
 
 def test_fixed_effects_constants_are_exact_copies():
     cond = condition(params=BivariateParams(mu=(2.0, -2.0)), bias=BiasSpec(BiasMechanism.MIXTURE, eta=(0.5, -0.25)))
-    assert cond.mean.tolist() == [2.0, -2.0]
-    assert cond.shifted_mean.tolist() == [2.5, -2.25]
-    assert (cond.root == 0.0).all()
+    mean, shifted_mean, root = _logit_constants(cond.params, cond.bias.eta)
+    assert mean.tolist() == [2.0, -2.0]
+    assert shifted_mean.tolist() == [2.5, -2.25]
+    assert (root == 0.0).all()
 
 
 def test_sample_covariance_converges():
     cond = condition(params=BivariateParams(mu=(0.0, 0.0), sigma_a2=1.0, sigma_ab=0.5, sigma_b2=1.0))
-    draws = cond.mean + replicate_rng(1, 0, 0).standard_normal((100_000, 2)) @ cond.root
+    mean, _, root = _logit_constants(cond.params, cond.bias.eta)
+    draws = mean + replicate_rng(1, 0, 0).standard_normal((100_000, 2)) @ root
     cov = np.cov(draws.T)
     assert np.allclose(cov, cond.params.matrix(), rtol=0.03, atol=0.01)
 
 
 def assert_constants_are_derived(cond):
-    """The condition's means and root are those of its params and bias, bit for bit, and read-only."""
-    assert cond.mean.tobytes() == np.array(cond.params.mu).tobytes()
-    assert cond.shifted_mean.tobytes() == np.array(cond.params.shifted(cond.bias.eta).mu).tobytes()
-    assert cond.root.tobytes() == cond.params.sqrt_matrix().tobytes()
-    for constant in (cond.mean, cond.shifted_mean, cond.root):
+    """The condition's means and root are those of its params and bias, bit for bit, and read-only.
+
+    Only a zero's sign is not kept (see ``test_signed_zeros_derive_the_same_constants``).
+    """
+    mean, shifted_mean, root = _logit_constants(cond.params, cond.bias.eta)
+    assert mean.tobytes() == (np.array(cond.params.mu) + 0.0).tobytes()
+    assert shifted_mean.tobytes() == (np.array(cond.params.shifted(cond.bias.eta).mu) + 0.0).tobytes()
+    assert root.tobytes() == (cond.params.sqrt_matrix() + 0.0).tobytes()
+    for constant in (mean, shifted_mean, root):
         assert constant.dtype == np.float64 and not constant.flags.writeable
 
 
 def assert_identity_is_the_init_fields(cond):
     """==, hash and repr read only the init fields, and a pickle round trip keeps them and the constants."""
     init = (cond.params, cond.k, cond.pi, cond.n_min, cond.n_max, cond.bias)
+    assert [f.name for f in dataclasses.fields(cond)] == ["params", "k", "pi", "n_min", "n_max", "bias"]
     assert hash(cond) == hash(init)
     assert repr(cond) == (
         f"SimCondition(params={cond.params!r}, k={cond.k!r}, pi={cond.pi!r}, "
@@ -155,6 +176,30 @@ def drawn_conditions(draw):
 def test_drawn_condition_constants_are_derived(cond):
     assert_constants_are_derived(cond)
     assert_identity_is_the_init_fields(cond)
+
+
+def test_signed_zeros_derive_the_same_constants():
+    # the constants are cached by equality, under which -0.0 == 0.0, so a condition and its twin with
+    # negative zeros must derive the same bits, whichever of them fills the cache
+    negative = condition(params=BivariateParams((-0.0, -0.0), -0.0, -0.0, 0.5),
+                         bias=BiasSpec(BiasMechanism.MIXTURE, eta=(0.0, -0.0)))
+    positive = condition(params=BivariateParams((0.0, 0.0), 0.0, 0.0, 0.5), bias=BiasSpec(BiasMechanism.MIXTURE))
+    assert negative == positive
+    assert np.signbit(negative.params.sqrt_matrix()).any()  # the root itself keeps a -0.0
+    derived = [_logit_constants.__wrapped__(c.params, c.bias.eta) for c in (negative, positive)]
+    assert [a.tobytes() for a in derived[0]] == [a.tobytes() for a in derived[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reps=st.integers(1, 1100), n=st.integers(1, 200), start=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_slice_of_a_stacked_product_is_the_product_of_the_slice(reps, n, start, seed):
+    # a mixture block draws its offsets as one (reps, n, 2) @ (2, 2) product and adds its
+    # shifted means to the tail, which must hold the bits of the tail's own product
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((reps, n, 2))
+    root = rng.standard_normal((2, 2))
+    start = min(start, n)
+    assert (normals @ root)[:, start:].tobytes() == (normals[:, start:] @ root).tobytes()
 
 
 def test_generated_tables_mean_behavior():
@@ -448,6 +493,23 @@ GRID_SPEC = {
     "mu": [[1, -1]], "sigma": [[[0, 0], [0, 0]]], "k": [10], "pi": [0.5],
     "bias": [{"mechanism": "none"}], "n_min": 50, "n_max": 100,
 }
+
+
+NOT_FINITE_MESSAGE = (
+    "logit means (nan, -1.0) and (nan, -2.0) and covariance root [[0.0, 0.0], [0.0, 0.0]] must be finite"
+)
+
+
+def test_condition_that_is_not_finite_names_its_constants(tmp_path):
+    mixture = BiasSpec(BiasMechanism.MIXTURE, eta=(1.0, -1.0))
+    with pytest.raises(ValueError) as info:
+        condition(params=BivariateParams(mu=(math.nan, -1.0)), bias=mixture)
+    assert str(info.value) == NOT_FINITE_MESSAGE
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID_SPEC, "mu": [[math.nan, -1]], "bias": [{"mechanism": "mixture", "eta": [1, -1]}]}))
+    with pytest.raises(GridFormatError) as info:
+        load_grid(path)
+    assert str(info.value) == f"bad grid values: {NOT_FINITE_MESSAGE}"
 
 
 @pytest.mark.parametrize("key,value", [
