@@ -1,8 +1,9 @@
 """Statistical tests for funnel-plot asymmetry.
 
 Four test families operate on one measure's per-study effect estimates,
-each through one kernel over the rows of an ``EstimateRows`` block; a
-family's single-dataset test is its kernel on a block of one:
+each through a kernel over the rows of an ``EstimateRows`` block; a
+family's single-dataset test is its kernel on a block of one. The two
+regression families share one kernel, ``regression_rows``:
 
 * Egger-style regression of the standardized effect t/SE on a precision
   coordinate; publication bias pushes the intercept above zero.
@@ -310,7 +311,7 @@ MACASKILL_AXES = AxisTable("Macaskill", {
 })
 
 REGRESSION_WEIGHTS = {
-    EggerWeighting.UNWEIGHTED: None,
+    EggerWeighting.UNWEIGHTED: lambda rows: None,
     EggerWeighting.INV_VARIANCE_FIXED: lambda rows: 1.0 / rows.se**2,
     EggerWeighting.INV_VARIANCE_RANDOM:
         lambda rows: 1.0 / (rows.se**2 + _pool_dersimonian_laird(rows.value, rows.se**2)[1][:, None]),
@@ -320,19 +321,21 @@ REGRESSION_WEIGHTS = {
     MacaskillWeighting.PETERS: lambda rows: np.multiply(rows.m1, rows.m2, dtype=float) / rows.n,
 }
 
+# Each regression family's response, and the (coefficient, SE) of the fit that it tests.
+REGRESSION_TESTS = {
+    TestFamily.EGGER: (lambda rows: rows.value / rows.se, lambda fit: (fit.b0, fit.se_b0)),
+    TestFamily.MACASKILL: (lambda rows: rows.value, lambda fit: (fit.b1, fit.se_b1)),
+}
 
-def egger_rows(
-    rows: EstimateRows,
-    axis: PrecisionAxis,
-    weighting: EggerWeighting,
-    sidedness: Sidedness = Sidedness.ONE_SIDED,
-) -> RowResults:
-    """Egger's intercept test on every row of a block of at least ``MIN_STUDIES`` studies."""
-    rule, weights = EGGER_AXES[axis], REGRESSION_WEIGHTS[weighting]
-    response = rows.value / rows.se
-    fit = weighted_linear_fit(rule.column(rows), response, None if weights is None else weights(rows))
-    statistic = _coefficient_statistic(fit.b0, fit.se_b0, np.abs(response).max(axis=-1))
-    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
+
+def regression_rows(rows: EstimateRows, variant: TestVariantId) -> RowResults:
+    """An Egger or Macaskill variant's coefficient test on every row of a block of at least ``MIN_STUDIES`` studies."""
+    rule = FAMILIES[variant.family].axes[variant.axis]
+    response, coefficient = REGRESSION_TESTS[variant.family]
+    y = response(rows)
+    fit = weighted_linear_fit(rule.column(rows), y, REGRESSION_WEIGHTS[variant.weighting](rows))
+    statistic = _coefficient_statistic(*coefficient(fit), np.abs(y).max(axis=-1))
+    p = _t_pvalue(statistic, fit.df, variant.sidedness, rule.alternative)
     return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
 
 
@@ -350,21 +353,6 @@ def egger_test(
     """
     variant = TestVariantId(TestFamily.EGGER, estimates.measure, axis, weighting, sidedness=sidedness)
     return run_test(variant, estimates, alpha)
-
-
-def macaskill_rows(
-    rows: EstimateRows,
-    axis: PrecisionAxis,
-    weighting: MacaskillWeighting,
-    sidedness: Sidedness = Sidedness.ONE_SIDED,
-) -> RowResults:
-    """Macaskill's slope test on every row of a block of at least ``MIN_STUDIES`` studies."""
-    rule = MACASKILL_AXES[axis]
-    values = rows.value
-    fit = weighted_linear_fit(rule.column(rows), values, REGRESSION_WEIGHTS[weighting](rows))
-    statistic = _coefficient_statistic(fit.b1, fit.se_b1, np.abs(values).max(axis=-1))
-    p = _t_pvalue(statistic, fit.df, sidedness, rule.alternative)
-    return RowResults(statistic, p, np.where(fit.singular, Failure.SINGULAR_DESIGN, Failure.NONE))
 
 
 def macaskill_test(
@@ -688,7 +676,8 @@ def _trim_fill_estimate(
     return s_plus, (4.0 * s_plus - k * (k + 1)) / (2.0 * k - 1.0), tied
 
 
-@lru_cache(maxsize=None)
+# A table holds k(k+1)/2 + 1 doubles, 4.2 MB at k = 1024; 32 of them bound the cache at about 134 MB.
+@lru_cache(maxsize=32)
 def _signed_rank_probs(k: int) -> np.ndarray:
     """P(S+ = s) by s, halved at each step: the bits of (subset count) / 2**k, and no overflow past k = 1023."""
     probs = np.zeros(k * (k + 1) // 2 + 1)
@@ -702,9 +691,8 @@ def _signed_rank_probs(k: int) -> np.ndarray:
     return probs
 
 
-@lru_cache(maxsize=1 << 16)
 def _signed_rank_tail(k: int, s_plus: float) -> float:
-    """P(S+ >= s_plus) when every sign is an independent fair coin; each (k, s_plus) sums its O(k**2) tail once."""
+    """P(S+ >= s_plus) when every sign is an independent fair coin: a sum over the O(k**2) tail of the table."""
     threshold = math.ceil(s_plus - 1e-9)
     if threshold <= 0:
         return 1.0
@@ -721,8 +709,9 @@ def _l_pvalue(k: int, s_plus: np.ndarray, tied: np.ndarray) -> np.ndarray:
     mean = k * (k + 1) / 4.0
     sd = math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
     p = ndtr(-((s_plus - 0.5 - mean) / sd))
-    if k <= EXACT_SIGNED_RANK_MAX_K:
-        p[~tied] = [_signed_rank_tail(k, s) for s in s_plus[~tied].tolist()]
+    if k <= EXACT_SIGNED_RANK_MAX_K:  # one tail sum per distinct S+ of the block
+        distinct, inverse = np.unique(s_plus[~tied], return_inverse=True)
+        p[~tied] = np.array([_signed_rank_tail(k, s) for s in distinct.tolist()])[inverse]
     return p
 
 
@@ -1026,10 +1015,8 @@ class TestVariantId:
 
 def run_rows(variant: TestVariantId, rows: EstimateRows) -> RowResults:
     """Evaluate one variant's kernel on a block's every row; the rows need at least ``MIN_STUDIES`` studies."""
-    if variant.family is TestFamily.EGGER:
-        return egger_rows(rows, variant.axis, variant.weighting, variant.sidedness)
-    if variant.family is TestFamily.MACASKILL:
-        return macaskill_rows(rows, variant.axis, variant.weighting, variant.sidedness)
+    if variant.family in REGRESSION_TESTS:
+        return regression_rows(rows, variant)
     if variant.family is TestFamily.BEGG:
         return begg_rows(rows, variant.axis, variant.sidedness)
     state = trim_fill_rows(rows, variant.estimator, variant.axis)

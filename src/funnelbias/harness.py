@@ -114,6 +114,8 @@ def run_condition(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not variants:
         raise ValueError("no test variants supplied")
     measures = sorted({v.measure for v in variants}, key=lambda m: m.value)

@@ -173,6 +173,8 @@ class AsymmetryTestResult:
     converged: bool = True  # trim-and-fill iteration status
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value out of [0, 1]: {self.p_value}")
         if self.reject != (self.p_value <= self.alpha):

@@ -172,6 +172,10 @@ class SimCondition:
     bias: BiasSpec = NO_BIAS
 
     def __post_init__(self) -> None:
+        for name in ("k", "n_min", "n_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not MIN_STUDIES <= self.k <= MAX_K:
             raise ValueError(f"k must be in [{MIN_STUDIES}, {MAX_K}], got {self.k}")
         if not 0.0 < self.pi < 1.0:

@@ -16,16 +16,17 @@ from funnelbias.asymmetry import (
     EggerWeighting,
     MacaskillWeighting,
     PrecisionAxis,
+    TestFamily,
+    TestVariantId,
     TrimFillEstimator,
     begg_rows,
     begg_test,
-    egger_rows,
     egger_test,
     funnel_points,
-    macaskill_rows,
     macaskill_test,
     pool_fixed_effects,
     pool_random_effects,
+    run_rows,
     trim_fill_iterate,
     trim_fill_rows,
     trim_fill_test,
@@ -770,6 +771,25 @@ def test_l_pvalue_tied_ranks_falls_back_to_normal():
     assert p[1] == pytest.approx(1.0 / 2.0**6)
 
 
+def test_l_pvalue_sums_each_distinct_tail_once_bit_for_bit():
+    k = 10
+    s_plus = np.array([30.0, 12.0, 30.0, 55.0, 0.0, 12.0, 30.0, 41.0, 27.5, 30.0])
+    tied = np.array([False, False, False, False, False, False, False, False, True, True])
+    p = _l_pvalue(k, s_plus, tied)
+    assert [x.hex() for x in p[~tied]] == [_signed_rank_tail(k, s).hex() for s in s_plus[~tied].tolist()]
+    # a tied row keeps the normal p even where its S+ repeats an untied row's
+    mean, sd = k * (k + 1) / 4.0, math.sqrt(k * (k + 1) * (2 * k + 1) / 24.0)
+    assert p[-1] == pytest.approx(sps.norm.sf((30.0 - 0.5 - mean) / sd)) != p[0]
+
+
+def test_signed_rank_table_cache_is_bounded():
+    # a table at k = 1024 is 4.2 MB, and an unbounded cache kept every size a process met
+    asymmetry._signed_rank_probs.cache_clear()
+    for k in range(1, 41):
+        _signed_rank_tail(k, 1.0)
+    assert asymmetry._signed_rank_probs.cache_info().currsize <= 32
+
+
 def test_l_pvalue_of_an_untied_row_past_the_exact_bound_is_normal():
     # the exact table costs O(k**3) time, so past the bound an untied row takes a tied row's normal p
     k = EXACT_SIGNED_RANK_MAX_K + 1
@@ -960,8 +980,13 @@ def test_null_calibration_synthetic():
     ses, values, ns = (np.array(column) for column in zip(*draws))
     rows = EstimateRows(values, ses, ns, ns.astype(float), ns // 2, ns - ns // 2)
     results = {
-        "egger": egger_rows(rows, PrecisionAxis.SE, EggerWeighting.UNWEIGHTED),
-        "macaskill": macaskill_rows(rows, PrecisionAxis.N, MacaskillWeighting.INV_VARIANCE_FIXED),
+        "egger": run_rows(
+            TestVariantId(TestFamily.EGGER, MeasureId.LNDOR, PrecisionAxis.SE, EggerWeighting.UNWEIGHTED), rows
+        ),
+        "macaskill": run_rows(
+            TestVariantId(TestFamily.MACASKILL, MeasureId.LNDOR, PrecisionAxis.N, MacaskillWeighting.INV_VARIANCE_FIXED),
+            rows,
+        ),
         "begg": begg_rows(rows),
     }
     assert not any(r.failure.any() for r in results.values())

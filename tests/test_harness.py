@@ -482,6 +482,28 @@ def test_run_grid_rejects_parallelism_below_1_before_any_work(monkeypatch, paral
         run_grid([fe_condition(k=10)], [T_SE_R], reps=1, parallelism=parallelism)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, -0.2, 1.5])
+def test_library_callers_get_the_cli_alpha_rule(alpha):
+    # nan would reject nothing and 1.5 everything; the CLI refuses both
+    message = rf"^alpha must be in \(0, 1\), got {alpha}$"
+    with pytest.raises(ValueError, match=message):
+        run_condition(fe_condition(k=10), [T_SE_R], reps=20, alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        run_grid([fe_condition(k=10)], [T_SE_R], reps=1, alpha=alpha)
+    estimates = variant_sample()
+    calls = [
+        lambda: run_test(E_SE, estimates, alpha),
+        lambda: run_variant(T_SE_R, estimates, alpha),
+        lambda: egger_test(estimates, alpha=alpha),
+        lambda: macaskill_test(estimates, alpha=alpha),
+        lambda: begg_test(estimates, alpha=alpha),
+        lambda: trim_fill_test(estimates, alpha=alpha),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py swaps wrappers into these modules by name and
     # restores them on exit; a renamed target would break a traced run

@@ -1,6 +1,7 @@
 """The README's examples run as written and print what their comments state."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -33,3 +34,20 @@ def test_grid_example_loads_24_conditions(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(_block("json"))
     assert len(load_grid(path)) == 24
+
+
+def test_stated_constants_match_the_code():
+    # each `module.CONSTANT` (n) or (a^b) in the prose names the code's value
+    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]+)` \((\d+)(?:\^(\d+))?\)", README)
+    checked = set()
+    for module, name, base, power in stated:
+        value = getattr(importlib.import_module(f"funnelbias.{module}"), name)
+        assert value == int(base) ** int(power or 1), f"{module}.{name}"
+        checked.add(f"{module}.{name}")
+    assert checked == {
+        "harness.BLOCK_REPS",
+        "asymmetry.TRIM_FILL_TABLE_MAX_WORK",
+        "asymmetry.KENDALL_MERGE_MIN_K",
+        "asymmetry.EXACT_SIGNED_RANK_MAX_K",
+        "model.MIN_STUDIES",
+    }

@@ -550,6 +550,23 @@ def test_replicate_rng_streams_are_stable_and_distinct():
     assert not (a == c).all()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", 10.5), ("k", 10.0), ("k", True),
+    ("n_min", 50.5), ("n_min", 50.0), ("n_min", True),
+    ("n_max", 999.5), ("n_max", 1000.0), ("n_max", True),
+])
+def test_condition_sizes_must_be_integers(field, value):
+    # load_grid turns 10.0 into 10; the library takes no float or bool at all
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        condition(**{field: value})
+
+
+def test_condition_accepts_numpy_integer_sizes():
+    cond = condition(k=np.int64(10), n_min=np.int32(50), n_max=np.int64(1000))
+    assert generate_block(cond, [replicate_rng(1, 0, 0)]).shape == (1, 10, 4)
+    assert all(type(v) is int for c in default_grid() for v in (c.k, c.n_min, c.n_max))
+
+
 def test_k_is_bounded():
     assert condition(k=MAX_K).k == MAX_K == 10_000
     with pytest.raises(ValueError, match=r"^k must be in \[3, 10000\], got 10001$"):
