@@ -46,7 +46,7 @@ from .asymmetry import (  # noqa: F401
 from .errors import EmptyInput
 from .measures import measure_block
 from .model import MIN_STUDIES, AsymmetryTestResult, CorrectionPolicy, EstimateSet
-from .sampler import SimCondition, generate_block, replicate_rng
+from .sampler import SimCondition, check_integer, generate_block, replicate_rng
 
 # perfbench/tracing.py wraps these names in this module; the block engine does not call them
 from .measures import measure_studies as compute_usable  # noqa: F401
@@ -91,6 +91,16 @@ class SimResult:
 BLOCK_REPS = 1024  # replicates realized and measured together; bounds a block's memory
 
 
+def _check_run(reps: int, alpha: float, master_seed: int) -> None:
+    """Refuse the arguments that every condition of a run shares, before any work."""
+    check_integer("reps", reps)
+    check_integer("master_seed", master_seed)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def run_condition(
     condition: SimCondition,
     variants: Sequence[TestVariantId],
@@ -112,10 +122,8 @@ def run_condition(
     raises ``ValueError``, as in the single-dataset test. Every
     replicate gets the numbers it would get alone.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_run(reps, alpha, master_seed)
+    check_integer("condition_index", condition_index)
     if not variants:
         raise ValueError("no test variants supplied")
     measures = sorted({v.measure for v in variants}, key=lambda m: m.value)
@@ -169,7 +177,8 @@ def run_grid(
     Condition i runs as ``run_condition(grid[i], ..., condition_index=i)``
     through the builtin ``map`` at parallelism 1 and a process pool's
     ``map`` above it, so the results are the same at every parallelism.
-    An empty grid or variant list, or a parallelism below 1, raises
+    An empty grid or variant list, a parallelism below 1, or a ``reps``,
+    ``alpha`` or ``master_seed`` that ``run_condition`` refuses raises
     ``ValueError`` before any worker starts.
     """
     if not grid:
@@ -178,6 +187,7 @@ def run_grid(
         raise ValueError("no test variants supplied")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    _check_run(reps, alpha, master_seed)
     with ExitStack() as stack:
         mapper = map
         if parallelism > 1:

@@ -32,10 +32,10 @@ from .model import CorrectionPolicy, EstimateRows, EstimateSet, MeasureId, MetaD
 # reason) pairs in check order, where ``undefined`` marks the studies
 # whose measure fails that check. A study's value and se mean nothing
 # once any check fails. The formulas keep the order of operations of
-# the published scalar forms; + - * / and sqrt round the same in numpy
-# as in Python floats, but np.log and numpy's ** can differ from
-# math.log and float ** in the last bit, so those go through _log and
-# _pow.
+# the published scalar forms; + - * /, sqrt and np.float_power (the C
+# library's pow, as float ** calls it) round the same in numpy as in
+# Python floats, but np.log can differ from math.log in the last bit,
+# so logs go through _log.
 Checks = list[tuple[np.ndarray, str]]
 
 
@@ -45,11 +45,6 @@ def _log(values: np.ndarray) -> np.ndarray:
     defined = values > 0.0
     logs[defined] = list(map(math.log, values[defined].tolist()))
     return logs
-
-
-def _pow(values: np.ndarray, exponent: int) -> np.ndarray:
-    """Python's float ** of each value, in the input's shape."""
-    return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def effective_sample_size(n1, n2):
@@ -73,8 +68,9 @@ def neg_ln_theta(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     log_sen = log_x - log_n1
     log_fpr = log_y - log_n2
     value = -_log(log_sen / log_fpr)
-    log_sen_sq, log_fpr_sq = _pow(np.array((log_sen, log_fpr)), 2)
-    se = np.sqrt((1.0 / x - 1.0 / n1) / log_sen_sq + (1.0 / y - 1.0 / n2) / log_fpr_sq)
+    se = np.sqrt(
+        (1.0 / x - 1.0 / n1) / np.float_power(log_sen, 2) + (1.0 / y - 1.0 / n2) / np.float_power(log_fpr, 2)
+    )
     return value, se, [
         ((x == 0.0) | (y == 0.0), "lnTheta undefined with x = 0 or y = 0"),
         # on the logs, not the counts: past about 1e13 subjects ln(x) can equal ln(n1) with x < n1
@@ -107,22 +103,16 @@ def kappa(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     n = n1 + n2
     denom = n1 * m2 + n2 * m1
     value = 2.0 * (x * z - y * w) / denom
-    # each squared distance is named after the cell that weights it
-    n_sq, w_sq, y_sq = _pow(np.array((n, n2 + m1, n1 + m2)), 2)
-    n_cubed = _pow(n, 3)
-    p_e = (n1 * m1 + n2 * m2) / n_sq
+    p_e = (n1 * m1 + n2 * m2) / np.float_power(n, 2)
     one_minus_k = 1.0 - value
-    x_sq, z_sq, one_minus_k_sq, c_term = _pow(
-        np.array((
-            n - (n1 + m1) * one_minus_k,
-            n - (n2 + m2) * one_minus_k,
-            one_minus_k,
-            value - p_e * one_minus_k,
-        )),
-        2,
+    n_cubed = np.float_power(n, 3)
+    a_term = (
+        x * np.float_power(n - (n1 + m1) * one_minus_k, 2) + z * np.float_power(n - (n2 + m2) * one_minus_k, 2)
+    ) / n_cubed
+    b_term = (
+        np.float_power(one_minus_k, 2) * (w * np.float_power(n2 + m1, 2) + y * np.float_power(n1 + m2, 2)) / n_cubed
     )
-    a_term = (x * x_sq + z * z_sq) / n_cubed
-    b_term = one_minus_k_sq * (w * w_sq + y * y_sq) / n_cubed
+    c_term = np.float_power(value - p_e * one_minus_k, 2)
     variance_core = a_term + b_term - c_term
     se = np.sqrt(variance_core) / ((1.0 - p_e) * np.sqrt(n))
     # On tables whose variance is exactly 0, a + b - c still leaves a few

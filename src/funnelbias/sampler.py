@@ -160,6 +160,12 @@ def _logit_constants(params: BivariateParams, eta: tuple[float, float]) -> tuple
     return constants
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a value that is not a Python or numpy integer; bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SimCondition:
     """One cell of the simulation grid."""
@@ -173,9 +179,7 @@ class SimCondition:
 
     def __post_init__(self) -> None:
         for name in ("k", "n_min", "n_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if not MIN_STUDIES <= self.k <= MAX_K:
             raise ValueError(f"k must be in [{MIN_STUDIES}, {MAX_K}], got {self.k}")
         if not 0.0 < self.pi < 1.0:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import funnelbias
 from funnelbias import cli, model
 from funnelbias.cli import main
+from funnelbias.sampler import default_grid, generate_meta_analysis, replicate_rng
 
 DATASET = """study_id,tp,fn,fp,tn
 s1,40,10,10,40
@@ -238,6 +239,22 @@ def test_analyze_near_degenerate_kappa_exits_cleanly(tmp_path, capsys, variant):
     if code == 0:
         report = json.loads(out)
         assert "study s6: excluded: kappa standard error is zero" in report["warnings"]
+
+
+def test_analyze_rejects_at_a_p_equal_to_a_lattice_alpha(tmp_path, capsys):
+    # replicate 12 of default grid cell 10 at seed 1 has T(lndor,se,r)'s p = 2^-3 exactly;
+    # the simulation engine counts it as a rejection, so analyze must report one
+    dataset = generate_meta_analysis(default_grid()[10], replicate_rng(1, 0, 12))
+    path = tmp_path / "tie.csv"
+    model.write_dataset_csv(path, dataset)
+    code, out, _ = run(
+        capsys, "analyze", "--input", str(path), "--measure", "lndor", "--test", "trimfill",
+        "--axis", "se", "--estimator", "r", "--alpha", "0.125",
+    )
+    assert code == 0
+    report = json.loads(out)["test"]
+    assert report["p_value"] == 0.125
+    assert report["reject"] is True
 
 
 def test_funnel_axis_se(dataset_path, capsys):

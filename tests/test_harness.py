@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,74 @@ def test_library_callers_get_the_cli_alpha_rule(alpha):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+BAD_RUN_ARGS = [
+    ("reps", 0, "reps must be >= 1, got 0"),
+    ("reps", True, "reps must be an integer, got True"),
+    ("reps", 10.0, "reps must be an integer, got 10.0"),
+    ("alpha", math.nan, "alpha must be in (0, 1), got nan"),
+    ("alpha", 1.5, "alpha must be in (0, 1), got 1.5"),
+    ("master_seed", True, "master_seed must be an integer, got True"),
+    ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+]
+BAD_INDEX_ARGS = [
+    ("condition_index", True, "condition_index must be an integer, got True"),
+    ("condition_index", 1.5, "condition_index must be an integer, got 1.5"),
+]
+
+
+def arg_id(case):
+    name, value, _ = case
+    return f"{name}={value!r}"
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work was started")
+
+
+@pytest.mark.parametrize("case", BAD_RUN_ARGS + BAD_INDEX_ARGS, ids=arg_id)
+def test_run_condition_refuses_bad_run_arguments_before_any_draw(monkeypatch, case):
+    # unrefused, True would run as one replicate and reach the CSV as True, and a float would end in a TypeError
+    name, value, message = case
+    monkeypatch.setattr(harness, "replicate_rng", refuse_work)
+    args = {"reps": 5, "alpha": 0.1, "master_seed": 1, "condition_index": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_condition(fe_condition(k=10), [T_SE_R], **args)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("case", BAD_RUN_ARGS, ids=arg_id)
+def test_run_grid_refuses_bad_run_arguments_before_any_worker(monkeypatch, case, parallelism):
+    name, value, message = case
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse_work)
+    monkeypatch.setattr(harness, "run_condition", refuse_work)
+    args = {"reps": 5, "alpha": 0.1, "master_seed": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_grid(default_grid()[:4], [T_SE_R], parallelism=parallelism, **args)
+
+
+def test_run_arguments_accept_numpy_integers():
+    grid = [fe_condition(k=10), fe_condition(k=12)]
+    expected = run_grid(grid, [T_SE_R], reps=5, master_seed=3)
+    assert run_grid(grid, [T_SE_R], reps=np.int64(5), master_seed=np.uint32(3)) == expected
+    single = run_condition(grid[1], [T_SE_R], reps=np.int32(5), master_seed=np.int64(3), condition_index=np.int8(1))
+    assert single == expected[1:]
+
+
+LATTICE_ALPHA = 0.125  # 2^-3, which the run test's p = 2^-gamma reaches
+
+
+def test_engine_counts_a_p_equal_to_alpha_as_a_rejection():
+    # AsymmetryTestResult rejects at p <= alpha; at alpha 0.1 no p equals
+    # alpha, so only a lattice alpha shows a block engine counting p < alpha
+    condition, reps = default_grid()[10], 400
+    (result,) = run_condition(condition, [T_SE_R], reps, LATTICE_ALPHA, master_seed=1, condition_index=0)
+    datasets = (generate_meta_analysis(condition, replicate_rng(1, 0, r)) for r in range(reps))
+    single = [run_test(T_SE_R, measure_studies(d, LNDOR).estimates, LATTICE_ALPHA) for d in datasets]
+    assert sum(1 for t in single if t.p_value == LATTICE_ALPHA) == 24
+    assert result.degenerate_reps == 0
+    assert result.rejections == sum(t.reject for t in single) == 57
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

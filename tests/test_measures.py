@@ -549,6 +549,31 @@ def test_log_is_bit_equal_on_edge_values_and_block_shapes():
         assert _log(values).tobytes() == log_by_element(values).tobytes()
 
 
+# Python's ** raises OverflowError where a cube passes about 5.6e102 and numpy's
+# gives inf; the largest power the measures take is N**3 with N < 2**63, below 8e56
+POWER_BOUND = 1e100
+POWER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 0.5, 2.0**63, POWER_BOUND, -POWER_BOUND]
+
+
+@pytest.mark.parametrize("exponent", [2, 3])
+@settings(max_examples=300, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements=st.sampled_from(POWER_EDGES)
+        | st.floats(min_value=-POWER_BOUND, max_value=POWER_BOUND, allow_subnormal=True),
+    )
+)
+def test_float_power_is_bit_equal_to_python_pow(exponent, values):
+    # the measures square and cube with np.float_power because numpy's ** can
+    # differ from float ** in the last bit; this pins the premise on its own
+    powers = np.float_power(values, exponent)
+    expected = np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
+    assert powers.shape == values.shape and powers.dtype == np.float64
+    assert powers.tobytes() == expected.tobytes()
+
+
 def masked_groups(block):
     """The groups as a masked gather per usable count, counts from np.unique: the reference for ``groups``."""
     counts = block.usable.sum(axis=-1)
