@@ -50,6 +50,7 @@ from .model import (
     CorrectionPolicy,
     MeasureId,
     Sidedness,
+    check_alpha,
     csv_text,
     read_dataset_csv,
     validate_dataset,
@@ -102,11 +103,10 @@ def _alpha(text: str) -> float:
     """A significance level strictly between 0 and 1; anything else, nan and inf too, is a usage error."""
     try:
         alpha = float(text)
-        if 0.0 < alpha < 1.0:
-            return alpha
+        check_alpha(alpha)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1), got {text!r}")
+        raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1), got {text!r}") from None
+    return alpha
 
 
 def _seed(text: str) -> int:

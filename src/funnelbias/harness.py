@@ -45,7 +45,7 @@ from .asymmetry import (  # noqa: F401
 )
 from .errors import EmptyInput
 from .measures import measure_block
-from .model import MIN_STUDIES, AsymmetryTestResult, CorrectionPolicy, EstimateSet
+from .model import MIN_STUDIES, AsymmetryTestResult, CorrectionPolicy, EstimateSet, check_alpha
 from .sampler import SimCondition, check_integer, generate_block, replicate_rng
 
 # perfbench/tracing.py wraps these names in this module; the block engine does not call them
@@ -97,8 +97,7 @@ def _check_run(reps: int, alpha: float, master_seed: int) -> None:
     check_integer("master_seed", master_seed)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
 
 
 def run_condition(

@@ -24,6 +24,7 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import xlogy
 
 from .model import CorrectionPolicy, EstimateRows, EstimateSet, MeasureId, MetaDataset
 
@@ -32,19 +33,17 @@ from .model import CorrectionPolicy, EstimateRows, EstimateSet, MeasureId, MetaD
 # reason) pairs in check order, where ``undefined`` marks the studies
 # whose measure fails that check. A study's value and se mean nothing
 # once any check fails. The formulas keep the order of operations of
-# the published scalar forms; + - * /, sqrt and np.float_power (the C
-# library's pow, as float ** calls it) round the same in numpy as in
-# Python floats, but np.log can differ from math.log in the last bit,
-# so logs go through _log.
+# the published scalar forms, and each array call calls what the scalar
+# form calls, so the bits match: + - * /, sqrt, np.float_power (the C
+# library's pow, as float ** calls it) and xlogy (the C library's log,
+# as math.log calls it). np.log is not used because it can differ.
 Checks = list[tuple[np.ndarray, str]]
 
 
 def _log(values: np.ndarray) -> np.ndarray:
     """math.log of each value, in the input's shape; nan where it is undefined."""
-    logs = np.full(values.shape, math.nan)
-    defined = values > 0.0
-    logs[defined] = list(map(math.log, values[defined].tolist()))
-    return logs
+    defined = values > 0.0  # masked, not passed as where=, which scipy.special ufuncs mishandle
+    return np.where(defined, xlogy(1.0, np.where(defined, values, 1.0)), math.nan)
 
 
 def effective_sample_size(n1, n2):
@@ -64,9 +63,8 @@ def ln_dor(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
 def neg_ln_theta(x, w, y, z) -> tuple[np.ndarray, np.ndarray, Checks]:
     """Negated log Lehmann parameter, -ln(ln(Sen) / ln(FPR))."""
     n1, n2 = x + w, y + z
-    log_x, log_n1, log_y, log_n2 = _log(np.array((x, n1, y, n2)))
-    log_sen = log_x - log_n1
-    log_fpr = log_y - log_n2
+    log_sen = _log(x) - _log(n1)
+    log_fpr = _log(y) - _log(n2)
     value = -_log(log_sen / log_fpr)
     se = np.sqrt(
         (1.0 / x - 1.0 / n1) / np.float_power(log_sen, 2) + (1.0 / y - 1.0 / n2) / np.float_power(log_fpr, 2)

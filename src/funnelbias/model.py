@@ -158,6 +158,12 @@ _ESTIMATE_COLUMNS = (
 )
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a significance level outside (0, 1), nan included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True, slots=True)
 class AsymmetryTestResult:
     """Outcome of one funnel-plot asymmetry test on one dataset."""
@@ -173,8 +179,7 @@ class AsymmetryTestResult:
     converged: bool = True  # trim-and-fill iteration status
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value out of [0, 1]: {self.p_value}")
         if self.reject != (self.p_value <= self.alpha):

@@ -549,6 +549,14 @@ def test_log_is_bit_equal_on_edge_values_and_block_shapes():
         assert _log(values).tobytes() == log_by_element(values).tobytes()
 
 
+def test_log_is_bit_equal_where_numpy_log_differs():
+    """Count ratios like lnDOR's and values next to 1, where numpy 2.4's np.log misses math.log on hundreds of each."""
+    rng = np.random.default_rng(2024)
+    counts = rng.integers(1, 2001, size=(2, 100_000))
+    for values in (counts[0] / counts[1], rng.uniform(0.999, 1.001, 100_000)):
+        assert _log(values).tobytes() == log_by_element(values).tobytes()
+
+
 # Python's ** raises OverflowError where a cube passes about 5.6e102 and numpy's
 # gives inf; the largest power the measures take is N**3 with N < 2**63, below 8e56
 POWER_BOUND = 1e100

@@ -62,6 +62,8 @@ FAULTS = [
           "np.lexsort((totals, _youden(tables)), axis=-1)", "np.lexsort((-totals, _youden(tables)), axis=-1)"),
     Fault("p < alpha in run_condition", HARNESS,
           "np.count_nonzero(p_values <= alpha)", "np.count_nonzero(p_values < alpha)"),
+    Fault("logs through np.log", MEASURES,
+          "xlogy(1.0, np.where(defined, values, 1.0))", "np.log(np.where(defined, values, 1.0))"),
 ]
 
 
